@@ -26,7 +26,10 @@ m = KripkeModel(
 print("model:", json.dumps(model_to_json(m)))
 
 # Complex programs get their relations compositionally; the star is the
-# reflexive-transitive closure, computed by Warshall on boolean matrices.
+# reflexive-transitive closure.  The checker never builds these relations to
+# evaluate a formula: a program acts on a world set by pre-image, and the star
+# is the least fixpoint of T -> S | pre(a, T).  relation() reads the pairs
+# back one target world at a time.
 for text in ["a", "a ; a", "a*", "p?", "a u a*"]:
     print(f"R({text}) =", sorted(relation(m, parse_program(text))))
 

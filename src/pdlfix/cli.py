@@ -360,6 +360,20 @@ def cmd_verify_cert(args) -> int:
     return OK if report.ok else COUNTEREXAMPLE
 
 
+def _at_least(minimum: int):
+    """An argparse ``type`` for integers no smaller than ``minimum``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pdlfix",
@@ -391,17 +405,17 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--model", help="model JSON file")
     group.add_argument("--random", type=int, metavar="N", help="check on N random models")
-    p.add_argument("--worlds", type=int, default=5, help="max worlds per random model")
+    p.add_argument("--worlds", type=_at_least(1), default=5, help="max worlds per random model")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("fuzz", help="randomized soundness runs")
     p.add_argument("--scope", choices=["rules", "solutions", "both"], default="both")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--models-per-trial", type=int, default=10)
-    p.add_argument("--max-pairs", type=int, default=3)
-    p.add_argument("--depth", type=int, default=2)
+    p.add_argument("--trials", type=_at_least(1), default=100)
+    p.add_argument("--models-per-trial", type=_at_least(1), default=10)
+    p.add_argument("--max-pairs", type=_at_least(1), default=3)
+    p.add_argument("--depth", type=_at_least(0), default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_fuzz)

@@ -1,9 +1,11 @@
 """Finite Kripke models and the satisfaction relation.
 
-This is the brute-force oracle for everything else: formulas are evaluated
-bottom-up to extension vectors (one boolean per world) and programs to
-boolean adjacency matrices, with Kleene star computed as a Warshall-style
-reflexive-transitive closure.  Variables are interpreted through the
+This is the brute-force oracle for everything else: formulas are labelled
+bottom-up with their extensions, world sets held as ``int`` bitmasks.  A
+program is never built as a relation; it acts on a world set by pre-image
+(``<alpha>phi`` is the pre-image of ``phi``, ``[alpha]phi`` the complement
+of the pre-image of ``~phi``), and Kleene star is the least fixpoint of
+``T -> S | pre(alpha, T)``.  Variables are interpreted through the
 valuation exactly like atoms.
 """
 
@@ -12,8 +14,8 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-
-import numpy as np
+from functools import reduce
+from operator import or_
 
 from .syntax import (
     And,
@@ -88,98 +90,110 @@ class KripkeModel:
 
 
 class _Evaluator:
-    """Bottom-up labeling evaluator with per-node memoization."""
+    """Bottom-up labelling of one model, with world sets as ``int`` bitmasks.
+
+    Bit ``i`` stands for ``model.worlds[i]``.  Each formula node is labelled
+    once, memoized by identity, so a subterm shared by reference (as
+    ``substitute`` shares the candidate at every occurrence of the unknown)
+    is evaluated once.  Programs are never turned into relations: they act on
+    a world set by pre-image.
+    """
 
     def __init__(self, model: KripkeModel):
         self.model = model
-        self.n = len(model.worlds)
-        self.widx = {w: i for i, w in enumerate(model.worlds)}
-        self._ext: dict[Formula, np.ndarray] = {}
-        self._rel: dict[Program, np.ndarray] = {}
+        self.full = (1 << len(model.worlds)) - 1
+        self.bit = bit = {w: 1 << i for i, w in enumerate(model.worlds)}
+        self.names = {name: reduce(or_, map(bit.__getitem__, ext), 0)
+                      for name, ext in model.valuation.items()}
+        # id(node) -> (node, mask); holding the node keeps its id from reuse.
+        self._ext: dict[int, tuple[Formula, int]] = {}
+        self._rows: dict[str, list[tuple[int, int]]] = {}
 
-    def _name_extension(self, name: str) -> np.ndarray:
-        out = np.zeros(self.n, dtype=bool)
-        for w in self.model.valuation.get(name, ()):
-            out[self.widx[w]] = True
-        return out
+    def _successors(self, name: str) -> list[tuple[int, int]]:
+        """(world bit, successor mask) for every world with an edge of ``name``."""
+        rows = self._rows.get(name)
+        if rows is None:
+            bit = self.bit
+            succ = dict.fromkeys(self.model.worlds, 0)
+            for u, v in self.model.relations.get(name, ()):
+                succ[u] |= bit[v]
+            rows = self._rows[name] = [(bit[u], row) for u, row in succ.items() if row]
+        return rows
 
-    def extension(self, phi: Formula) -> np.ndarray:
-        cached = self._ext.get(phi)
-        if cached is not None:
-            return cached
-        if isinstance(phi, (Atom, Var)):
-            out = self._name_extension(phi.name)
-        elif isinstance(phi, NegAtom):
-            out = ~self._name_extension(phi.name)
-        elif isinstance(phi, Top):
-            out = np.ones(self.n, dtype=bool)
-        elif isinstance(phi, Bot):
-            out = np.zeros(self.n, dtype=bool)
-        elif isinstance(phi, Or):
-            out = self.extension(phi.left) | self.extension(phi.right)
-        elif isinstance(phi, And):
+    def extension(self, phi: Formula) -> int:
+        entry = self._ext.get(id(phi))
+        if entry is not None:
+            return entry[1]
+        kind = type(phi)
+        if kind is And:
             out = self.extension(phi.left) & self.extension(phi.right)
-        elif isinstance(phi, Diamond):
-            out = (self.rel(phi.prog) & self.extension(phi.body)[None, :]).any(axis=1)
-        elif isinstance(phi, Box):
-            out = ~((self.rel(phi.prog) & ~self.extension(phi.body)[None, :]).any(axis=1))
+        elif kind is Or:
+            out = self.extension(phi.left) | self.extension(phi.right)
+        elif kind is Diamond:
+            out = self.pre(phi.prog, self.extension(phi.body))
+        elif kind is Box:
+            out = self.full ^ self.pre(phi.prog, self.full ^ self.extension(phi.body))
+        elif kind is Atom or kind is Var:
+            out = self.names.get(phi.name, 0)
+        elif kind is NegAtom:
+            out = self.full ^ self.names.get(phi.name, 0)
+        elif kind is Top:
+            out = self.full
+        elif kind is Bot:
+            out = 0
         else:
             raise TypeError(f"not a formula: {phi!r}")
-        self._ext[phi] = out
+        self._ext[id(phi)] = (phi, out)
         return out
 
-    def rel(self, alpha: Program) -> np.ndarray:
-        cached = self._rel.get(alpha)
-        if cached is not None:
-            return cached
-        if isinstance(alpha, AtomicProg):
-            out = np.zeros((self.n, self.n), dtype=bool)
-            for u, v in self.model.relations.get(alpha.name, ()):
-                out[self.widx[u], self.widx[v]] = True
-        elif isinstance(alpha, Test):
-            out = np.zeros((self.n, self.n), dtype=bool)
-            np.fill_diagonal(out, self.extension(alpha.cond))
-        elif isinstance(alpha, Seq):
-            first = self.rel(alpha.first).astype(np.uint8)
-            second = self.rel(alpha.second).astype(np.uint8)
-            out = (first @ second) > 0
-        elif isinstance(alpha, Choice):
-            out = self.rel(alpha.left) | self.rel(alpha.right)
-        elif isinstance(alpha, Star):
-            out = _rt_closure(self.rel(alpha.body))
-        else:
-            raise TypeError(f"not a program: {alpha!r}")
-        self._rel[alpha] = out
-        return out
-
-
-def _rt_closure(adj: np.ndarray) -> np.ndarray:
-    """Reflexive-transitive closure by Warshall's algorithm."""
-    closure = adj.copy()
-    np.fill_diagonal(closure, True)
-    for k in range(closure.shape[0]):
-        closure |= closure[:, k:k + 1] & closure[k:k + 1, :]
-    return closure
+    def pre(self, alpha: Program, s: int) -> int:
+        """The worlds with an ``alpha``-successor in ``s``."""
+        if not s:
+            return 0
+        kind = type(alpha)
+        if kind is AtomicProg:
+            out = 0
+            for b, row in self._successors(alpha.name):
+                if row & s:
+                    out |= b
+            return out
+        if kind is Seq:
+            return self.pre(alpha.first, self.pre(alpha.second, s))
+        if kind is Choice:
+            return self.pre(alpha.left, s) | self.pre(alpha.right, s)
+        if kind is Test:
+            return self.extension(alpha.cond) & s
+        if kind is Star:
+            # Least fixpoint of T -> s | pre(body, T); pre-image distributes
+            # over union, so each round only needs the newly reached worlds.
+            reached = frontier = s
+            while frontier:
+                frontier = self.pre(alpha.body, frontier) & ~reached
+                reached |= frontier
+            return reached
+        raise TypeError(f"not a program: {alpha!r}")
 
 
 def relation(model: KripkeModel, alpha: Program) -> frozenset[tuple[str, str]]:
     """The compositional relation of ``alpha`` on ``model`` as world pairs."""
-    mat = _Evaluator(model).rel(alpha)
-    ws = model.worlds
-    rows, cols = np.nonzero(mat)
-    return frozenset((ws[i], ws[j]) for i, j in zip(rows, cols))
+    ev = _Evaluator(model)
+    pairs = set()
+    for j, v in enumerate(model.worlds):
+        sources = ev.pre(alpha, 1 << j)
+        pairs.update((u, v) for i, u in enumerate(model.worlds) if sources >> i & 1)
+    return frozenset(pairs)
 
 
 def satisfies(model: KripkeModel, world: str, phi: Formula) -> bool:
-    return bool(_Evaluator(model).extension(phi)[model.index(world)])
+    return bool(_Evaluator(model).extension(phi) >> model.index(world) & 1)
 
 
 def equivalent_on(model: KripkeModel, phi: Formula, psi: Formula) -> str | None:
     """First world (in model order) where the two formulas disagree, else None."""
     ev = _Evaluator(model)
     diff = ev.extension(phi) ^ ev.extension(psi)
-    if diff.any():
-        return model.worlds[int(np.argmax(diff))]
+    if diff:
+        return model.worlds[(diff & -diff).bit_length() - 1]
     return None
 
 

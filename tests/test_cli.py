@@ -198,3 +198,23 @@ def test_json_mode_emits_exactly_one_document(capsys):
     code, out = run(capsys, "classify", "--var", "X", "--json", "p & [a](q | (r & X))")
     assert code == 0
     json.loads(out)  # a single well-formed document
+
+
+CHECK_RANDOM = ["check", "--var", "X", "--equation", "p", "--candidate", "p", "--random", "3"]
+
+
+@pytest.mark.parametrize("argv, flag, minimum", [
+    (CHECK_RANDOM + ["--worlds", "0"], "--worlds", 1),
+    (["fuzz", "--trials", "0"], "--trials", 1),
+    (["fuzz", "--models-per-trial", "0"], "--models-per-trial", 1),
+    (["fuzz", "--max-pairs", "0"], "--max-pairs", 1),
+    (["fuzz", "--depth", "-1"], "--depth", 0),
+])
+def test_numeric_flag_below_its_minimum_exits_2(capsys, argv, flag, minimum):
+    code = main(argv + ["--json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "Traceback" not in captured.err
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert errors == [f"pdlfix {argv[0]}: error: argument {flag}: must be at least "
+                      f"{minimum}, got {int(argv[-1])}"]

@@ -3,6 +3,7 @@ import random
 import pytest
 from conftest import variable_free_formulas
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdlfix.generators import TermGen, derive_seed
 from pdlfix.semantics import (
@@ -17,7 +18,24 @@ from pdlfix.semantics import (
     relation,
     satisfies,
 )
-from pdlfix.syntax import Bot, Top, Var, negate
+from pdlfix.syntax import (
+    And,
+    Atom,
+    AtomicProg,
+    Bot,
+    Box,
+    Choice,
+    Diamond,
+    NegAtom,
+    Or,
+    Seq,
+    Star,
+    Test,
+    Top,
+    Var,
+    negate,
+    substitute,
+)
 from pdlfix.textio import parse_formula, parse_program
 
 
@@ -242,3 +260,143 @@ def _text_f(phi):
     from pdlfix.textio import print_formula
 
     return print_formula(phi)
+
+
+# ---------------------------------------------------------------------------
+# A reference evaluator that follows the definitions directly: relations are
+# sets of world pairs, and the star composes until nothing changes.
+
+def ref_extension(m, phi):
+    worlds = set(m.worlds)
+    if isinstance(phi, (Atom, Var)):
+        return set(m.valuation.get(phi.name, ()))
+    if isinstance(phi, NegAtom):
+        return worlds - set(m.valuation.get(phi.name, ()))
+    if isinstance(phi, Top):
+        return worlds
+    if isinstance(phi, Bot):
+        return set()
+    if isinstance(phi, Or):
+        return ref_extension(m, phi.left) | ref_extension(m, phi.right)
+    if isinstance(phi, And):
+        return ref_extension(m, phi.left) & ref_extension(m, phi.right)
+    rel = ref_relation(m, phi.prog)
+    body = ref_extension(m, phi.body)
+    if isinstance(phi, Diamond):
+        return {u for u in worlds if any((u, v) in rel for v in body)}
+    assert isinstance(phi, Box)
+    return {u for u in worlds if all(v in body for (x, v) in rel if x == u)}
+
+
+def _compose(r, s):
+    return {(u, z) for (u, v) in r for (y, z) in s if v == y}
+
+
+def ref_relation(m, alpha):
+    if isinstance(alpha, AtomicProg):
+        return set(m.relations.get(alpha.name, ()))
+    if isinstance(alpha, Test):
+        return {(w, w) for w in ref_extension(m, alpha.cond)}
+    if isinstance(alpha, Seq):
+        return _compose(ref_relation(m, alpha.first), ref_relation(m, alpha.second))
+    if isinstance(alpha, Choice):
+        return ref_relation(m, alpha.left) | ref_relation(m, alpha.right)
+    assert isinstance(alpha, Star)
+    body = ref_relation(m, alpha.body)
+    closure = {(w, w) for w in m.worlds}
+    while True:
+        grown = closure | _compose(closure, body)
+        if grown == closure:
+            return closure
+        closure = grown
+
+
+def ref_first_difference(m, phi, psi):
+    left, right = ref_extension(m, phi), ref_extension(m, psi)
+    return next((w for w in m.worlds if (w in left) != (w in right)), None)
+
+
+def assert_agrees_with_reference(m, alpha=None, formulas=()):
+    if alpha is not None:
+        assert relation(m, alpha) == ref_relation(m, alpha)
+    for phi in formulas:
+        ext = ref_extension(m, phi)
+        assert [satisfies(m, w, phi) for w in m.worlds] == [w in ext for w in m.worlds]
+    for phi, psi in zip(formulas, formulas[1:]):
+        assert equivalent_on(m, phi, psi) == ref_first_difference(m, phi, psi)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    worlds=st.integers(1, 7),
+    edge_probability=st.sampled_from([0.0, 0.15, 0.4, 0.8]),
+)
+def test_evaluator_agrees_with_the_reference(seed, worlds, edge_probability):
+    rng = random.Random(seed)
+    gen = TermGen(rng, variables=("X",))
+    m = random_model(ModelGenParams(world_count=worlds, edge_probability=edge_probability,
+                                    seed=seed))
+    alpha = gen.program(depth=3)
+    phi, psi = gen.formula(depth=3), gen.formula(depth=3)
+    # phi[X := psi] shares the psi object at every X: a DAG, not a tree.
+    shared = substitute(phi, "X", psi)
+    assert_agrees_with_reference(m, alpha, (phi, psi, shared, psi))
+
+
+def chain(n, **valuation):
+    worlds = tuple(f"w{i}" for i in range(n))
+    return KripkeModel(
+        worlds=worlds,
+        relations={"a": frozenset(zip(worlds, worlds[1:]))},
+        valuation={k: frozenset(v) for k, v in valuation.items()},
+    )
+
+
+def test_star_on_a_40_world_chain():
+    m = chain(40, p={"w39"})
+    star = relation(m, parse_program("a*"))
+    assert len(star) == 40 * 41 // 2
+    assert ("w0", "w39") in star and ("w39", "w0") not in star
+    assert satisfies(m, "w0", parse_formula("<a*>p"))
+    assert not satisfies(m, "w0", parse_formula("[a*]p"))
+    assert_agrees_with_reference(m, parse_program("a*"),
+                                 (parse_formula("<a*>p"), parse_formula("[a ; a*]~p")))
+
+
+def test_nested_star_equals_star():
+    for seed in range(5):
+        m = random_model(ModelGenParams(world_count=5, edge_probability=0.25, seed=seed))
+        assert relation(m, parse_program("(a*)*")) == relation(m, parse_program("a*"))
+        assert_agrees_with_reference(m, parse_program("((a ; b*)* u b)*"),
+                                     (parse_formula("<(a*)*>p"), parse_formula("[(a* ; b)*]q")))
+
+
+@pytest.mark.parametrize("text", ["X?", "(X & p)? ; a", "((X | ~p)? ; a)*", "(a ; (<b>X)?)* u X?"])
+def test_tests_that_contain_the_unknown(text):
+    m = random_model(ModelGenParams(world_count=5, seed=11))
+    alpha = parse_program(text)
+    assert_agrees_with_reference(m, alpha, (Diamond(alpha, Var("X")), Box(alpha, Var("X"))))
+
+
+def test_empty_relation():
+    m = KripkeModel(worlds=("w0", "w1", "w2"), relations={"a": frozenset()},
+                    valuation={"p": frozenset({"w1"})})
+    assert relation(m, parse_program("a")) == frozenset()
+    assert relation(m, parse_program("a*")) == {(w, w) for w in m.worlds}
+    assert relation(m, parse_program("a ; a*")) == frozenset()
+    assert not any(satisfies(m, w, parse_formula("<a>true")) for w in m.worlds)
+    assert all(satisfies(m, w, parse_formula("[a]false")) for w in m.worlds)
+    assert_agrees_with_reference(m, parse_program("(a u p?)*"),
+                                 (parse_formula("<a*>p"), parse_formula("p")))
+
+
+@pytest.mark.parametrize("loop", [False, True])
+def test_one_world_model(loop):
+    m = KripkeModel(worlds=("w0",), relations={"a": frozenset({("w0", "w0")} if loop else ())},
+                    valuation={"p": frozenset({"w0"})})
+    assert relation(m, parse_program("a*")) == {("w0", "w0")}
+    assert satisfies(m, "w0", parse_formula("<a>p")) == loop
+    assert satisfies(m, "w0", parse_formula("[a]~p")) == (not loop)
+    assert_agrees_with_reference(m, parse_program("a ; (a u ~p?)*"),
+                                 (parse_formula("<a>p"), parse_formula("[a*]p"), Top()))
