@@ -40,7 +40,7 @@ from .syntax import (
     substitute,
 )
 from .synthesis import Solution, solve_pi
-from .textio import parse_formula, parse_program, print_formula, print_program
+from .textio import parse_formula, parse_program, print_formula, print_terms
 
 __all__ = [
     "RewriteRule",
@@ -321,15 +321,20 @@ def match_rule(phi: Formula, rule_id: str, direction: str, path: tuple[int, ...]
     return None
 
 
+def _clip(text: str, limit: int = 120) -> str:
+    return text if len(text) <= limit else text[: limit - 3] + "..."
+
+
 def apply_rule(phi: Formula, step: RewriteStep) -> Formula:
     """Replay one step under its stored bindings; exact or an error."""
     src, dst = _directed(RULES[step.rule], step.direction)
     subject = subterm_at(phi, step.path)
     expected = _instantiate(src, step.bindings)
     if expected != subject:
+        want, found = (_clip(text) for text in print_terms([expected, subject]))
         raise MismatchError(
             f"{step.rule} {step.direction} does not apply at {list(step.path)}: "
-            f"bound pattern differs from the subterm"
+            f"bound pattern differs from the subterm: expected {want}, found {found}"
         )
     return replace_at(phi, step.path, _instantiate(dst, step.bindings))
 
@@ -670,28 +675,42 @@ def validate_rules(
 # ---------------------------------------------------------------------------
 # serialization
 
-def _binding_to_text(value) -> str:
-    return print_program(value) if isinstance(value, Program) else print_formula(value)
-
-
 def certificate_to_json(cert: Certificate) -> dict:
+    """The certificate as a JSON-ready document, every binding in canonical
+    text.  One printer serves the whole certificate, so a subterm that several
+    steps share is printed once."""
+    bindings = [sorted(step.bindings.items()) for step in cert.steps]
+    texts = iter(print_terms([cert.source, cert.target]
+                             + [value for items in bindings for _, value in items]))
+    source, target = next(texts), next(texts)
     return {
-        "from": print_formula(cert.source),
-        "to": print_formula(cert.target),
+        "from": source,
+        "to": target,
         "steps": [
             {
                 "rule": step.rule,
                 "direction": step.direction,
                 "path": list(step.path),
-                "bindings": {k: _binding_to_text(v) for k, v in sorted(step.bindings.items())},
+                "bindings": {name: next(texts) for name, _ in items},
                 "group": step.group,
             }
-            for step in cert.steps
+            for step, items in zip(cert.steps, bindings)
         ],
     }
 
 
 def certificate_from_json(doc: dict) -> Certificate:
+    """Read a certificate document.  Each distinct binding text is parsed
+    once per document, so equal bindings are one shared object."""
+    parsed: dict[tuple[bool, str], object] = {}
+
+    def term(text: str, is_program: bool):
+        key = (is_program, text)
+        found = parsed.get(key)
+        if found is None:
+            found = parsed[key] = parse_program(text) if is_program else parse_formula(text)
+        return found
+
     try:
         steps = tuple(
             RewriteStep(
@@ -699,7 +718,7 @@ def certificate_from_json(doc: dict) -> Certificate:
                 direction=item["direction"],
                 path=tuple(int(i) for i in item["path"]),
                 bindings={
-                    name: parse_program(text) if name in _PROGRAM_METAVARS else parse_formula(text)
+                    name: term(text, name in _PROGRAM_METAVARS)
                     for name, text in item.get("bindings", {}).items()
                 },
                 group=int(item.get("group", 0)),
@@ -707,8 +726,8 @@ def certificate_from_json(doc: dict) -> Certificate:
             for item in doc["steps"]
         )
         return Certificate(
-            source=parse_formula(doc["from"]),
-            target=parse_formula(doc["to"]),
+            source=term(doc["from"], False),
+            target=term(doc["to"], False),
             steps=steps,
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -2,8 +2,8 @@
 
 Exit codes are a stable scripting contract: 0 success, 1 semantic
 counterexample found, 2 input or usage error, 3 internal strategy failure.
-``--json`` emits exactly one JSON document on stdout.  The environment
-variable ``PDLFIX_SEED`` overrides ``--seed``.
+``--json`` emits exactly one JSON document on stdout, for usage errors too.
+The environment variable ``PDLFIX_SEED`` overrides ``--seed``.
 """
 
 from __future__ import annotations
@@ -374,8 +374,25 @@ def _at_least(minimum: int):
     return parse
 
 
+class _UsageError(Exception):
+    """An argparse usage error, raised instead of exiting so that ``main``
+    can report it in the run's output mode."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        raise _UsageError(message)
+
+
+def _wants_json(argv: list[str]) -> bool:
+    # argparse accepts any unambiguous prefix of an option, such as --js.
+    return any(len(arg) > 2 and "--json".startswith(arg) for arg in argv)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="pdlfix",
         description="Fixed-point equations in propositional dynamic logic: "
                     "classify, solve, verify, certify.",
@@ -429,9 +446,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+    except _UsageError as exc:
+        if _wants_json(argv):
+            print(json.dumps({"status": "error", "message": str(exc)}, indent=2))
+        return USAGE_ERROR
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     return args.func(args)

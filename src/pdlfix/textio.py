@@ -22,11 +22,27 @@ uppercase identifiers are variables.  ``u``, ``true`` and ``false`` are
 reserved.  Unicode aliases (``∪`` ``⊤`` ``⊥`` ``¬``) are accepted on input and
 never emitted.  Printing produces canonical ASCII with minimal parentheses;
 ``parse(print(t)) == t`` holds for every term.
+
+One compiled regular expression splits the whole text into tokens: a run of
+word characters (those ``str.isalnum`` accepts, and ``_``) or any other single
+non-space character.  An identifier starts with a letter (``str.isalpha``), so
+a word led by a digit, ``_`` or a numeric sign such as ``²`` is an unknown
+token, reported by its first character.  The tokens are two parallel lists,
+kinds and texts, which the recursive-descent parser reads by index.  Source
+offsets are not kept: only when a ``ParseError`` is raised is the text scanned
+again for the offset of the offending token, which becomes a line and a
+column.  Input nested beyond the interpreter's recursion limit is a
+``ParseError`` as well.
+
+The printer dispatches on the type of each node.  Within one call it keeps
+the text of every composite node it printed, per precedence level, so a
+subterm shared by several terms is printed once (``print_terms``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from itertools import islice
 
 from .syntax import (
     And,
@@ -47,10 +63,20 @@ from .syntax import (
     Var,
 )
 
-__all__ = ["ParseError", "parse_formula", "parse_program", "print_formula", "print_program"]
+__all__ = [
+    "ParseError",
+    "parse_formula",
+    "parse_program",
+    "print_formula",
+    "print_program",
+    "print_terms",
+]
 
+_TOKEN = re.compile(r"\w+|\S")
 _ALIASES = {"∪": "u", "⊤": "true", "⊥": "false", "¬": "~"}
-_PUNCT = "&|~;*?()[]<>"
+# The kind of every token that is not an identifier.
+_KINDS = {ch: ch for ch in "&|~;*?()[]<>"}
+_KINDS.update({"∪": "lower", "⊤": "lower", "⊥": "lower", "¬": "~"})
 
 
 class ParseError(ValueError):
@@ -62,231 +88,218 @@ class ParseError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'lower' | 'upper' | punctuation character | 'end'
-    text: str
-    line: int
-    column: int
+def _position(text: str, index: int) -> tuple[int, int]:
+    """Line and column of token ``index`` of ``text``; one past the last
+    token is the end of the input."""
+    match = next(islice(_TOKEN.finditer(text), index, None), None)
+    offset = len(text) if match is None else match.start()
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch in _ALIASES:
-            alias = _ALIASES[ch]
-            if alias == "~":
-                tokens.append(_Token("~", "~", line, col))
-            else:
-                tokens.append(_Token("lower", alias, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isalpha():
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "lower" if word[0].islower() else "upper"
-            tokens.append(_Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unknown token {text[i]!r}", line, col)
-    tokens.append(_Token("end", "", line, col))
-    return tokens
+def _word_kind(token: str) -> str | None:
+    """``'lower'`` or ``'upper'`` for an identifier, None for a word that
+    does not start with a letter."""
+    first = token[0]
+    if first.isalpha():
+        return "lower" if first.islower() else "upper"
+    return None
 
 
 class _Parser:
+    """Recursive descent over the parallel lists ``kinds`` and ``texts``.
+
+    A kind is ``'lower'``, ``'upper'``, a punctuation character, or ``'end'``
+    for the sentinel after the last token.
+    """
+
+    __slots__ = ("text", "kinds", "texts", "pos")
+
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.text = text
         self.pos = 0
+        texts = _TOKEN.findall(text)
+        kinds = [_KINDS.get(token) or _word_kind(token) for token in texts]
+        if None in kinds:
+            index = kinds.index(None)
+            raise self.error(f"unknown token {texts[index][0]!r}", index)
+        if not text.isascii():
+            texts = [_ALIASES.get(token, token) for token in texts]
+        kinds.append("end")
+        texts.append("")
+        self.kinds, self.texts = kinds, texts
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def error(self, message: str, index: int) -> ParseError:
+        return ParseError(message, *_position(self.text, index))
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
+    def fail(self, expected: str, index: int | None = None):
+        if index is None:
+            index = self.pos
+        found = self.texts[index] if self.kinds[index] != "end" else "end of input"
+        raise self.error(f"expected {expected}, found {found!r}", index)
+
+    def expect(self, kind: str, expected: str) -> None:
+        if self.kinds[self.pos] != kind:
+            self.fail(expected)
         self.pos += 1
-        return tok
-
-    def expect(self, kind: str, expected: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            self.fail(expected, tok)
-        return self.advance()
-
-    def fail(self, expected: str, tok: _Token | None = None):
-        tok = tok or self.peek()
-        found = tok.text if tok.kind != "end" else "end of input"
-        raise ParseError(f"expected {expected}, found {found!r}", tok.line, tok.column)
 
     # formulas
 
     def formula(self) -> Formula:
         left = self.conj()
-        if self.peek().kind == "|":
-            self.advance()
+        if self.kinds[self.pos] == "|":
+            self.pos += 1
             return Or(left, self.formula())
         return left
 
     def conj(self) -> Formula:
         left = self.unary()
-        if self.peek().kind == "&":
-            self.advance()
+        if self.kinds[self.pos] == "&":
+            self.pos += 1
             return And(left, self.conj())
         return left
 
     def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "[":
-            self.advance()
+        kind = self.kinds[self.pos]
+        if kind == "[":
+            self.pos += 1
             prog = self.program()
             self.expect("]", "']'")
             return Box(prog, self.unary())
-        if tok.kind == "<":
-            self.advance()
+        if kind == "<":
+            self.pos += 1
             prog = self.program()
             self.expect(">", "'>'")
             return Diamond(prog, self.unary())
         return self.primary()
 
     def primary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "(":
-            self.advance()
+        pos = self.pos
+        kind = self.kinds[pos]
+        if kind == "lower":
+            self.pos = pos + 1
+            name = self.texts[pos]
+            if name == "true":
+                return Top()
+            if name == "false":
+                return Bot()
+            if name == "u":
+                self.fail("a formula ('u' is reserved)", pos)
+            return Atom(name)
+        if kind == "upper":
+            self.pos = pos + 1
+            return Var(self.texts[pos])
+        if kind == "(":
+            self.pos = pos + 1
             inner = self.formula()
             self.expect(")", "')'")
             return inner
-        if tok.kind == "~":
-            self.advance()
-            name = self.expect("lower", "an atom after '~'")
-            if name.text in ("true", "false", "u"):
-                self.fail("an atom after '~'", name)
-            return NegAtom(name.text)
-        if tok.kind == "lower":
-            self.advance()
-            if tok.text == "true":
-                return Top()
-            if tok.text == "false":
-                return Bot()
-            if tok.text == "u":
-                self.fail("a formula ('u' is reserved)", tok)
-            return Atom(tok.text)
-        if tok.kind == "upper":
-            self.advance()
-            return Var(tok.text)
+        if kind == "~":
+            self.pos = pos + 1
+            self.expect("lower", "an atom after '~'")
+            name = self.texts[pos + 1]
+            if name in ("true", "false", "u"):
+                self.fail("an atom after '~'", pos + 1)
+            return NegAtom(name)
         self.fail("a formula")
 
     # programs
 
     def program(self) -> Program:
         left = self.seq()
-        tok = self.peek()
-        if tok.kind == "lower" and tok.text == "u":
-            self.advance()
+        pos = self.pos
+        if self.kinds[pos] == "lower" and self.texts[pos] == "u":
+            self.pos = pos + 1
             return Choice(left, self.program())
         return left
 
     def seq(self) -> Program:
         left = self.starred()
-        if self.peek().kind == ";":
-            self.advance()
+        if self.kinds[self.pos] == ";":
+            self.pos += 1
             return Seq(left, self.seq())
         return left
 
     def starred(self) -> Program:
         prog = self.prog_primary()
-        while self.peek().kind == "*":
-            self.advance()
+        kinds = self.kinds
+        while kinds[self.pos] == "*":
+            self.pos += 1
             prog = Star(prog)
         return prog
 
     def _paren_is_test(self) -> bool:
         # Scan from the current '(' to its match; a trailing '?' marks a test.
+        kinds = self.kinds
         depth = 0
-        for idx in range(self.pos, len(self.tokens)):
-            kind = self.tokens[idx].kind
+        for index in range(self.pos, len(kinds)):
+            kind = kinds[index]
             if kind == "(":
                 depth += 1
             elif kind == ")":
                 depth -= 1
                 if depth == 0:
-                    return self.tokens[idx + 1].kind == "?"
+                    return kinds[index + 1] == "?"
         self.fail("a matching ')'")
 
     def prog_primary(self) -> Program:
-        tok = self.peek()
-        if tok.kind == "(":
+        pos = self.pos
+        kind = self.kinds[pos]
+        if kind == "lower":
+            self.pos = pos + 1
+            name = self.texts[pos]
+            if self.kinds[pos + 1] == "?":
+                self.pos = pos + 2
+                if name == "true":
+                    return Test(Top())
+                if name == "false":
+                    return Test(Bot())
+                if name == "u":
+                    self.fail("a program ('u' is reserved)", pos)
+                return Test(Atom(name))
+            if name in ("true", "false", "u"):
+                self.fail("a program", pos)
+            return AtomicProg(name)
+        if kind == "(":
             if self._paren_is_test():
-                self.advance()
+                self.pos = pos + 1
                 cond = self.formula()
                 self.expect(")", "')'")
                 self.expect("?", "'?'")
                 return Test(cond)
-            self.advance()
+            self.pos = pos + 1
             inner = self.program()
             self.expect(")", "')'")
             return inner
-        if tok.kind == "~":
-            self.advance()
-            name = self.expect("lower", "an atom after '~'")
+        if kind == "~":
+            self.pos = pos + 1
+            self.expect("lower", "an atom after '~'")
             self.expect("?", "'?' after a test shorthand")
-            return Test(NegAtom(name.text))
-        if tok.kind == "lower":
-            self.advance()
-            if self.peek().kind == "?":
-                self.advance()
-                if tok.text == "true":
-                    return Test(Top())
-                if tok.text == "false":
-                    return Test(Bot())
-                if tok.text == "u":
-                    self.fail("a program ('u' is reserved)", tok)
-                return Test(Atom(tok.text))
-            if tok.text in ("true", "false", "u"):
-                self.fail("a program", tok)
-            return AtomicProg(tok.text)
-        if tok.kind == "upper":
-            self.advance()
+            return Test(NegAtom(self.texts[pos + 1]))
+        if kind == "upper":
+            self.pos = pos + 1
             self.expect("?", "'?' after a variable test")
-            return Test(Var(tok.text))
+            return Test(Var(self.texts[pos]))
         self.fail("a program")
 
 
-def parse_formula(text: str) -> Formula:
+def _parse(text: str, start):
     parser = _Parser(text)
-    result = parser.formula()
-    end = parser.peek()
-    if end.kind != "end":
-        raise ParseError(f"unexpected trailing input {end.text!r}", end.line, end.column)
+    try:
+        result = start(parser)
+    except RecursionError:
+        raise parser.error("input nested too deeply", parser.pos) from None
+    end = parser.pos
+    if parser.kinds[end] != "end":
+        raise parser.error(f"unexpected trailing input {parser.texts[end]!r}", end)
     return result
+
+
+def parse_formula(text: str) -> Formula:
+    return _parse(text, _Parser.formula)
 
 
 def parse_program(text: str) -> Program:
-    parser = _Parser(text)
-    result = parser.program()
-    end = parser.peek()
-    if end.kind != "end":
-        raise ParseError(f"unexpected trailing input {end.text!r}", end.line, end.column)
-    return result
+    return _parse(text, _Parser.program)
 
 
 # Precedence levels used by the printer.  Higher binds tighter.
@@ -294,62 +307,99 @@ _F_OR, _F_AND, _F_UNARY = 1, 2, 3
 _P_CHOICE, _P_SEQ, _P_STAR, _P_PRIM = 1, 2, 3, 4
 
 
-def _fmt_formula(phi: Formula, level: int) -> str:
-    if isinstance(phi, Atom):
-        return phi.name
-    if isinstance(phi, NegAtom):
-        return f"~{phi.name}"
-    if isinstance(phi, Var):
-        return phi.name
-    if isinstance(phi, Top):
-        return "true"
-    if isinstance(phi, Bot):
-        return "false"
-    if isinstance(phi, Or):
-        text = f"{_fmt_formula(phi.left, _F_OR + 1)} | {_fmt_formula(phi.right, _F_OR)}"
-        return f"({text})" if level > _F_OR else text
-    if isinstance(phi, And):
-        text = f"{_fmt_formula(phi.left, _F_AND + 1)} & {_fmt_formula(phi.right, _F_AND)}"
-        return f"({text})" if level > _F_AND else text
-    if isinstance(phi, Box):
-        return f"[{_fmt_program(phi.prog, _P_CHOICE)}]{_fmt_formula(phi.body, _F_UNARY)}"
-    if isinstance(phi, Diamond):
-        return f"<{_fmt_program(phi.prog, _P_CHOICE)}>{_fmt_formula(phi.body, _F_UNARY)}"
-    raise TypeError(f"not a formula: {phi!r}")
+class _Printer:
+    """Canonical text, dispatched on ``type(node)``, with one memo of the
+    composite nodes printed so far, keyed by ``(id(node), level)``.
 
+    The memo must not outlive the terms it printed, or a freed node's id could
+    be reused: make one printer per call.
+    """
 
-def _fmt_test(cond: Formula) -> str:
-    if isinstance(cond, (Atom, Var)):
-        return f"{cond.name}?"
-    if isinstance(cond, NegAtom):
-        return f"(~{cond.name})?"
-    if isinstance(cond, Top):
-        return "true?"
-    if isinstance(cond, Bot):
-        return "false?"
-    return f"({_fmt_formula(cond, _F_OR)})?"
+    __slots__ = ("memo",)
 
+    def __init__(self):
+        self.memo: dict[tuple[int, int], str] = {}
 
-def _fmt_program(alpha: Program, level: int) -> str:
-    if isinstance(alpha, AtomicProg):
-        return alpha.name
-    if isinstance(alpha, Test):
-        return _fmt_test(alpha.cond)
-    if isinstance(alpha, Seq):
-        text = f"{_fmt_program(alpha.first, _P_SEQ + 1)} ; {_fmt_program(alpha.second, _P_SEQ)}"
-        return f"({text})" if level > _P_SEQ else text
-    if isinstance(alpha, Choice):
-        text = f"{_fmt_program(alpha.left, _P_CHOICE + 1)} u {_fmt_program(alpha.right, _P_CHOICE)}"
-        return f"({text})" if level > _P_CHOICE else text
-    if isinstance(alpha, Star):
-        return f"{_fmt_program(alpha.body, _P_STAR)}*"
-    raise TypeError(f"not a program: {alpha!r}")
+    def formula(self, phi: Formula, level: int = _F_OR) -> str:
+        kind = type(phi)
+        if kind is Atom or kind is Var:
+            return phi.name
+        if kind is NegAtom:
+            return f"~{phi.name}"
+        if kind is Top:
+            return "true"
+        if kind is Bot:
+            return "false"
+        key = (id(phi), level)
+        text = self.memo.get(key)
+        if text is not None:
+            return text
+        if kind is And:
+            text = f"{self.formula(phi.left, _F_AND + 1)} & {self.formula(phi.right, _F_AND)}"
+            if level > _F_AND:
+                text = f"({text})"
+        elif kind is Or:
+            text = f"{self.formula(phi.left, _F_OR + 1)} | {self.formula(phi.right, _F_OR)}"
+            if level > _F_OR:
+                text = f"({text})"
+        elif kind is Box:
+            text = f"[{self.program(phi.prog)}]{self.formula(phi.body, _F_UNARY)}"
+        elif kind is Diamond:
+            text = f"<{self.program(phi.prog)}>{self.formula(phi.body, _F_UNARY)}"
+        else:
+            raise TypeError(f"not a formula: {phi!r}")
+        self.memo[key] = text
+        return text
+
+    def program(self, alpha: Program, level: int = _P_CHOICE) -> str:
+        kind = type(alpha)
+        if kind is AtomicProg:
+            return alpha.name
+        key = (id(alpha), level)
+        text = self.memo.get(key)
+        if text is not None:
+            return text
+        if kind is Test:
+            text = self.test(alpha.cond)
+        elif kind is Seq:
+            text = f"{self.program(alpha.first, _P_SEQ + 1)} ; {self.program(alpha.second, _P_SEQ)}"
+            if level > _P_SEQ:
+                text = f"({text})"
+        elif kind is Choice:
+            text = f"{self.program(alpha.left, _P_CHOICE + 1)} u {self.program(alpha.right, _P_CHOICE)}"
+            if level > _P_CHOICE:
+                text = f"({text})"
+        elif kind is Star:
+            text = f"{self.program(alpha.body, _P_STAR)}*"
+        else:
+            raise TypeError(f"not a program: {alpha!r}")
+        self.memo[key] = text
+        return text
+
+    def test(self, cond: Formula) -> str:
+        kind = type(cond)
+        if kind is Atom or kind is Var:
+            return f"{cond.name}?"
+        if kind is NegAtom:
+            return f"(~{cond.name})?"
+        if kind is Top:
+            return "true?"
+        if kind is Bot:
+            return "false?"
+        return f"({self.formula(cond, _F_OR)})?"
 
 
 def print_formula(phi: Formula) -> str:
     """Canonical text; minimal parentheses under the published precedence."""
-    return _fmt_formula(phi, _F_OR)
+    return _Printer().formula(phi)
 
 
 def print_program(alpha: Program) -> str:
-    return _fmt_program(alpha, _P_CHOICE)
+    return _Printer().program(alpha)
+
+
+def print_terms(terms) -> list[str]:
+    """Canonical text of each formula or program in ``terms``, in order, with
+    every subterm they share printed once."""
+    printer = _Printer()
+    return [printer.program(t) if isinstance(t, Program) else printer.formula(t) for t in terms]

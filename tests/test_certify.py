@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from dataclasses import replace
 
@@ -21,6 +23,7 @@ from pdlfix.certify import (
     grouped_rule_ids,
     match_rule,
     rewrite_at,
+    subterm_at,
     validate_rules,
 )
 from pdlfix.generators import derive_seed, random_decomposition
@@ -31,6 +34,7 @@ from pdlfix.syntax import And, Atom, Or, substitute
 from pdlfix.textio import parse_formula, parse_program, print_formula
 
 EXAMPLE = "p & [a](q | (r & X))"
+CASES = [("Pi", False), ("Pi", True), ("Sigma", False), ("Sigma", True)]
 
 
 def example_certificate():
@@ -246,6 +250,7 @@ def test_xfree_solution_yields_the_empty_certificate():
 
 def test_tampered_binding_fails_at_that_step():
     _phi, _sol, cert = example_certificate()
+    state = cert.source
     for i, step in enumerate(cert.steps):
         name = sorted(step.bindings)[0]
         value = step.bindings[name]
@@ -255,6 +260,26 @@ def test_tampered_binding_fails_at_that_step():
         report = check_certificate(tampered)
         assert not report.ok
         assert report.failed_step == i
+        found = print_formula(subterm_at(state, step.path))
+        assert report.reason.endswith(f", found {clip(found)}")
+        state = apply_rule(state, step)
+
+
+def clip(text):
+    return text if len(text) <= 120 else text[:117] + "..."
+
+
+def test_mismatch_names_both_subterms_cut_to_120_characters():
+    long_atom = "p" + "q" * 150
+    phi = parse_formula(f"[a][b]{long_atom}")
+    step = RewriteStep("E1", "LR", (), bindings={
+        "alpha": parse_program("a"), "beta": parse_program("c"), "phi": parse_formula(long_atom)})
+    with pytest.raises(MismatchError) as err:
+        apply_rule(phi, step)
+    want = f"[a][c]{long_atom}"[:117] + "..."
+    found = f"[a][b]{long_atom}"[:117] + "..."
+    assert str(err.value) == (f"E1 LR does not apply at []: bound pattern differs from the "
+                              f"subterm: expected {want}, found {found}")
 
 
 def Seq_or_And(value):
@@ -282,6 +307,55 @@ def test_certificate_json_round_trip():
     back = certificate_from_json(doc)
     assert back == cert
     assert check_certificate(back).ok
+
+
+# SHA-256 of json.dumps(certificate_to_json(cert), indent=2): the bytes the
+# certificate writer has produced since the format was introduced.
+CERTIFICATE_DIGESTS = {
+    "example": "a2e36c44091d47aed280b53e226e67a3a1441e1487d69016e75c5c6d1057476a",
+    ("Pi", False): "095d82216d233215faf4f4b82abce921d17f76f0996d40cd12a30430d666222e",
+    ("Pi", True): "15c3f39f8402f04017303180167b02f2610d893be35f5f82ce87b91c5b8ee6b8",
+    ("Sigma", False): "450768d31aaaf500d9f1709bbf7c9b2cb586b8843a6b66d0a927fcd400013340",
+    ("Sigma", True): "2a92a197e109b8db8e960afdb354b48743197ce83c6401dacea8d74672329dfd",
+}
+
+
+def pinned_certificates():
+    yield "example", example_certificate()[2]
+    for kind, leading in CASES:
+        d = random_decomposition(random.Random(5), kind=kind, leading=leading, max_pairs=3, depth=2)
+        assert d.n == 3
+        phi = to_nested_form(d)
+        yield (kind, leading), generate_certificate(solve(phi, d.x), padding=classify(phi, d.x).padding)
+
+
+def test_certificate_text_is_pinned_and_round_trips():
+    for key, cert in pinned_certificates():
+        doc = certificate_to_json(cert)
+        text = json.dumps(doc, indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == CERTIFICATE_DIGESTS[key], key
+        back = certificate_from_json(json.loads(text))
+        assert back == cert
+        assert certificate_to_json(back) == doc
+        assert check_certificate(back).ok
+
+
+def test_equal_binding_texts_read_back_as_one_object():
+    for _key, cert in pinned_certificates():
+        doc = certificate_to_json(cert)
+        back = certificate_from_json(doc)
+        seen = {}
+        shared = 0
+        for item, step in zip(doc["steps"], back.steps):
+            for name, text in item["bindings"].items():
+                key = (name in ("alpha", "beta"), text)
+                if key in seen:
+                    assert step.bindings[name] is seen[key]
+                    shared += 1
+                seen[key] = step.bindings[name]
+        assert shared > 0
+        # Nothing is cached across documents.
+        assert certificate_from_json(doc).source is not back.source
 
 
 def test_malformed_certificate_rejected():

@@ -218,3 +218,49 @@ def test_numeric_flag_below_its_minimum_exits_2(capsys, argv, flag, minimum):
     errors = [line for line in captured.err.splitlines() if "error:" in line]
     assert errors == [f"pdlfix {argv[0]}: error: argument {flag}: must be at least "
                       f"{minimum}, got {int(argv[-1])}"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fuzz", "--trials", "0"], "argument --trials: must be at least 1, got 0"),
+    (["classify", "p"], "the following arguments are required: --var"),
+    (["solve", "--var", "X"], "the following arguments are required: formula"),
+    (["check", "--var", "X", "--equation", "p", "--candidate", "p"],
+     "one of the arguments --model --random is required"),
+])
+def test_usage_error_under_json_is_one_document(capsys, argv, message):
+    code = main(argv + ["--json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out) == {"status": "error", "message": message}
+    assert f"error: {message}" in captured.err
+    code = main(argv)
+    human = capsys.readouterr()
+    assert code == 2
+    assert human.out == ""
+    assert human.err == captured.err
+
+
+DEEP = "[a](p | " * 400 + "X" + ")" * 400
+
+
+@pytest.mark.parametrize("command", ["solve", "classify", "check", "verify-cert"])
+def test_deep_input_exits_2_with_one_document(tmp_path, capsys, command):
+    deep = tmp_path / "deep.txt"
+    deep.write_text(DEEP)
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({"from": "p", "to": "p", "steps": [
+        {"rule": "E5", "direction": "LR", "path": [], "bindings": {"phi": DEEP}, "group": 1}]}))
+    argv = {
+        "solve": ["solve", "--var", "X", f"@{deep}"],
+        "classify": ["classify", "--var", "X", f"@{deep}"],
+        "check": ["check", "--var", "X", "--equation", f"@{deep}", "--candidate", "p",
+                  "--random", "2"],
+        "verify-cert": ["verify-cert", str(cert)],
+    }[command]
+    code = main(argv + ["--json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    doc = json.loads(captured.out)
+    assert doc["status"] == "error"
+    assert "input nested too deeply (line 1, column " in doc["message"]
+    assert "Traceback" not in captured.err

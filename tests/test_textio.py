@@ -145,3 +145,98 @@ def test_rejection_always_carries_a_position(junk):
         parse_program(junk)
     except ParseError as err:
         assert err.line >= 1 and err.column >= 1
+
+
+# Exact messages and positions, pinned so that the tokenizer and parser can be
+# replaced without changing a single error a user sees.
+@pytest.mark.parametrize("parse, text, message, line, column", [
+    (parse_formula, "p $ q", "unknown token '$'", 1, 3),
+    (parse_formula, "p $$ q", "unknown token '$'", 1, 3),
+    (parse_formula, "²", "unknown token '²'", 1, 1),
+    (parse_formula, "p ²", "unknown token '²'", 1, 3),
+    (parse_formula, "p ½", "unknown token '½'", 1, 3),
+    (parse_formula, "Ⅻ", "unknown token 'Ⅻ'", 1, 1),
+    (parse_formula, "1p", "unknown token '1'", 1, 1),
+    (parse_formula, "p 12", "unknown token '1'", 1, 3),
+    (parse_formula, "p|٣", "unknown token '٣'", 1, 3),
+    (parse_formula, "_p", "unknown token '_'", 1, 1),
+    (parse_formula, "p\u0301", "unknown token '\u0301'", 1, 2),  # combining accent
+    (parse_formula, "p\n\n  ^", "unknown token '^'", 3, 3),
+    (parse_formula, "p &\r\n& q", "expected a formula, found '&'", 2, 1),
+    (parse_formula, "p\r\n|\r\n", "expected a formula, found 'end of input'", 3, 1),
+    (parse_formula, "p\t&\t$", "unknown token '$'", 1, 5),
+    (parse_formula, "p\n\tq", "unexpected trailing input 'q'", 2, 2),
+    (parse_formula, "¬p ∪", "unexpected trailing input 'u'", 1, 4),
+    (parse_formula, "p ⊤", "unexpected trailing input 'true'", 1, 3),
+    (parse_formula, "p ⊥ ¬", "unexpected trailing input 'false'", 1, 3),
+    (parse_formula, "~⊤", "expected an atom after '~', found 'true'", 1, 2),
+    (parse_formula, "~true", "expected an atom after '~', found 'true'", 1, 2),
+    (parse_program, "~X?", "expected an atom after '~', found 'X'", 1, 2),
+    (parse_program, "u ; a", "expected a program, found 'u'", 1, 1),
+    (parse_program, "u?", "expected a program ('u' is reserved), found 'u'", 1, 1),
+    (parse_program, "true", "expected a program, found 'true'", 1, 1),
+    (parse_formula, "u", "expected a formula ('u' is reserved), found 'u'", 1, 1),
+    (parse_formula, "p q", "unexpected trailing input 'q'", 1, 3),
+    (parse_formula, "p ) q", "unexpected trailing input ')'", 1, 3),
+    (parse_formula, "(p)?", "unexpected trailing input '?'", 1, 4),
+    (parse_formula, "", "expected a formula, found 'end of input'", 1, 1),
+    (parse_formula, "   ", "expected a formula, found 'end of input'", 1, 4),
+    (parse_formula, "p & &", "expected a formula, found '&'", 1, 5),
+    (parse_formula, "[a", "expected ']', found 'end of input'", 1, 3),
+    (parse_formula, "<a]p", "expected '>', found ']'", 1, 3),
+    (parse_formula, "(p | q", "expected ')', found 'end of input'", 1, 7),
+    (parse_program, "(p | q)", "expected ')', found '|'", 1, 4),
+    (parse_program, "(a", "expected a matching ')', found '('", 1, 1),
+    (parse_program, "a ; (b", "expected a matching ')', found '('", 1, 5),
+    (parse_program, "~p", "expected '?' after a test shorthand, found 'end of input'", 1, 3),
+    (parse_program, "X", "expected '?' after a variable test, found 'end of input'", 1, 2),
+])
+def test_parse_error_message_and_position(parse, text, message, line, column):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == f"{message} (line {line}, column {column})"
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("p²", "atom name must be a lowercase identifier (not a keyword): 'p²'"),
+    ("p & q²", "atom name must be a lowercase identifier (not a keyword): 'q²'"),
+    ("pⅫ", "atom name must be a lowercase identifier (not a keyword): 'pⅫ'"),
+    ("é", "atom name must be a lowercase identifier (not a keyword): 'é'"),
+    ("~é", "atom name must be a lowercase identifier (not a keyword): 'é'"),
+    ("É", "variable name must be an uppercase identifier: 'É'"),
+    ("Xé", "variable name must be an uppercase identifier: 'Xé'"),
+    ("中", "variable name must be an uppercase identifier: '中'"),
+])
+def test_names_outside_the_ascii_grammar_fail_the_name_check(text, message):
+    with pytest.raises(ValueError) as err:
+        parse_formula(text)
+    assert not isinstance(err.value, ParseError)
+    assert str(err.value) == message
+
+
+def test_aliases_underscores_and_whitespace_parse():
+    assert parse_formula("¬p") == negate(Atom("p"))
+    assert parse_program("a ∪ b") == Choice(AtomicProg("a"), AtomicProg("b"))
+    assert parse_formula("⊤") == Top()
+    assert parse_formula("[⊥?]⊤") == Box(Test(negate(Top())), Top())
+    assert parse_formula("p_1 & q_ | Y_2") == Or(And(Atom("p_1"), Atom("q_")), Var("Y_2"))
+    assert parse_formula("p\r\n&\tq") == And(Atom("p"), Atom("q"))
+    assert parse_formula("p\xa0& q\n") == And(Atom("p"), Atom("q"))
+
+
+def nested(levels):
+    return "[a](p | " * levels + "X" + ")" * levels
+
+
+def test_150_levels_of_nesting_still_parse():
+    text = nested(150)
+    assert print_formula(parse_formula(text)) == text
+
+
+@pytest.mark.parametrize("parse", [parse_formula, parse_program])
+def test_nesting_past_the_recursion_limit_is_a_parse_error(parse):
+    text = nested(400) if parse is parse_formula else "(" * 2000 + "a" + ")" * 2000
+    with pytest.raises(ParseError, match=r"^input nested too deeply \(line 1, column \d+\)$") as err:
+        parse(text)
+    assert err.value.line == 1 and 1 <= err.value.column <= len(text)
