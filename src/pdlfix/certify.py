@@ -3,8 +3,8 @@ machine-checkable certificates from a solution ``lambda`` to ``phi(lambda)``.
 
 A certificate is a replayable list of steps; each step names a rule, a
 direction, a path from the root (program and formula children share one
-index scheme) and the full metavariable bindings, so the checker never has
-to re-infer a match.
+index scheme, ``syntax.CHILD_FIELDS``) and the full metavariable bindings,
+so the checker never has to re-infer a match.
 
 Two auxiliary step kinds ``AA``/``AO`` rebracket associative chains
 (``(a & b) & c  <->  a & (b & c)`` and the disjunctive dual).  They are not
@@ -17,18 +17,14 @@ DISCREPANCIES.md.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace as _dc_replace
+from itertools import chain
 
 from .hierarchy import Decomposition, PaddingRecord
 from .syntax import (
     And,
-    Atom,
-    AtomicProg,
-    Bot,
     Box,
-    Choice,
     Diamond,
     Formula,
-    NegAtom,
     Or,
     Program,
     Seq,
@@ -36,8 +32,11 @@ from .syntax import (
     Test,
     Top,
     Var,
+    children,
     negate,
+    rebuild,
     substitute,
+    subterms,
 )
 from .synthesis import Solution, solve_pi
 from .textio import parse_formula, parse_program, print_formula, print_terms
@@ -143,121 +142,62 @@ ASSOC_IDS = ("AA", "AO")
 _PROGRAM_METAVARS = frozenset({"alpha", "beta"})
 
 
+# The sort of term each kind of metavariable matches.
+_META_SORTS = {FMeta: Formula, PMeta: Program, FNeg: Formula}
+
+
 def _match(pattern, subject, bindings: dict) -> bool:
-    if isinstance(pattern, FMeta):
-        if not isinstance(subject, Formula):
+    cls = type(pattern)
+    sort = _META_SORTS.get(cls)
+    if sort is not None:
+        if not isinstance(subject, sort):
             return False
+        value = negate(subject) if cls is FNeg else subject
         seen = bindings.get(pattern.name)
         if seen is None:
-            bindings[pattern.name] = subject
+            bindings[pattern.name] = value
             return True
-        return seen == subject
-    if isinstance(pattern, PMeta):
-        if not isinstance(subject, Program):
-            return False
-        seen = bindings.get(pattern.name)
-        if seen is None:
-            bindings[pattern.name] = subject
-            return True
-        return seen == subject
-    if isinstance(pattern, FNeg):
-        if not isinstance(subject, Formula):
-            return False
-        candidate = negate(subject)
-        seen = bindings.get(pattern.name)
-        if seen is None:
-            bindings[pattern.name] = candidate
-            return True
-        return seen == candidate
-    if type(pattern) is not type(subject):
+        return seen == value
+    if cls is not type(subject):
         return False
-    if isinstance(pattern, (Atom, NegAtom, Var, AtomicProg)):
-        return pattern.name == subject.name
-    if isinstance(pattern, (Top, Bot)):
-        return True
-    pat_children = _children(pattern)
-    sub_children = _children(subject)
-    return all(_match(p, s, bindings) for p, s in zip(pat_children, sub_children))
+    kids = children(pattern)
+    if not kids:
+        return pattern == subject
+    return all(_match(p, s, bindings) for p, s in zip(kids, children(subject)))
 
 
 def _instantiate(pattern, bindings: dict):
-    if isinstance(pattern, (FMeta, PMeta)):
+    cls = type(pattern)
+    if cls in _META_SORTS:
         try:
-            return bindings[pattern.name]
+            value = bindings[pattern.name]
         except KeyError:
             raise MismatchError(f"missing binding for metavariable {pattern.name!r}") from None
-    if isinstance(pattern, FNeg):
-        try:
-            return negate(bindings[pattern.name])
-        except KeyError:
-            raise MismatchError(f"missing binding for metavariable {pattern.name!r}") from None
-    if isinstance(pattern, (Atom, NegAtom, Var, AtomicProg, Top, Bot)):
-        return pattern
-    return _rebuild(pattern, tuple(_instantiate(c, bindings) for c in _children(pattern)))
+        return negate(value) if cls is FNeg else value
+    return rebuild(pattern, [_instantiate(kid, bindings) for kid in children(pattern)])
 
 
-def rule_metavariables(rule: RewriteRule) -> tuple[str, ...]:
-    names: list[str] = []
+def rule_metavariables(rule: RewriteRule) -> dict[str, bool]:
+    """The metavariables of ``rule`` in first-use order, each mapped to whether
+    it appears under structural negation (E7's test).
 
-    def walk(pattern):
-        if isinstance(pattern, (FMeta, PMeta, FNeg)):
-            if pattern.name not in names:
-                names.append(pattern.name)
-        elif not isinstance(pattern, (Atom, NegAtom, Var, AtomicProg, Top, Bot)):
-            for child in _children(pattern):
-                walk(child)
-
-    walk(rule.lhs)
-    walk(rule.rhs)
-    return tuple(names)
-
-
-def negated_metavariables(rule: RewriteRule) -> frozenset[str]:
-    """Metavariables that appear under structural negation (E7's test).
-
-    Negation fixes variables, so soundness of such an instance needs a
-    variable-free binding; see DISCREPANCIES.md.
+    Negation fixes variables, so soundness of an instance needs a
+    variable-free binding for a negated metavariable; see DISCREPANCIES.md.
     """
-    names: set[str] = set()
-
-    def walk(pattern):
-        if isinstance(pattern, FNeg):
-            names.add(pattern.name)
-        elif not isinstance(pattern, (FMeta, PMeta, Atom, NegAtom, Var, AtomicProg, Top, Bot)):
-            for child in _children(pattern):
-                walk(child)
-
-    walk(rule.lhs)
-    walk(rule.rhs)
-    return frozenset(names)
+    found: dict[str, bool] = {}
+    for node in chain(subterms(rule.lhs), subterms(rule.rhs)):
+        if type(node) in _META_SORTS:
+            found[node.name] = found.get(node.name, False) or type(node) is FNeg
+    return found
 
 
 # ---------------------------------------------------------------------------
 # positions
 
-def _children(node) -> tuple:
-    if isinstance(node, (Or, And, Choice)):
-        return (node.left, node.right)
-    if isinstance(node, (Diamond, Box)):
-        return (node.prog, node.body)
-    if isinstance(node, Seq):
-        return (node.first, node.second)
-    if isinstance(node, Test):
-        return (node.cond,)
-    if isinstance(node, Star):
-        return (node.body,)
-    return ()
-
-
-def _rebuild(node, children: tuple):
-    cls = type(node)
-    return cls(*children)
-
-
 def subterm_at(term, path: tuple[int, ...]):
     node = term
     for depth, idx in enumerate(path):
-        kids = _children(node)
+        kids = children(node)
         if not 0 <= idx < len(kids):
             raise BadPathError(f"no child {idx} at depth {depth} of {type(node).__name__}")
         node = kids[idx]
@@ -267,19 +207,13 @@ def subterm_at(term, path: tuple[int, ...]):
 def replace_at(term, path: tuple[int, ...], new):
     if not path:
         return new
-    kids = _children(term)
+    kids = children(term)
     idx = path[0]
     if not 0 <= idx < len(kids):
         raise BadPathError(f"no child {idx} of {type(term).__name__}")
     updated = list(kids)
     updated[idx] = replace_at(kids[idx], path[1:], new)
-    return _rebuild(term, tuple(updated))
-
-
-def all_paths(term, prefix: tuple[int, ...] = ()):
-    yield prefix, term
-    for i, child in enumerate(_children(term)):
-        yield from all_paths(child, prefix + (i,))
+    return rebuild(term, updated)
 
 
 # ---------------------------------------------------------------------------
@@ -520,11 +454,7 @@ def _dual_step(step: RewriteStep) -> RewriteStep:
                        bindings=bindings, group=step.group)
 
 
-def generate_certificate(
-    sol: Solution,
-    padding: tuple[PaddingRecord, ...] = (),
-    search_cap: int = 200,
-) -> Certificate:
+def generate_certificate(sol: Solution, padding: tuple[PaddingRecord, ...] = ()) -> Certificate:
     """Certificate from ``sol.formula`` to the instantiated equation.
 
     Pairs whose disjunct was introduced by classification padding are
@@ -533,6 +463,9 @@ def generate_certificate(
     conjunct has no removal rule, so such layers stay in the target (see
     DISCREPANCIES.md).  Sigma solutions (duality strategy only) are certified
     by dualizing the underlying box-side certificate rule for rule.
+
+    The steps follow one scripted derivation; a script that fails, or that
+    ends anywhere but the target, raises ``GenerationError``.
     """
     if sol.schema == "xfree":
         return Certificate(source=sol.formula, target=sol.formula, steps=())
@@ -544,63 +477,33 @@ def generate_certificate(
         if sol.strategy != "duality":
             raise GenerationError("only duality-strategy Sigma solutions are certifiable")
         mu = solve_pi(_dc_replace(d, kind="Pi"))
-        pi_cert = _generate_pi(mu, drops=drops, search_cap=search_cap)
+        pi_cert = _generate_pi(mu, drops=drops)
         cert = Certificate(
             source=negate(pi_cert.source),
             target=negate(pi_cert.target),
             steps=tuple(_dual_step(s) for s in pi_cert.steps),
         )
     else:
-        cert = _generate_pi(sol, drops=drops, search_cap=search_cap)
+        cert = _generate_pi(sol, drops=drops)
     report = check_certificate(cert)
     if not report.ok:
         raise GenerationError(f"generated certificate failed replay: {report.reason}")
     return cert
 
 
-def _generate_pi(sol: Solution, drops: frozenset[int], search_cap: int) -> Certificate:
+def _generate_pi(sol: Solution, drops: frozenset[int]) -> Certificate:
     d = sol.decomposition
     target = substitute(_nested_with_drops(d, drops), d.x, sol.formula)
     try:
         final, steps = _PiScript(sol, drops).run()
-        if final != target:
-            raise GenerationError(
-                "scripted derivation ended at "
-                f"{print_formula(final)} instead of {print_formula(target)}"
-            )
-    except CertifyError:
-        steps = _search(sol.formula, target, search_cap)
+    except CertifyError as exc:
+        raise GenerationError(f"scripted derivation failed: {exc}") from exc
+    if final != target:
+        raise GenerationError(
+            "scripted derivation ended at "
+            f"{print_formula(final)} instead of {print_formula(target)}"
+        )
     return Certificate(source=sol.formula, target=target, steps=tuple(steps))
-
-
-def _search(source: Formula, target: Formula, cap: int) -> list[RewriteStep]:
-    """Bounded breadth-first fallback over all rule applications.
-
-    A defect net only: the scripted route covers the whole class, so hitting
-    the cap signals a bug rather than a hard instance.
-    """
-    from collections import deque
-
-    seen = {source}
-    queue = deque([(source, [])])
-    expanded = 0
-    while queue and expanded < cap:
-        state, trail = queue.popleft()
-        expanded += 1
-        for path, _node in all_paths(state):
-            for rule_id in RULES:
-                for direction in ("LR", "RL"):
-                    bindings = match_rule(state, rule_id, direction, path)
-                    if bindings is None:
-                        continue
-                    nxt, step = rewrite_at(state, rule_id, direction, path, group=len(trail) + 1)
-                    if nxt in seen:
-                        continue
-                    if nxt == target:
-                        return trail + [step]
-                    seen.add(nxt)
-                    queue.append((nxt, trail + [step]))
-    raise GenerationError(f"no derivation found within the search cap of {cap} states")
 
 
 # ---------------------------------------------------------------------------
@@ -635,15 +538,15 @@ def validate_rules(
         rng = _random.Random(f"{seed}:{rule_id}")
         gen = TermGen(rng)
         nvgen = TermGen(rng, variables=())
-        negated = negated_metavariables(rule)
+        metavariables = rule_metavariables(rule)
         failures = 0
         first = None
         for trial in range(trials):
             bindings = {}
-            for name in rule_metavariables(rule):
+            for name, negated in metavariables.items():
                 if name in _PROGRAM_METAVARS:
                     bindings[name] = gen.program(depth=2)
-                elif name in negated:
+                elif negated:
                     bindings[name] = nvgen.formula(depth=2)
                 else:
                     bindings[name] = gen.formula(depth=2)
@@ -730,7 +633,7 @@ def certificate_from_json(doc: dict) -> Certificate:
             target=term(doc["to"], False),
             steps=steps,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, CertifyError):
             raise
         raise ValueError(f"malformed certificate document: {exc}") from exc

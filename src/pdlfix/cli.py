@@ -1,8 +1,9 @@
 """Command-line front end: classify, solve, check, fuzz, verify-cert.
 
 Exit codes are a stable scripting contract: 0 success, 1 semantic
-counterexample found, 2 input or usage error, 3 internal strategy failure.
-``--json`` emits exactly one JSON document on stdout, for usage errors too.
+counterexample found, 2 input or usage error, 3 internal failure (a solution
+that cannot be certified, or any unexpected exception).  ``--json`` emits
+exactly one JSON document on stdout, for errors too.
 The environment variable ``PDLFIX_SEED`` overrides ``--seed``.
 """
 
@@ -35,10 +36,10 @@ from .semantics import (
     random_model,
 )
 from .synthesis import NotInClass, solve, solve_pi, solve_sigma
-from .syntax import is_x_free
-from .textio import ParseError, parse_formula, print_formula
+from .syntax import Atom, AtomicProg, NegAtom, Var, is_x_free, subterms
+from .textio import parse_formula, print_formula
 
-OK, COUNTEREXAMPLE, USAGE_ERROR, STRATEGY_FAILURE = 0, 1, 2, 3
+OK, COUNTEREXAMPLE, USAGE_ERROR, INTERNAL_FAILURE = 0, 1, 2, 3
 
 __all__ = ["main", "console", "RunReport"]
 
@@ -69,17 +70,19 @@ class RunReport:
         }
 
 
+class _InputError(Exception):
+    """Bad input to a command; ``main`` reports it and exits 2."""
+
+
 def _read_formula_arg(text: str):
-    if text.startswith("@"):
-        with open(text[1:], encoding="utf-8") as handle:
-            text = handle.read()
-    return parse_formula(text)
-
-
-def _check_var(args) -> str | None:
-    if not args.var or not (args.var[0].isupper() and args.var.isidentifier()):
-        return f"--var must be an uppercase identifier, got {args.var!r}"
-    return None
+    """A formula given as text or as ``@file``."""
+    try:
+        if text.startswith("@"):
+            with open(text[1:], encoding="utf-8") as handle:
+                text = handle.read()
+        return parse_formula(text)
+    except (OSError, ValueError) as exc:  # ParseError, or a name a term rejects
+        raise _InputError(str(exc)) from exc
 
 
 def _emit(args, doc: dict, human_lines: list[str]) -> None:
@@ -97,19 +100,11 @@ def _effective_seed(args) -> int:
     try:
         return int(env)
     except ValueError:
-        raise ValueError(f"PDLFIX_SEED must be an integer, got {env!r}") from None
+        raise _InputError(f"PDLFIX_SEED must be an integer, got {env!r}") from None
 
 
 def cmd_classify(args) -> int:
-    bad = _check_var(args)
-    if bad is not None:
-        _emit(args, {"status": "error", "message": bad}, [f"error: {bad}"])
-        return USAGE_ERROR
-    try:
-        phi = _read_formula_arg(args.formula)
-    except (ParseError, OSError) as exc:
-        _emit(args, {"status": "error", "message": str(exc)}, [f"error: {exc}"])
-        return USAGE_ERROR
+    phi = _read_formula_arg(args.formula)
     outcome = classify(phi, args.var, strict=args.strict)
     if isinstance(outcome, XFree):
         _emit(args, {"status": "x-free", "x": args.var},
@@ -139,15 +134,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    bad = _check_var(args)
-    if bad is not None:
-        _emit(args, {"status": "error", "message": bad}, [f"error: {bad}"])
-        return USAGE_ERROR
-    try:
-        phi = _read_formula_arg(args.formula)
-    except (ParseError, OSError) as exc:
-        _emit(args, {"status": "error", "message": str(exc)}, [f"error: {exc}"])
-        return USAGE_ERROR
+    phi = _read_formula_arg(args.formula)
     outcome = classify(phi, args.var)
     try:
         sol = solve(phi, args.var, strategy=args.strategy)
@@ -166,10 +153,13 @@ def cmd_solve(args) -> int:
         except CertifyError as exc:
             _emit(args, {"status": "certificate-failure", "lambda": doc["lambda"],
                          "message": str(exc)}, [f"certificate generation failed: {exc}"])
-            return STRATEGY_FAILURE
+            return INTERNAL_FAILURE
         path = args.certify
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(certificate_to_json(cert), handle, indent=2)
+        try:
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(certificate_to_json(cert), handle, indent=2)
+        except OSError as exc:
+            raise _InputError(str(exc)) from exc
         doc["certificate"] = path
         doc["certificateGroups"] = grouped_rule_ids(cert)
         lines.append(f"certificate: {path}")
@@ -178,37 +168,18 @@ def cmd_solve(args) -> int:
 
 
 def cmd_check(args) -> int:
-    bad = _check_var(args)
-    if bad is not None:
-        _emit(args, {"status": "error", "message": bad}, [f"error: {bad}"])
-        return USAGE_ERROR
-    try:
-        phi = _read_formula_arg(args.equation)
-        candidate = _read_formula_arg(args.candidate)
-    except (ParseError, OSError) as exc:
-        _emit(args, {"status": "error", "message": str(exc)}, [f"error: {exc}"])
-        return USAGE_ERROR
+    phi = _read_formula_arg(args.equation)
+    candidate = _read_formula_arg(args.candidate)
     if not is_x_free(candidate, args.var):
-        message = f"candidate contains the unknown {args.var}"
-        _emit(args, {"status": "error", "message": message}, [f"error: {message}"])
-        return USAGE_ERROR
-    try:
-        seed = _effective_seed(args)
-    except ValueError as exc:
-        _emit(args, {"status": "error", "message": str(exc)}, [f"error: {exc}"])
-        return USAGE_ERROR
+        raise _InputError(f"candidate contains the unknown {args.var}")
+    seed = _effective_seed(args)
     models = []
     if args.model is not None:
         try:
             models.append(load_model(args.model))
         except (ValueError, OSError) as exc:
-            _emit(args, {"status": "error", "message": str(exc)}, [f"error: {exc}"])
-            return USAGE_ERROR
+            raise _InputError(str(exc)) from exc
     else:
-        if args.random < 1:
-            message = "--random needs at least one model"
-            _emit(args, {"status": "error", "message": message}, [f"error: {message}"])
-            return USAGE_ERROR
         rng = random.Random(seed)
         atoms_e, vars_e, progs_e = _collect_names(phi)
         atoms_c, vars_c, progs_c = _collect_names(candidate)
@@ -245,14 +216,12 @@ def cmd_check(args) -> int:
 
 
 def _collect_names(phi) -> tuple[set[str], set[str], list[str]]:
-    """Atom names, variable names, and atomic program names of a formula."""
-    from .certify import all_paths
-    from .syntax import Atom, AtomicProg, NegAtom, Var
-
+    """Atom names, variable names, and atomic program names of a formula, the
+    programs in order of first occurrence (it fixes the seeded models)."""
     atoms: set[str] = set()
     variables: set[str] = set()
     progs: list[str] = []
-    for _path, node in all_paths(phi):
+    for node in subterms(phi):
         if isinstance(node, (Atom, NegAtom)):
             atoms.add(node.name)
         elif isinstance(node, Var):
@@ -297,11 +266,7 @@ def _fuzz_solutions(seed: int, trials: int, models_per_trial: int,
 
 
 def cmd_fuzz(args) -> int:
-    try:
-        seed = _effective_seed(args)
-    except ValueError as exc:
-        _emit(args, {"status": "error", "message": str(exc)}, [f"error: {exc}"])
-        return USAGE_ERROR
+    seed = _effective_seed(args)
     started = time.perf_counter()
     checks = failures = 0
     first = None
@@ -341,8 +306,7 @@ def cmd_verify_cert(args) -> int:
             doc = json.load(handle)
         cert = certificate_from_json(doc)
     except (OSError, ValueError) as exc:
-        _emit(args, {"status": "error", "message": str(exc)}, [f"error: {exc}"])
-        return USAGE_ERROR
+        raise _InputError(str(exc)) from exc
     report = check_certificate(cert)
     doc = {
         "ok": report.ok,
@@ -374,6 +338,14 @@ def _at_least(minimum: int):
     return parse
 
 
+def _variable_name(text: str) -> str:
+    """An argparse ``type`` for the equation unknown: a name ``Var`` accepts."""
+    try:
+        return Var(text).name
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 class _UsageError(Exception):
     """An argparse usage error, raised instead of exiting so that ``main``
     can report it in the run's output mode."""
@@ -400,14 +372,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="hierarchy membership and components")
-    p.add_argument("--var", required=True, help="equation unknown (uppercase identifier)")
+    p.add_argument("--var", required=True, type=_variable_name,
+                   help="equation unknown (uppercase identifier)")
     p.add_argument("--strict", action="store_true", help="disable commutation matching")
     p.add_argument("--json", action="store_true")
     p.add_argument("formula", help="formula text or @file")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("solve", help="synthesize an explicit solution")
-    p.add_argument("--var", required=True)
+    p.add_argument("--var", required=True, type=_variable_name)
     p.add_argument("--strategy", choices=["duality", "literal"], default="duality")
     p.add_argument("--certify", nargs="?", const="certificate.json", default=None,
                    metavar="FILE", help="also write a rewrite certificate")
@@ -416,12 +389,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("check", help="model-check a candidate solution")
-    p.add_argument("--var", required=True)
+    p.add_argument("--var", required=True, type=_variable_name)
     p.add_argument("--equation", required=True, help="formula text or @file")
     p.add_argument("--candidate", required=True, help="formula text or @file")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--model", help="model JSON file")
-    group.add_argument("--random", type=int, metavar="N", help="check on N random models")
+    group.add_argument("--random", type=_at_least(1), metavar="N",
+                       help="check on N random models")
     p.add_argument("--worlds", type=_at_least(1), default=5, help="max worlds per random model")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
@@ -457,7 +431,16 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _InputError as exc:
+        _emit(args, {"status": "error", "message": str(exc)}, [f"error: {exc}"])
+        return USAGE_ERROR
+    except Exception as exc:  # the last boundary: no traceback reaches the user
+        message = f"{type(exc).__name__}: {exc}"
+        _emit(args, {"status": "internal-error", "message": message},
+              [f"internal error: {message}"])
+        return INTERNAL_FAILURE
 
 
 def console() -> None:

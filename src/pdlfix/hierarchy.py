@@ -34,8 +34,6 @@ from .syntax import (
     Var,
     is_x_free,
     negate,
-    program_variables,
-    variables,
 )
 from .textio import parse_formula, parse_program, print_formula, print_program
 
@@ -100,7 +98,7 @@ class Decomposition:
         for i, pair in enumerate(self.pairs, start=1):
             if not is_x_free(pair.phi, self.x) or not is_x_free(pair.psi, self.x):
                 raise ValueError(f"components of pair {i} must be {self.x}-free")
-            if pair.alpha is not None and self.x in program_variables(pair.alpha):
+            if pair.alpha is not None and not is_x_free(pair.alpha, self.x):
                 raise ValueError(f"alpha_{i} must not contain {self.x}")
 
     @property
@@ -132,8 +130,8 @@ class _NoMatch(Exception):
 
 def _split_on_x(left: Formula, right: Formula, x: str, index: int):
     """Return (x-free side, x side, commuted) — commuted when x is on the left."""
-    left_has = x in variables(left)
-    right_has = x in variables(right)
+    left_has = not is_x_free(left, x)
+    right_has = not is_x_free(right, x)
     if left_has and right_has:
         raise _NoMatch(f"both operands of layer {index} contain {x}")
     if not (left_has or right_has):
@@ -143,44 +141,46 @@ def _split_on_x(left: Formula, right: Formula, x: str, index: int):
     return right, left, True
 
 
-def _match_chain(xi: Formula, x: str, strict: bool, index: int, pairs, pads, alpha: Program | None):
-    """Match one ``phi | (psi & core)`` layer and recurse through the core."""
-    phi: Formula | None = None
-    psi: Formula | None = None
-    or_comm = and_comm = False
-
-    if isinstance(xi, Or):
-        phi, inner, or_comm = _split_on_x(xi.left, xi.right, x, index)
-    else:
-        inner = xi
-    if isinstance(inner, And):
-        psi, core, and_comm = _split_on_x(inner.left, inner.right, x, index)
-    else:
-        core = inner
-    if strict and (or_comm or and_comm):
-        raise _NoMatch(f"layer {index} is commuted and strict mode is on")
-
-    pairs.append(Pair(phi if phi is not None else Bot(), psi if psi is not None else Top(), alpha))
-    pads.append(
-        PaddingRecord(
-            index=index,
-            phi_padded=phi is None,
-            psi_padded=psi is None,
-            or_commuted=or_comm,
-            and_commuted=and_comm,
+def _match_pi(formula: Formula, x: str, strict: bool) -> ClassifyResult:
+    """The box-hierarchy decomposition of ``formula``, matched one
+    ``phi | (psi & core)`` layer at a time; ``_NoMatch`` says why not."""
+    pairs: list[Pair] = []
+    pads: list[PaddingRecord] = []
+    leading = isinstance(formula, Box)
+    alpha, xi = (formula.prog, formula.body) if leading else (None, formula)
+    if leading and not is_x_free(alpha, x):
+        raise _NoMatch(f"{x} occurs inside the leading program")
+    index = 1
+    while True:
+        phi = psi = None
+        or_comm = and_comm = False
+        if isinstance(xi, Or):
+            phi, xi, or_comm = _split_on_x(xi.left, xi.right, x, index)
+        if isinstance(xi, And):
+            psi, xi, and_comm = _split_on_x(xi.left, xi.right, x, index)
+        if strict and (or_comm or and_comm):
+            raise _NoMatch(f"layer {index} is commuted and strict mode is on")
+        pairs.append(Pair(Bot() if phi is None else phi, Top() if psi is None else psi, alpha))
+        pads.append(
+            PaddingRecord(
+                index=index,
+                phi_padded=phi is None,
+                psi_padded=psi is None,
+                or_commuted=or_comm,
+                and_commuted=and_comm,
+            )
         )
-    )
-
-    if isinstance(core, Var) and core.name == x:
-        return
-    if isinstance(core, Box):
-        if x in program_variables(core.prog):
+        if isinstance(xi, Var) and xi.name == x:
+            break
+        if not isinstance(xi, Box):
+            raise _NoMatch(
+                f"layer {index} must bottom out at {x} or a box, found {print_formula(xi)}"
+            )
+        if not is_x_free(xi.prog, x):
             raise _NoMatch(f"{x} occurs inside the program guarding layer {index + 1}")
-        _match_chain(core.body, x, strict, index + 1, pairs, pads, core.prog)
-        return
-    raise _NoMatch(
-        f"layer {index} must bottom out at {x} or a box, found {print_formula(core)}"
-    )
+        alpha, xi, index = xi.prog, xi.body, index + 1
+    decomposition = Decomposition(kind="Pi", x=x, pairs=tuple(pairs), leading_modality=leading)
+    return ClassifyResult(decomposition=decomposition, padding=tuple(pads))
 
 
 def classify_pi(phi: Formula, x: str, strict: bool = False) -> ClassifyResult | None:
@@ -189,23 +189,12 @@ def classify_pi(phi: Formula, x: str, strict: bool = False) -> ClassifyResult | 
     A top-level box is always read as the leading modality (odd level);
     anything else enters at an even level.
     """
-    if x not in variables(phi):
+    if is_x_free(phi, x):
         return None
-    pairs: list[Pair] = []
-    pads: list[PaddingRecord] = []
     try:
-        if isinstance(phi, Box):
-            if x in program_variables(phi.prog):
-                return None
-            _match_chain(phi.body, x, strict, 1, pairs, pads, phi.prog)
-            leading = True
-        else:
-            _match_chain(phi, x, strict, 1, pairs, pads, None)
-            leading = False
+        return _match_pi(phi, x, strict)
     except _NoMatch:
         return None
-    decomposition = Decomposition(kind="Pi", x=x, pairs=tuple(pairs), leading_modality=leading)
-    return ClassifyResult(decomposition=decomposition, padding=tuple(pads))
 
 
 def classify_sigma(phi: Formula, x: str, strict: bool = False) -> ClassifyResult | None:
@@ -232,28 +221,15 @@ def classify(phi: Formula, x: str, strict: bool = False) -> ClassifyResult | XFr
 
 def diagnose(phi: Formula, x: str, strict: bool = False) -> str:
     """Why classification failed, one reason per hierarchy side."""
-
-    def attempt(formula: Formula) -> str | None:
-        pairs: list[Pair] = []
-        pads: list[PaddingRecord] = []
+    reasons = []
+    for side, formula in (("Pi", phi), ("Sigma", negate(phi))):
         try:
-            if isinstance(formula, Box):
-                if x in program_variables(formula.prog):
-                    return f"{x} occurs inside the leading program"
-                _match_chain(formula.body, x, strict, 1, pairs, pads, formula.prog)
-            else:
-                _match_chain(formula, x, strict, 1, pairs, pads, None)
+            _match_pi(formula, x, strict)
         except _NoMatch as exc:
-            return str(exc)
-        return None
-
-    pi_reason = attempt(phi)
-    if pi_reason is None:
-        return "the formula classifies as Pi"
-    sigma_reason = attempt(negate(phi))
-    if sigma_reason is None:
-        return "the formula classifies as Sigma"
-    return f"as Pi: {pi_reason}; as Sigma (after negating): {sigma_reason}"
+            reasons.append(str(exc))
+        else:
+            return f"the formula classifies as {side}"
+    return f"as Pi: {reasons[0]}; as Sigma (after negating): {reasons[1]}"
 
 
 def _pi_decomposition(d: Decomposition) -> Decomposition:

@@ -299,7 +299,7 @@ def model_from_json(doc: dict) -> KripkeModel:
             str(name): frozenset(str(w) for w in ext)
             for name, ext in doc.get("valuation", {}).items()
         }
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed model document: {exc}") from exc
     return KripkeModel(worlds=worlds, relations=relations, valuation=valuation)
 

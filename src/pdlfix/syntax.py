@@ -4,12 +4,18 @@ Formulas and programs are mutually recursive immutable trees.  Negation exists
 only on atoms; ``negate`` pushes it structurally and leaves variables fixed,
 which is what makes the dual (Sigma) hierarchy and the duality solving
 strategy work.
+
+``CHILD_FIELDS`` names the child fields of every term class.  ``children``,
+``rebuild`` and ``subterms`` read it, and every structural walk of a term
+goes through them: negation, substitution and the variable scans here, rule
+matching and positioned rewriting in ``certify``, name collection in the CLI.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import attrgetter
 
 __all__ = [
     "Formula",
@@ -28,9 +34,12 @@ __all__ = [
     "Seq",
     "Choice",
     "Star",
+    "CHILD_FIELDS",
+    "children",
+    "rebuild",
+    "subterms",
     "negate",
     "substitute",
-    "substitute_program",
     "variables",
     "program_variables",
     "is_x_free",
@@ -155,102 +164,130 @@ class Star(Program):
     body: Program
 
 
+# The child fields of each term class, in the order in which a certificate
+# path indexes them.
+CHILD_FIELDS: dict[type, tuple[str, ...]] = {
+    Atom: (), NegAtom: (), Var: (), Top: (), Bot: (), AtomicProg: (),
+    Or: ("left", "right"), And: ("left", "right"),
+    Diamond: ("prog", "body"), Box: ("prog", "body"),
+    Test: ("cond",), Seq: ("first", "second"), Choice: ("left", "right"), Star: ("body",),
+}
+
+
+def _no_children(node) -> tuple:
+    return ()
+
+
+def _getter(fields: tuple[str, ...]):
+    """The function from a node with these child fields to its children.
+    ``attrgetter`` reads the fields in C, and every walk comes through here."""
+    if not fields:
+        return _no_children
+    get = attrgetter(*fields)
+    return get if len(fields) > 1 else lambda node: (get(node),)
+
+
+_GETTERS = {cls: _getter(fields) for cls, fields in CHILD_FIELDS.items()}
+
+
+def children(node) -> tuple:
+    """The child terms of ``node`` in path order.  Leaves, and objects that are
+    not terms (such as rewrite-rule metavariables), have none."""
+    return _GETTERS.get(type(node), _no_children)(node)
+
+
+def rebuild(node, kids):
+    """A node of ``node``'s class with children ``kids``; a leaf is itself."""
+    return type(node)(*kids) if kids else node
+
+
+def subterms(term):
+    """Every subterm of ``term``, itself first, in left-to-right pre-order."""
+    stack = [term]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(children(node)))
+
+
+_DUALS = {Atom: NegAtom, NegAtom: Atom, Top: Bot, Bot: Top, Or: And, And: Or,
+          Diamond: Box, Box: Diamond}
+
+
 def negate(phi: Formula) -> Formula:
     """Structural negation: atoms flip, variables stay fixed, duals swap.
 
     Programs (including test conditions) are untouched.  ``negate`` is an
     involution.
     """
-    if isinstance(phi, Atom):
-        return NegAtom(phi.name)
-    if isinstance(phi, NegAtom):
-        return Atom(phi.name)
-    if isinstance(phi, Var):
-        return phi
-    if isinstance(phi, Top):
-        return Bot()
-    if isinstance(phi, Bot):
-        return Top()
-    if isinstance(phi, Or):
-        return And(negate(phi.left), negate(phi.right))
-    if isinstance(phi, And):
-        return Or(negate(phi.left), negate(phi.right))
-    if isinstance(phi, Diamond):
-        return Box(phi.prog, negate(phi.body))
-    if isinstance(phi, Box):
-        return Diamond(phi.prog, negate(phi.body))
-    raise TypeError(f"not a formula: {phi!r}")
+    cls = type(phi)
+    dual = _DUALS.get(cls)
+    if dual is None:
+        if cls is Var:
+            return phi
+        raise TypeError(f"not a formula: {phi!r}")
+    if cls is Atom or cls is NegAtom:
+        return dual(phi.name)
+    kids = children(phi)
+    if not kids:
+        return dual()
+    first, body = kids
+    return dual(first if isinstance(first, Program) else negate(first), negate(body))
 
 
-def substitute(phi: Formula, x: str, psi: Formula) -> Formula:
-    """Replace every occurrence of ``Var(x)`` in ``phi`` by ``psi``.
+def substitute(term, x: str, psi: Formula):
+    """Replace every occurrence of ``Var(x)`` in ``term``, a formula or a
+    program, by ``psi``.
 
-    Occurrences inside test programs are replaced as well.
+    Occurrences inside test programs are replaced as well.  Subterms without
+    ``x`` are kept as they are, not copied.
     """
-    if isinstance(phi, Var):
-        return psi if phi.name == x else phi
-    if isinstance(phi, (Atom, NegAtom, Top, Bot)):
-        return phi
-    if isinstance(phi, Or):
-        return Or(substitute(phi.left, x, psi), substitute(phi.right, x, psi))
-    if isinstance(phi, And):
-        return And(substitute(phi.left, x, psi), substitute(phi.right, x, psi))
-    if isinstance(phi, Diamond):
-        return Diamond(substitute_program(phi.prog, x, psi), substitute(phi.body, x, psi))
-    if isinstance(phi, Box):
-        return Box(substitute_program(phi.prog, x, psi), substitute(phi.body, x, psi))
-    raise TypeError(f"not a formula: {phi!r}")
+    def sub(node):
+        kids = children(node)
+        if len(kids) == 2:
+            left, right = kids
+            new_left, new_right = sub(left), sub(right)
+            if new_left is left and new_right is right:
+                return node
+            return type(node)(new_left, new_right)
+        if kids:
+            new = sub(kids[0])
+            return node if new is kids[0] else type(node)(new)
+        return psi if type(node) is Var and node.name == x else node
+
+    return sub(term)
 
 
-def substitute_program(alpha: Program, x: str, psi: Formula) -> Program:
-    if isinstance(alpha, AtomicProg):
-        return alpha
-    if isinstance(alpha, Test):
-        return Test(substitute(alpha.cond, x, psi))
-    if isinstance(alpha, Seq):
-        return Seq(substitute_program(alpha.first, x, psi), substitute_program(alpha.second, x, psi))
-    if isinstance(alpha, Choice):
-        return Choice(substitute_program(alpha.left, x, psi), substitute_program(alpha.right, x, psi))
-    if isinstance(alpha, Star):
-        return Star(substitute_program(alpha.body, x, psi))
-    raise TypeError(f"not a program: {alpha!r}")
+def variables(term) -> frozenset[str]:
+    """All variable names occurring in ``term``, a formula or a program,
+    including under tests."""
+    return frozenset(node.name for node in subterms(term) if type(node) is Var)
 
 
-def variables(phi: Formula) -> frozenset[str]:
-    """All variable names occurring in ``phi``, including under tests."""
-    if isinstance(phi, Var):
-        return frozenset({phi.name})
-    if isinstance(phi, (Atom, NegAtom, Top, Bot)):
-        return frozenset()
-    if isinstance(phi, (Or, And)):
-        return variables(phi.left) | variables(phi.right)
-    if isinstance(phi, (Diamond, Box)):
-        return program_variables(phi.prog) | variables(phi.body)
-    raise TypeError(f"not a formula: {phi!r}")
+program_variables = variables
 
 
-def program_variables(alpha: Program) -> frozenset[str]:
-    if isinstance(alpha, AtomicProg):
-        return frozenset()
-    if isinstance(alpha, Test):
-        return variables(alpha.cond)
-    if isinstance(alpha, Seq):
-        return program_variables(alpha.first) | program_variables(alpha.second)
-    if isinstance(alpha, Choice):
-        return program_variables(alpha.left) | program_variables(alpha.right)
-    if isinstance(alpha, Star):
-        return program_variables(alpha.body)
-    raise TypeError(f"not a program: {alpha!r}")
+def is_x_free(term, x: str) -> bool:
+    """Whether ``Var(x)`` is absent from ``term``, tests included."""
+    # Model checking calls this once per model: a plain stack, no generator.
+    stack = [term]
+    while stack:
+        node = stack.pop()
+        if type(node) is Var:
+            if node.name == x:
+                return False
+        else:
+            stack.extend(children(node))
+    return True
 
 
-def is_x_free(phi: Formula, x: str) -> bool:
-    return x not in variables(phi)
+_ASSOCIATIVE = (And, Or, Seq, Choice)
 
 
 def _flatten(node, cls):
-    if isinstance(node, cls):
-        yield from _flatten(node.left if hasattr(node, "left") else node.first, cls)
-        yield from _flatten(node.right if hasattr(node, "right") else node.second, cls)
+    if type(node) is cls:
+        for kid in children(node):
+            yield from _flatten(kid, cls)
     else:
         yield node
 
@@ -260,21 +297,11 @@ def _assoc_key(node):
 
     Order is preserved; commutativity is deliberately not included.
     """
-    if isinstance(node, (And, Or)):
-        return (type(node).__name__, tuple(_assoc_key(c) for c in _flatten(node, type(node))))
-    if isinstance(node, (Seq, Choice)):
-        return (type(node).__name__, tuple(_assoc_key(c) for c in _flatten(node, type(node))))
-    if isinstance(node, (Diamond, Box)):
-        return (type(node).__name__, _assoc_key(node.prog), _assoc_key(node.body))
-    if isinstance(node, Test):
-        return ("Test", _assoc_key(node.cond))
-    if isinstance(node, Star):
-        return ("Star", _assoc_key(node.body))
-    if isinstance(node, (Atom, NegAtom, Var, AtomicProg)):
-        return (type(node).__name__, node.name)
-    if isinstance(node, (Top, Bot)):
-        return (type(node).__name__,)
-    raise TypeError(f"not a term: {node!r}")
+    cls = type(node)
+    if not CHILD_FIELDS[cls]:
+        return node
+    kids = _flatten(node, cls) if cls in _ASSOCIATIVE else children(node)
+    return cls, tuple(_assoc_key(kid) for kid in kids)
 
 
 def equal_modulo_assoc(s, t) -> bool:

@@ -361,6 +361,9 @@ def test_equal_binding_texts_read_back_as_one_object():
 def test_malformed_certificate_rejected():
     with pytest.raises(ValueError, match="malformed"):
         certificate_from_json({"from": "p"})
+    with pytest.raises(ValueError, match="malformed"):
+        certificate_from_json({"from": "p", "to": "p", "steps": [
+            {"rule": "E5", "direction": "LR", "path": [], "bindings": []}]})
     with pytest.raises(ValueError):
         certificate_from_json({"from": "p", "to": "q", "steps": [{"rule": "E99",
                                "direction": "LR", "path": [], "bindings": {}}]})
@@ -406,18 +409,15 @@ def test_the_false_test_variant_of_e10_is_refuted():
     assert report["E10f"].counterexamples > 0
 
 
-def test_search_fallback_finds_short_derivations():
-    from pdlfix.certify import _search
+def test_a_script_off_target_raises_generation_error(monkeypatch):
+    from pdlfix import certify
+    from pdlfix.syntax import AtomicProg, Box
 
-    source = parse_formula("[a*]p")
-    target = parse_formula("p & [a][a*]p")
-    steps = _search(source, target, cap=50)
-    cert = Certificate(source=source, target=target, steps=tuple(steps))
-    assert check_certificate(cert).ok
-
-
-def test_search_fallback_respects_its_cap():
-    from pdlfix.certify import _search
-
-    with pytest.raises(GenerationError, match="cap"):
-        _search(parse_formula("p"), parse_formula("q"), cap=30)
+    sol = solve(parse_formula(EXAMPLE), "X")
+    # A script that fails on its way: the tampered lambda has no star to unfold.
+    with pytest.raises(GenerationError, match="scripted derivation failed"):
+        generate_certificate(replace(sol, formula=Box(AtomicProg("a"), sol.formula)))
+    # A script that runs to its end somewhere other than phi(lambda).
+    monkeypatch.setattr(certify._PiScript, "run", lambda script: (script.state, []))
+    with pytest.raises(GenerationError, match="scripted derivation ended at"):
+        generate_certificate(sol)

@@ -111,6 +111,22 @@ def test_check_random_suite_passes(capsys):
     assert doc["checked"] == 200
 
 
+def test_check_random_models_follow_first_occurrence_of_program_names(capsys):
+    # b occurs before a, and the seeded models are drawn in that order.
+    code, doc = run_json(capsys, "check", "--var", "X", "--equation", "[b](p | <a>X)",
+                         "--candidate", "p", "--random", "20", "--worlds", "2", "--seed", "4")
+    assert code == 1
+    assert doc == {
+        "passed": False, "x": "X", "equation": "[b](p | <a>X)", "candidate": "p",
+        "instantiated": "[b](p | <a>p)", "counterexampleWorld": "w0",
+        "model": {"worlds": ["w0", "w1"],
+                  "programs": {"a": [["w0", "w1"]],
+                               "b": [["w0", "w0"], ["w1", "w0"], ["w1", "w1"]]},
+                  "valuation": {"X": ["w0", "w1"], "p": ["w1"]}},
+        "checked": 2, "seed": 4,
+    }
+
+
 def test_check_candidate_with_unknown_exits_2(capsys):
     code, _ = run(capsys, "check", "--var", "X", "--equation", "p & (q | X)",
                   "--candidate", "p & X", "--random", "3")
@@ -123,6 +139,12 @@ def test_check_malformed_model_exits_2(tmp_path, capsys):
     code, _ = run(capsys, "check", "--var", "X", "--equation", "p | X",
                   "--candidate", "true", "--model", str(bad))
     assert code == 2
+    bad.write_text(json.dumps({"worlds": ["w0"], "programs": [1]}))
+    code, doc = run_json(capsys, "check", "--var", "X", "--equation", "p | X",
+                         "--candidate", "true", "--model", str(bad))
+    assert code == 2
+    assert doc["status"] == "error"
+    assert doc["message"].startswith("malformed model document")
 
 
 def test_fuzz_rules_scope(capsys):
@@ -176,6 +198,12 @@ def test_verify_cert_malformed_exits_2(tmp_path, capsys):
     bad.write_text("not json")
     code, _ = run(capsys, "verify-cert", str(bad))
     assert code == 2
+    bad.write_text(json.dumps({"from": "p", "to": "p", "steps": [
+        {"rule": "E5", "direction": "LR", "path": [], "bindings": [], "group": 1}]}))
+    code, doc = run_json(capsys, "verify-cert", str(bad))
+    assert code == 2
+    assert doc["status"] == "error"
+    assert doc["message"].startswith("malformed certificate document")
 
 
 def test_usage_error_exits_2(capsys):
@@ -187,11 +215,68 @@ def test_lowercase_var_rejected(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    pytest.param("p & É", "variable name must be an uppercase identifier: 'É'", id="variable"),
+    pytest.param("p²", "atom name must be a lowercase identifier (not a keyword): 'p²'",
+                 id="atom"),
+])
+@pytest.mark.parametrize("command", ["classify", "solve", "check"])
+def test_invalid_identifier_exits_2_with_one_document(capsys, command, text, message):
+    argv = {
+        "classify": ["classify", "--var", "X", text],
+        "solve": ["solve", "--var", "X", text],
+        "check": ["check", "--var", "X", "--equation", text, "--candidate", "p",
+                  "--random", "2"],
+    }[command]
+    code = main(argv + ["--json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out) == {"status": "error", "message": message}
+    assert "Traceback" not in captured.err
+
+
+def test_var_must_be_a_name_a_variable_can_have(capsys):
+    code = main(["classify", "--var", "É", "p & X", "--json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out) == {
+        "status": "error",
+        "message": "argument --var: variable name must be an uppercase identifier: 'É'",
+    }
+
+
+@pytest.mark.parametrize("json_mode", [True, False], ids=["json", "human"])
+def test_unexpected_exception_exits_3_without_traceback(capsys, monkeypatch, json_mode):
+    from pdlfix import cli
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_classify", broken)
+    code = main(["classify", "--var", "X", "p & X"] + (["--json"] if json_mode else []))
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "Traceback" not in captured.err
+    if json_mode:
+        assert json.loads(captured.out) == {"status": "internal-error",
+                                            "message": "RuntimeError: boom"}
+    else:
+        assert captured.out == "internal error: RuntimeError: boom\n"
+
+
 def test_uncertifiable_strategy_exits_3(tmp_path, capsys):
     cert_path = tmp_path / "cert.json"
     code, _ = run(capsys, "solve", "--var", "X", "--strategy", "literal",
                   "--certify", str(cert_path), "p & (q | X)")
     assert code == 3
+
+
+def test_unwritable_certificate_path_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "cert.json"
+    code, doc = run_json(capsys, "solve", "--var", "X", "--certify", str(path), "p & (q | X)")
+    assert code == 2
+    assert doc["status"] == "error"
+    assert "No such file or directory" in doc["message"]
 
 
 def test_json_mode_emits_exactly_one_document(capsys):
@@ -209,6 +294,7 @@ CHECK_RANDOM = ["check", "--var", "X", "--equation", "p", "--candidate", "p", "-
     (["fuzz", "--models-per-trial", "0"], "--models-per-trial", 1),
     (["fuzz", "--max-pairs", "0"], "--max-pairs", 1),
     (["fuzz", "--depth", "-1"], "--depth", 0),
+    (CHECK_RANDOM[:-1] + ["0"], "--random", 1),
 ])
 def test_numeric_flag_below_its_minimum_exits_2(capsys, argv, flag, minimum):
     code = main(argv + ["--json"])

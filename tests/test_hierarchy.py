@@ -13,6 +13,7 @@ from pdlfix.hierarchy import (
     classify_sigma,
     decomposition_from_json,
     decomposition_to_json,
+    diagnose,
     reconstruct,
     to_chain_form,
     to_nested_form,
@@ -112,6 +113,32 @@ def test_commutation_accepted_and_recorded():
 def test_strict_mode_rejects_commutation():
     assert classify_pi(parse_formula("(q & X) | p"), "X", strict=True) is None
     assert classify_pi(parse_formula("p | (q & X)"), "X", strict=True) is not None
+
+
+@pytest.mark.parametrize("text, strict, reason", [
+    ("[X?]p", False,
+     "as Pi: X occurs inside the leading program; "
+     "as Sigma (after negating): layer 1 must bottom out at X or a box, found <X?>~p"),
+    ("X | X", False,
+     "as Pi: both operands of layer 1 contain X; "
+     "as Sigma (after negating): both operands of layer 1 contain X"),
+    ("p | q", False,
+     "as Pi: neither operand of layer 1 contains X; "
+     "as Sigma (after negating): neither operand of layer 1 contains X"),
+    ("p & <a>[b]X", False,
+     "as Pi: layer 1 must bottom out at X or a box, found <a>[b]X; "
+     "as Sigma (after negating): layer 2 must bottom out at X or a box, found <b>X"),
+    ("(q & X) | p", True,
+     "as Pi: layer 1 is commuted and strict mode is on; "
+     "as Sigma (after negating): layer 1 is commuted and strict mode is on"),
+    ("[a](p | [X?]X)", False,
+     "as Pi: X occurs inside the program guarding layer 2; "
+     "as Sigma (after negating): layer 1 must bottom out at X or a box, found <a>(~p & <X?>X)"),
+    ("p & [a](q | (r & X))", False, "the formula classifies as Pi"),
+    ("p & <a>X", False, "the formula classifies as Sigma"),
+])
+def test_diagnose_names_the_failed_layer(text, strict, reason):
+    assert diagnose(parse_formula(text), "X", strict=strict) == reason
 
 
 def test_right_associated_disjunction_chains_are_exact_shapes():

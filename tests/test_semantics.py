@@ -201,6 +201,8 @@ def test_model_json_unknown_names_default_empty():
 def test_malformed_model_rejected():
     with pytest.raises(ValueError, match="malformed"):
         model_from_json({"programs": {}})
+    with pytest.raises(ValueError, match="malformed"):
+        model_from_json({"worlds": ["w0"], "programs": [1]})
 
 
 @settings(max_examples=120, derandomize=True, deadline=None)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from conftest import formulas
 from hypothesis import assume, given, settings
@@ -16,13 +18,19 @@ from pdlfix.syntax import (
     Test,
     Top,
     Var,
+    CHILD_FIELDS,
+    Formula,
+    Program,
+    children,
     equal_modulo_assoc,
     iff,
     implies,
     is_x_free,
     negate,
     program_variables,
+    rebuild,
     substitute,
+    subterms,
     variables,
 )
 from pdlfix.textio import parse_formula, parse_program
@@ -169,3 +177,26 @@ def test_name_validation():
         AtomicProg("true")
     with pytest.raises(ValueError):
         Atom("")
+
+
+def test_child_fields_name_every_term_field():
+    for cls, fields in CHILD_FIELDS.items():
+        names = tuple(f.name for f in dataclasses.fields(cls))
+        assert fields == (() if names in ((), ("name",)) else names), cls
+    assert set(CHILD_FIELDS) == set(Formula.__subclasses__()) | set(Program.__subclasses__())
+
+
+def _pre_order(term):
+    yield term
+    for kid in children(term):
+        yield from _pre_order(kid)
+
+
+def test_subterms_walk_left_to_right_and_rebuild_inverts_children():
+    phi = parse_formula("[(a ; (p & X)?)* u b]<c>(true | ~q) & false")
+    nodes = list(subterms(phi))
+    assert nodes == list(_pre_order(phi))
+    assert {type(node) for node in nodes} == set(CHILD_FIELDS)
+    assert [node.name for node in nodes if type(node) is AtomicProg] == ["a", "b", "c"]
+    for node in nodes:
+        assert rebuild(node, children(node)) == node
