@@ -6,6 +6,11 @@ direction, a path from the root (program and formula children share one
 index scheme, ``syntax.CHILD_FIELDS``) and the full metavariable bindings,
 so the checker never has to re-infer a match.
 
+The generator computes each step's rule, direction and path from the
+decomposition alone (``_derivation``; a Sigma certificate takes the diamond
+dual of each rule at the same path), binds it by matching, and applies it
+with ``apply_rule``, the function the checker replays with.
+
 Two auxiliary step kinds ``AA``/``AO`` rebracket associative chains
 (``(a & b) & c  <->  a & (b & c)`` and the disjunctive dual).  They are not
 members of the equivalence family and are excluded from rule-id grouping:
@@ -38,7 +43,7 @@ from .syntax import (
     substitute,
     subterms,
 )
-from .synthesis import Solution, solve_pi
+from .synthesis import Solution
 from .textio import parse_formula, parse_program, print_formula, print_terms
 
 __all__ = [
@@ -135,7 +140,6 @@ RULES: dict[str, RewriteRule] = {
     )
 }
 
-EQUIVALENCE_IDS = tuple(f"E{i}" for i in range(1, 11))
 ASSOC_IDS = ("AA", "AO")
 
 # Binding names that denote programs; everything else is a formula.
@@ -281,7 +285,7 @@ def rewrite_at(phi: Formula, rule_id: str, direction: str, path: tuple[int, ...]
             f"{rule_id} {direction} does not match at {list(path)} in {print_formula(phi)}"
         )
     step = RewriteStep(rule=rule_id, direction=direction, path=path, bindings=bindings, group=group)
-    return replace_at(phi, path, _instantiate(_directed(RULES[rule_id], direction)[1], bindings)), step
+    return apply_rule(phi, step), step
 
 
 @dataclass(frozen=True)
@@ -342,116 +346,53 @@ def _nested_with_drops(d: Decomposition, drops: frozenset[int]) -> Formula:
     return acc
 
 
-class _PiScript:
-    """Scripted derivation from a Pi solution to the instantiated equation,
-    following the star-unfold / decompose / factor loop of the solution
-    proof, one group per derivation line."""
+_DUAL_RULE = {"E1": "E6", "E3": "E8", "E4": "E9", "E5": "E10", "E7": "E2", "AA": "AO"}
 
-    def __init__(self, sol: Solution, drops: frozenset[int]):
-        self.d = sol.decomposition
-        self.state = sol.formula
-        self.steps: list[RewriteStep] = []
-        self.drops = drops
-        self.base: tuple[int, ...] = ()
-        self.finalize_paths: dict[int, tuple[int, ...]] = {}
 
-    def do(self, rule_id: str, direction: str, path: tuple[int, ...], group: int) -> None:
-        self.state, step = rewrite_at(self.state, rule_id, direction, path, group)
-        self.steps.append(step)
+def _derivation(d: Decomposition, drops: frozenset[int]):
+    """The box-side derivation from the Pi solution to the instantiated
+    equation, as ``(rule, direction, path, group)``, one group per derivation
+    line: unfold the star (E4) and rebracket (AA), then per level split the
+    head off every conjunct's chain (E1), factor it out (E3) and turn the
+    level's test box back into its disjunct (E7), or drop it (E5) if padded.
 
-    def _shift_after_drop(self, dropped: tuple[int, ...]) -> None:
-        # E5 removed the box at `dropped`; its body moved up one level.
-        def strip(path: tuple[int, ...]) -> tuple[int, ...]:
-            if path[: len(dropped)] == dropped and len(path) > len(dropped):
-                return dropped + path[len(dropped) + 1:]
-            return path
+    Only the pair count, which pairs have an alpha, and ``drops`` decide the
+    steps.  Every path but a split inside a conjunct is on the right spine
+    ``(1, 1, ...)``, so it is a depth; an E5 drop lifts what lies below it.
+    """
+    n = d.n
+    parts = [1 if pair.alpha is None else 2 for pair in d.pairs]  # alpha, (~phi)?
+    base = 0  # depth of the conjunct chain of the current level
+    test = 0  # depth of the test box of the previous level
 
-        self.base = strip(self.base)
-        self.finalize_paths = {m: strip(p) for m, p in self.finalize_paths.items()}
+    def close(level: int, group: int):
+        rule = ("E5", "LR") if level in drops else ("E7", "RL")
+        return (*rule, (1,) * test, group)
 
-    def element_path(self, index: int, count: int) -> tuple[int, ...]:
-        if index < count - 1:
-            return self.base + (1,) * index + (0,)
-        return self.base + (1,) * (count - 1)
-
-    def splits(self, m: int, group: int) -> None:
-        d = self.d
-        double = d.pairs[m - 1].alpha is not None
-        head_len = 2 if double else 1
-        count = d.n - m + 2
+    yield "E4", "LR", (), 1
+    for depth in range(n - 1):
+        yield "AA", "LR", (1,) * depth, 2
+    group = 2
+    for m in range(1, n + 1):
+        head = parts[m - 1]
+        count = n - m + 2  # conjuncts at this level: psi_m .. psi_n, then lambda
         for index in range(count):
-            path = self.element_path(index, count)
-            peeled = 0
-            while peeled < head_len:
-                box = subterm_at(self.state, path)
-                if not (isinstance(box, Box) and isinstance(box.prog, Seq)):
-                    break
-                self.do("E1", "RL", path, group)
-                path = path + (1,)
-                peeled += 1
-
-    def folds(self, m: int, group: int) -> None:
-        d = self.d
-        double = d.pairs[m - 1].alpha is not None
-        count = d.n - m + 2
+            chain = sum(parts[m - 1 : min(m + index, n)])
+            path = (1,) * (base + index) + ((0,) if index < count - 1 else ())
+            for peel in range(min(head, chain - 1)):
+                yield "E1", "RL", path + (1,) * peel, group
+        if m > 1:
+            yield close(m - 1, group)
+            if m - 1 in drops:
+                base -= 1
+            group += 1
         for index in range(count - 2, -1, -1):
-            path = self.base + (1,) * index
-            self.do("E3", "RL", path, group)
-            if double:
-                self.do("E3", "RL", path + (1,), group)
-        body = self.base + ((1, 1) if double else (1,))
-        self.finalize_paths[m] = self.base + (1,) if double else self.base
-        self.base = body + (1,)
-
-    def finalize(self, m: int, group: int) -> None:
-        path = self.finalize_paths.pop(m)
-        if m in self.drops:
-            box = subterm_at(self.state, path)
-            if not (isinstance(box, Box) and box.prog == Test(Top())):
-                raise GenerationError(f"pad drop at level {m} expected a true? box")
-            self.do("E5", "LR", path, group)
-            self._shift_after_drop(path)
-        else:
-            self.do("E7", "RL", path, group)
-
-    def run(self) -> tuple[Formula, list[RewriteStep]]:
-        n = self.d.n
-        self.do("E4", "LR", (), group=1)
-        path = self.base
-        while True:
-            node = subterm_at(self.state, path)
-            if isinstance(node, And) and isinstance(node.left, And):
-                self.do("AA", "LR", path, group=2)
-                path = path + (1,)
-            else:
-                break
-        self.splits(1, group=2)
-        self.folds(1, group=2)
-        group = 3
-        for m in range(2, n + 1):
-            self.splits(m, group)
-            self.finalize(m - 1, group)
-            group += 1
-            self.folds(m, group)
-            group += 1
-        self.finalize(n, group)
-        return self.state, self.steps
-
-
-_DUAL_RULE = {"E1": "E6", "E2": "E7", "E3": "E8", "E4": "E9", "E5": "E10", "E7": "E2", "AA": "AO"}
-
-
-def _dual_step(step: RewriteStep) -> RewriteStep:
-    try:
-        rule_id = _DUAL_RULE[step.rule]
-    except KeyError:
-        raise GenerationError(f"step {step.rule} has no dual counterpart") from None
-    bindings = {
-        name: value if name in _PROGRAM_METAVARS else negate(value)
-        for name, value in step.bindings.items()
-    }
-    return RewriteStep(rule=rule_id, direction=step.direction, path=step.path,
-                       bindings=bindings, group=step.group)
+            for depth in range(base + index, base + index + head):
+                yield "E3", "RL", (1,) * depth, group
+        test = base + head - 1
+        base += head + 1
+        group += 1
+    yield close(n, group)
 
 
 def generate_certificate(sol: Solution, padding: tuple[PaddingRecord, ...] = ()) -> Certificate:
@@ -461,47 +402,37 @@ def generate_certificate(sol: Solution, padding: tuple[PaddingRecord, ...] = ())
     eliminated with E5 (E10 on the diamond side), so for ordinary classified
     input the target is exactly ``phi(lambda)``.  A padded-in ``true``
     conjunct has no removal rule, so such layers stay in the target (see
-    DISCREPANCIES.md).  Sigma solutions (duality strategy only) are certified
-    by dualizing the underlying box-side certificate rule for rule.
+    DISCREPANCIES.md).
 
-    The steps follow one scripted derivation; a script that fails, or that
-    ends anywhere but the target, raises ``GenerationError``.
+    The steps come from ``_derivation`` (diamond duals for a Sigma solution,
+    which must use the duality strategy), each applied once by ``apply_rule``;
+    a step that does not match, or an end other than the target, raises
+    ``GenerationError``.
     """
     if sol.schema == "xfree":
         return Certificate(source=sol.formula, target=sol.formula, steps=())
     d = sol.decomposition
     if d is None:
         raise GenerationError("solution carries no decomposition")
+    sigma = d.kind == "Sigma"
+    if sigma and sol.strategy != "duality":
+        raise GenerationError("only duality-strategy Sigma solutions are certifiable")
     drops = frozenset(pad.index for pad in padding if pad.phi_padded)
-    if d.kind == "Sigma":
-        if sol.strategy != "duality":
-            raise GenerationError("only duality-strategy Sigma solutions are certifiable")
-        mu = solve_pi(_dc_replace(d, kind="Pi"))
-        pi_cert = _generate_pi(mu, drops=drops)
-        cert = Certificate(
-            source=negate(pi_cert.source),
-            target=negate(pi_cert.target),
-            steps=tuple(_dual_step(s) for s in pi_cert.steps),
-        )
-    else:
-        cert = _generate_pi(sol, drops=drops)
-    report = check_certificate(cert)
-    if not report.ok:
-        raise GenerationError(f"generated certificate failed replay: {report.reason}")
-    return cert
-
-
-def _generate_pi(sol: Solution, drops: frozenset[int]) -> Certificate:
-    d = sol.decomposition
-    target = substitute(_nested_with_drops(d, drops), d.x, sol.formula)
+    shape = _nested_with_drops(d, drops)
+    target = substitute(negate(shape) if sigma else shape, d.x, sol.formula)
+    state = sol.formula
+    steps = []
     try:
-        final, steps = _PiScript(sol, drops).run()
+        for rule_id, direction, path, group in _derivation(d, drops):
+            state, step = rewrite_at(state, _DUAL_RULE[rule_id] if sigma else rule_id,
+                                     direction, path, group)
+            steps.append(step)
     except CertifyError as exc:
         raise GenerationError(f"scripted derivation failed: {exc}") from exc
-    if final != target:
+    if state != target:
         raise GenerationError(
             "scripted derivation ended at "
-            f"{print_formula(final)} instead of {print_formula(target)}"
+            f"{print_formula(state)} instead of {print_formula(target)}"
         )
     return Certificate(source=sol.formula, target=target, steps=tuple(steps))
 

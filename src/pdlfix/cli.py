@@ -81,7 +81,7 @@ def _read_formula_arg(text: str):
             with open(text[1:], encoding="utf-8") as handle:
                 text = handle.read()
         return parse_formula(text)
-    except (OSError, ValueError) as exc:  # ParseError, or a name a term rejects
+    except (OSError, ValueError) as exc:  # ParseError
         raise _InputError(str(exc)) from exc
 
 

@@ -31,9 +31,8 @@ from .syntax import (
 
 __all__ = ["TermGen", "random_decomposition", "derive_seed"]
 
-DEFAULT_ATOMS = ("p", "q", "r")
-DEFAULT_VARS = ("X",)
-DEFAULT_PROGS = ("a", "b")
+ATOMS = ("p", "q", "r")
+PROGS = ("a", "b")
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -42,19 +41,11 @@ def derive_seed(seed: int, index: int) -> int:
 
 
 class TermGen:
-    """Random ASTs over small name pools."""
+    """Random ASTs over the names ``ATOMS``, ``variables`` and ``PROGS``."""
 
-    def __init__(
-        self,
-        rng: random.Random,
-        atoms: tuple[str, ...] = DEFAULT_ATOMS,
-        variables: tuple[str, ...] = DEFAULT_VARS,
-        progs: tuple[str, ...] = DEFAULT_PROGS,
-    ):
+    def __init__(self, rng: random.Random, variables: tuple[str, ...] = ("X",)):
         self.rng = rng
-        self.atoms = atoms
         self.variables = variables
-        self.progs = progs
 
     def leaf(self) -> Formula:
         choices = ["atom", "negatom", "top", "bot"]
@@ -62,9 +53,9 @@ class TermGen:
             choices.append("var")
         kind = self.rng.choice(choices)
         if kind == "atom":
-            return Atom(self.rng.choice(self.atoms))
+            return Atom(self.rng.choice(ATOMS))
         if kind == "negatom":
-            return NegAtom(self.rng.choice(self.atoms))
+            return NegAtom(self.rng.choice(ATOMS))
         if kind == "var":
             return Var(self.rng.choice(self.variables))
         if kind == "top":
@@ -86,7 +77,7 @@ class TermGen:
     def program(self, depth: int = 2) -> Program:
         if depth <= 0 or self.rng.random() < 0.4:
             if self.rng.random() < 0.7:
-                return AtomicProg(self.rng.choice(self.progs))
+                return AtomicProg(self.rng.choice(PROGS))
             return Test(self.formula(0))
         kind = self.rng.choice(["seq", "choice", "star", "test"])
         if kind == "seq":
@@ -100,16 +91,14 @@ class TermGen:
 
 def random_decomposition(
     rng: random.Random,
-    x: str = "X",
     kind: str | None = None,
     leading: bool | None = None,
     max_pairs: int = 3,
     depth: int = 2,
-    atoms: tuple[str, ...] = DEFAULT_ATOMS,
     extra_vars: tuple[str, ...] = (),
-    progs: tuple[str, ...] = DEFAULT_PROGS,
 ) -> Decomposition:
-    """A well-formed decomposition with variable-free components.
+    """A well-formed decomposition for the unknown ``X`` with variable-free
+    components.
 
     Foreign variables are off by default: a variable survives negation, so a
     ``(~phi)?`` test over a variable-containing component is not the
@@ -117,7 +106,7 @@ def random_decomposition(
     (see DISCREPANCIES.md).  Pass ``extra_vars`` to explore that territory
     deliberately.
     """
-    gen = TermGen(rng, atoms=atoms, variables=tuple(v for v in extra_vars if v != x), progs=progs)
+    gen = TermGen(rng, variables=tuple(v for v in extra_vars if v != "X"))
     if kind is None:
         kind = rng.choice(["Pi", "Sigma"])
     if leading is None:
@@ -127,4 +116,4 @@ def random_decomposition(
     for i in range(1, n + 1):
         alpha = gen.program(depth) if (i > 1 or leading) else None
         pairs.append(Pair(phi=gen.formula(depth), psi=gen.formula(depth), alpha=alpha))
-    return Decomposition(kind=kind, x=x, pairs=tuple(pairs), leading_modality=leading)
+    return Decomposition(kind=kind, x="X", pairs=tuple(pairs), leading_modality=leading)

@@ -245,15 +245,13 @@ class ModelGenParams:
     var_names: tuple[str, ...] = ("X",)
     prog_names: tuple[str, ...] = ("a", "b")
     edge_probability: float = 0.4
-    atom_probability: float = 0.5
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.world_count < 1:
             raise ValueError("world_count must be at least 1")
-        for p in (self.edge_probability, self.atom_probability):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"probability out of range: {p}")
+        if not 0.0 <= self.edge_probability <= 1.0:
+            raise ValueError(f"probability out of range: {self.edge_probability}")
 
 
 def random_model(params: ModelGenParams) -> KripkeModel:
@@ -271,7 +269,7 @@ def random_model(params: ModelGenParams) -> KripkeModel:
         relations[prog] = pairs
     valuation = {}
     for name in tuple(params.atom_names) + tuple(params.var_names):
-        valuation[name] = frozenset(w for w in worlds if rng.random() < params.atom_probability)
+        valuation[name] = frozenset(w for w in worlds if rng.random() < 0.5)
     return KripkeModel(worlds=worlds, relations=relations, valuation=valuation, seed=params.seed)
 
 

@@ -32,7 +32,8 @@ kinds and texts, which the recursive-descent parser reads by index.  Source
 offsets are not kept: only when a ``ParseError`` is raised is the text scanned
 again for the offset of the offending token, which becomes a line and a
 column.  Input nested beyond the interpreter's recursion limit is a
-``ParseError`` as well.
+``ParseError`` as well, and so is a name that its term class rejects (``p²``,
+``É``), reported at that name.
 
 The printer dispatches on the type of each node.  Within one call it keeps
 the text of every composite node it printed, per precedence level, so a
@@ -288,6 +289,14 @@ def _parse(text: str, start):
         result = start(parser)
     except RecursionError:
         raise parser.error("input nested too deeply", parser.pos) from None
+    except ParseError:
+        raise
+    except ValueError as exc:
+        # A name its term class rejects; only '?' tokens follow it.
+        index = parser.pos - 1
+        while parser.kinds[index] not in ("lower", "upper"):
+            index -= 1
+        raise parser.error(str(exc), index) from None
     end = parser.pos
     if parser.kinds[end] != "end":
         raise parser.error(f"unexpected trailing input {parser.texts[end]!r}", end)

@@ -216,9 +216,10 @@ def test_lowercase_var_rejected(capsys):
 
 
 @pytest.mark.parametrize("text, message", [
-    pytest.param("p & É", "variable name must be an uppercase identifier: 'É'", id="variable"),
-    pytest.param("p²", "atom name must be a lowercase identifier (not a keyword): 'p²'",
-                 id="atom"),
+    pytest.param("p & É", "variable name must be an uppercase identifier: 'É' (line 1, column 5)",
+                 id="variable"),
+    pytest.param("p²", "atom name must be a lowercase identifier (not a keyword): 'p²'"
+                 " (line 1, column 1)", id="atom"),
 ])
 @pytest.mark.parametrize("command", ["classify", "solve", "check"])
 def test_invalid_identifier_exits_2_with_one_document(capsys, command, text, message):

@@ -198,21 +198,25 @@ def test_parse_error_message_and_position(parse, text, message, line, column):
     assert (err.value.line, err.value.column) == (line, column)
 
 
-@pytest.mark.parametrize("text, message", [
-    ("p²", "atom name must be a lowercase identifier (not a keyword): 'p²'"),
-    ("p & q²", "atom name must be a lowercase identifier (not a keyword): 'q²'"),
-    ("pⅫ", "atom name must be a lowercase identifier (not a keyword): 'pⅫ'"),
-    ("é", "atom name must be a lowercase identifier (not a keyword): 'é'"),
-    ("~é", "atom name must be a lowercase identifier (not a keyword): 'é'"),
-    ("É", "variable name must be an uppercase identifier: 'É'"),
-    ("Xé", "variable name must be an uppercase identifier: 'Xé'"),
-    ("中", "variable name must be an uppercase identifier: '中'"),
+@pytest.mark.parametrize("text, message, column", [
+    ("p²", "atom name must be a lowercase identifier (not a keyword): 'p²'", 1),
+    ("p & q²", "atom name must be a lowercase identifier (not a keyword): 'q²'", 5),
+    ("pⅫ", "atom name must be a lowercase identifier (not a keyword): 'pⅫ'", 1),
+    ("é", "atom name must be a lowercase identifier (not a keyword): 'é'", 1),
+    ("~é", "atom name must be a lowercase identifier (not a keyword): 'é'", 2),
+    ("É", "variable name must be an uppercase identifier: 'É'", 1),
+    ("Xé", "variable name must be an uppercase identifier: 'Xé'", 1),
+    ("中", "variable name must be an uppercase identifier: '中'", 1),
+    ("[q²?]p", "atom name must be a lowercase identifier (not a keyword): 'q²'", 2),
+    ("[~q²?]p", "atom name must be a lowercase identifier (not a keyword): 'q²'", 3),
+    ("[Xé?]p", "variable name must be an uppercase identifier: 'Xé'", 2),
+    ("[a ; bé]p", "atomic program name must be a lowercase identifier (not a keyword): 'bé'", 6),
 ])
-def test_names_outside_the_ascii_grammar_fail_the_name_check(text, message):
-    with pytest.raises(ValueError) as err:
+def test_names_outside_the_ascii_grammar_fail_the_name_check(text, message, column):
+    with pytest.raises(ParseError) as err:
         parse_formula(text)
-    assert not isinstance(err.value, ParseError)
-    assert str(err.value) == message
+    assert str(err.value) == f"{message} (line 1, column {column})"
+    assert (err.value.line, err.value.column) == (1, column)
 
 
 def test_aliases_underscores_and_whitespace_parse():
