@@ -135,7 +135,6 @@ def cmd_classify(args) -> int:
 
 def cmd_solve(args) -> int:
     phi = _read_formula_arg(args.formula)
-    outcome = classify(phi, args.var)
     try:
         sol = solve(phi, args.var, strategy=args.strategy)
     except NotInClass as exc:
@@ -144,10 +143,7 @@ def cmd_solve(args) -> int:
     doc = sol.to_json()
     lines = [print_formula(sol.formula)]
     if args.certify is not None:
-        if isinstance(outcome, XFree) or outcome is None:
-            padding = ()
-        else:
-            padding = outcome.padding
+        padding = () if sol.decomposition is None else classify(phi, args.var).padding
         try:
             cert = generate_certificate(sol, padding=padding)
         except CertifyError as exc:
@@ -445,3 +441,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def console() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console()

@@ -1,12 +1,13 @@
 """Finite Kripke models and the satisfaction relation.
 
-This is the brute-force oracle for everything else: formulas are labelled
-bottom-up with their extensions, world sets held as ``int`` bitmasks.  A
-program is never built as a relation; it acts on a world set by pre-image
-(``<alpha>phi`` is the pre-image of ``phi``, ``[alpha]phi`` the complement
-of the pre-image of ``~phi``), and Kleene star is the least fixpoint of
-``T -> S | pre(alpha, T)``.  Variables are interpreted through the
-valuation exactly like atoms.
+This is the brute-force oracle for everything else.  A model holds each
+world set as an ``int`` bitmask, bit ``i`` for its ``i``-th world: one
+successor mask per world and atomic program, one extension mask per name.
+Formulas are labelled bottom-up with their extensions.  A program is never
+built as a relation; it acts on a world set by pre-image (``<alpha>phi`` is
+the pre-image of ``phi``, ``[alpha]phi`` the complement of the pre-image of
+``~phi``), and Kleene star is the least fixpoint of ``T -> S | pre(alpha, T)``.
+Variables are interpreted through the valuation exactly like atoms.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from functools import reduce
-from operator import or_
 
 from .syntax import (
     And,
@@ -39,48 +38,58 @@ from .syntax import (
 )
 from .textio import print_formula
 
-__all__ = [
-    "KripkeModel",
-    "ModelGenParams",
-    "EquationReport",
-    "relation",
-    "satisfies",
-    "equivalent_on",
-    "check_solution_on",
-    "random_model",
-    "model_to_json",
-    "model_from_json",
-]
+__all__ = ["KripkeModel", "ModelGenParams", "EquationReport", "relation", "satisfies",
+           "equivalent_on", "check_solution_on", "random_model", "model_to_json",
+           "model_from_json"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class KripkeModel:
-    """Worlds, one relation per atomic program, and a valuation over names.
+    """Worlds, with every world set over them held as a bitmask.
 
-    Names absent from ``relations`` or ``valuation`` denote the empty
-    relation/extension.  World order is significant: counterexamples report
-    the first world in this order.
+    ``succ[a][i]`` is the mask of ``a``-successors of ``worlds[i]`` and
+    ``ext[p]`` the extension mask of the atom or variable ``p``; names absent
+    from either are empty.  World order is significant: counterexamples report
+    the first world in this order.  The constructor encodes world pairs and
+    world sets once; ``relations`` and ``valuation`` decode them as read-only views.
     """
 
     worlds: tuple[str, ...]
-    relations: dict[str, frozenset[tuple[str, str]]]
-    valuation: dict[str, frozenset[str]]
-    seed: int | None = None
+    succ: dict[str, tuple[int, ...]]
+    ext: dict[str, int]
 
-    def __post_init__(self) -> None:
-        if not self.worlds:
+    def __init__(self, worlds, relations, valuation) -> None:
+        worlds = tuple(worlds)
+        if not worlds:
             raise ValueError("a model needs at least one world")
-        ws = set(self.worlds)
-        if len(ws) != len(self.worlds):
+        index = {w: i for i, w in enumerate(worlds)}
+        if len(index) != len(worlds):
             raise ValueError("duplicate world identifiers")
-        for name, pairs in self.relations.items():
+        succ, ext = {}, {}
+        for name, pairs in relations.items():
+            rows = [0] * len(worlds)
             for u, v in pairs:
-                if u not in ws or v not in ws:
+                if u not in index or v not in index:
                     raise ValueError(f"relation {name!r} mentions unknown world ({u!r}, {v!r})")
-        for name, ext in self.valuation.items():
-            for w in ext:
-                if w not in ws:
+                rows[index[u]] |= 1 << index[v]
+            succ[name] = tuple(rows)
+        for name, members in valuation.items():
+            ext[name] = 0
+            for w in members:
+                if w not in index:
                     raise ValueError(f"valuation of {name!r} mentions unknown world {w!r}")
+                ext[name] |= 1 << index[w]
+        self.__dict__.update(worlds=worlds, succ=succ, ext=ext)
+
+    @property
+    def relations(self) -> dict[str, frozenset[tuple[str, str]]]:
+        return {name: frozenset((u, v) for u, row in zip(self.worlds, rows)
+                                for v in _members(self.worlds, row))
+                for name, rows in self.succ.items()}
+
+    @property
+    def valuation(self) -> dict[str, frozenset[str]]:
+        return {name: frozenset(_members(self.worlds, mask)) for name, mask in self.ext.items()}
 
     def index(self, world: str) -> int:
         try:
@@ -89,36 +98,24 @@ class KripkeModel:
             raise ValueError(f"unknown world identifier {world!r}") from None
 
 
-class _Evaluator:
-    """Bottom-up labelling of one model, with world sets as ``int`` bitmasks.
+def _members(worlds: tuple[str, ...], mask: int) -> list[str]:
+    """The worlds whose bits are set in ``mask``, in model order."""
+    return [w for i, w in enumerate(worlds) if mask >> i & 1]
 
-    Bit ``i`` stands for ``model.worlds[i]``.  Each formula node is labelled
-    once, memoized by identity, so a subterm shared by reference (as
-    ``substitute`` shares the candidate at every occurrence of the unknown)
-    is evaluated once.  Programs are never turned into relations: they act on
-    a world set by pre-image.
+
+class _Evaluator:
+    """Bottom-up labelling of one model, reading its masks directly.
+
+    Each formula node is labelled once, memoized by identity, so a subterm
+    shared by reference (as ``substitute`` shares the candidate at every
+    occurrence of the unknown) is evaluated once.
     """
 
     def __init__(self, model: KripkeModel):
-        self.model = model
+        self.succ, self.names = model.succ, model.ext
         self.full = (1 << len(model.worlds)) - 1
-        self.bit = bit = {w: 1 << i for i, w in enumerate(model.worlds)}
-        self.names = {name: reduce(or_, map(bit.__getitem__, ext), 0)
-                      for name, ext in model.valuation.items()}
         # id(node) -> (node, mask); holding the node keeps its id from reuse.
         self._ext: dict[int, tuple[Formula, int]] = {}
-        self._rows: dict[str, list[tuple[int, int]]] = {}
-
-    def _successors(self, name: str) -> list[tuple[int, int]]:
-        """(world bit, successor mask) for every world with an edge of ``name``."""
-        rows = self._rows.get(name)
-        if rows is None:
-            bit = self.bit
-            succ = dict.fromkeys(self.model.worlds, 0)
-            for u, v in self.model.relations.get(name, ()):
-                succ[u] |= bit[v]
-            rows = self._rows[name] = [(bit[u], row) for u, row in succ.items() if row]
-        return rows
 
     def extension(self, phi: Formula) -> int:
         entry = self._ext.get(id(phi))
@@ -153,9 +150,9 @@ class _Evaluator:
         kind = type(alpha)
         if kind is AtomicProg:
             out = 0
-            for b, row in self._successors(alpha.name):
+            for i, row in enumerate(self.succ.get(alpha.name, ())):
                 if row & s:
-                    out |= b
+                    out |= 1 << i
             return out
         if kind is Seq:
             return self.pre(alpha.first, self.pre(alpha.second, s))
@@ -177,11 +174,8 @@ class _Evaluator:
 def relation(model: KripkeModel, alpha: Program) -> frozenset[tuple[str, str]]:
     """The compositional relation of ``alpha`` on ``model`` as world pairs."""
     ev = _Evaluator(model)
-    pairs = set()
-    for j, v in enumerate(model.worlds):
-        sources = ev.pre(alpha, 1 << j)
-        pairs.update((u, v) for i, u in enumerate(model.worlds) if sources >> i & 1)
-    return frozenset(pairs)
+    return frozenset((u, v) for j, v in enumerate(model.worlds)
+                     for u in _members(model.worlds, ev.pre(alpha, 1 << j)))
 
 
 def satisfies(model: KripkeModel, world: str, phi: Formula) -> bool:
@@ -255,22 +249,19 @@ class ModelGenParams:
 
 
 def random_model(params: ModelGenParams) -> KripkeModel:
-    """Deterministic random model: same params and seed, same model."""
-    rng = random.Random(params.seed)
+    """Deterministic random model: same params and seed, same model.  One
+    draw per program and world pair (source outer), then per name and world."""
+    draw = random.Random(params.seed).random
     worlds = tuple(f"w{i}" for i in range(params.world_count))
-    relations = {}
-    for prog in params.prog_names:
-        pairs = frozenset(
-            (u, v)
-            for u in worlds
-            for v in worlds
-            if rng.random() < params.edge_probability
-        )
-        relations[prog] = pairs
-    valuation = {}
-    for name in tuple(params.atom_names) + tuple(params.var_names):
-        valuation[name] = frozenset(w for w in worlds if rng.random() < 0.5)
-    return KripkeModel(worlds=worlds, relations=relations, valuation=valuation, seed=params.seed)
+    bits = [1 << i for i in range(params.world_count)]
+    p = params.edge_probability
+    succ = {prog: tuple(sum([b for b in bits if draw() < p]) for _ in bits)
+            for prog in params.prog_names}
+    ext = {name: sum([b for b in bits if draw() < 0.5])
+           for name in (*params.atom_names, *params.var_names)}
+    model = object.__new__(KripkeModel)
+    model.__dict__.update(worlds=worlds, succ=succ, ext=ext)
+    return model
 
 
 def model_to_json(model: KripkeModel) -> dict:
@@ -286,17 +277,22 @@ def model_to_json(model: KripkeModel) -> dict:
     }
 
 
+def _list(value) -> list:
+    """A JSON array; a string here would otherwise be read as its characters."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {value!r}")
+    return value
+
+
 def model_from_json(doc: dict) -> KripkeModel:
+    """The model of a JSON document.  Its lists reach the constructor in
+    document order, so an unknown world is reported where it first occurs."""
     try:
-        worlds = tuple(str(w) for w in doc["worlds"])
-        relations = {
-            str(name): frozenset((str(u), str(v)) for u, v in pairs)
-            for name, pairs in doc.get("programs", {}).items()
-        }
-        valuation = {
-            str(name): frozenset(str(w) for w in ext)
-            for name, ext in doc.get("valuation", {}).items()
-        }
+        worlds = [str(w) for w in _list(doc["worlds"])]
+        relations = {str(name): [(str(u), str(v)) for u, v in map(_list, _list(pairs))]
+                     for name, pairs in doc.get("programs", {}).items()}
+        valuation = {str(name): [str(w) for w in _list(ext)]
+                     for name, ext in doc.get("valuation", {}).items()}
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed model document: {exc}") from exc
     return KripkeModel(worlds=worlds, relations=relations, valuation=valuation)

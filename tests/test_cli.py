@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -284,6 +288,17 @@ def test_json_mode_emits_exactly_one_document(capsys):
     code, out = run(capsys, "classify", "--var", "X", "--json", "p & [a](q | (r & X))")
     assert code == 0
     json.loads(out)  # a single well-formed document
+
+
+@pytest.mark.parametrize("module", ["pdlfix", "pdlfix.cli"])
+def test_module_entry_points_run_the_command(module, tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-m", module, "classify", "--var", "X", "--json",
+                          "p & [a](q | (r & X))"], cwd=tmp_path, capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path), timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["status"] == "classified"  # exactly one document
 
 
 CHECK_RANDOM = ["check", "--var", "X", "--equation", "p", "--candidate", "p", "--random", "3"]

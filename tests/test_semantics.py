@@ -1,4 +1,10 @@
+import hashlib
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from conftest import variable_free_formulas
@@ -37,6 +43,8 @@ from pdlfix.syntax import (
     substitute,
 )
 from pdlfix.textio import parse_formula, parse_program
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def two_world_chain():
@@ -203,6 +211,41 @@ def test_malformed_model_rejected():
         model_from_json({"programs": {}})
     with pytest.raises(ValueError, match="malformed"):
         model_from_json({"worlds": ["w0"], "programs": [1]})
+    # A string where a list belongs must not be read as its characters.
+    for doc in ({"worlds": ["a", "b"], "programs": {"r": ["ab"]}},
+                {"worlds": ["a", "b"], "programs": {"r": "ab"}},
+                {"worlds": ["a", "b"], "valuation": {"p": "b"}},
+                {"worlds": "w0"}):
+        with pytest.raises(ValueError, match="malformed model document"):
+            model_from_json(doc)
+
+
+def test_first_unknown_world_in_document_order_is_reported():
+    # The valuation is validated in document order, never in set order.
+    doc = json.dumps({"worlds": ["w0"], "valuation": {"p": ["x", "y"]}})
+    code = ("import json, sys; from pdlfix.semantics import model_from_json\n"
+            "try: model_from_json(json.loads(sys.argv[1]))\n"
+            "except ValueError as exc: print(exc)")
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    for hash_seed in ("1", "2"):
+        run = subprocess.run([sys.executable, "-c", code, doc], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hash_seed),
+                             timeout=60)
+        assert run.stdout == "valuation of 'p' mentions unknown world 'x'\n", run.stderr
+
+
+def test_seeded_models_are_pinned():
+    # Guards random_model's draw order: programs first (source world outer,
+    # target inner), then each name over the worlds.
+    digest = hashlib.sha256()
+    for worlds in (*range(1, 10), 64):
+        for p in (0.0, 0.4, 1.0):
+            for progs in ("a", "ab", "abc"):
+                m = random_model(ModelGenParams(world_count=worlds, edge_probability=p,
+                                                prog_names=tuple(progs),
+                                                seed=1000 * worlds + 10 * len(progs) + int(10 * p)))
+                digest.update(json.dumps(model_to_json(m), sort_keys=True).encode())
+    assert digest.hexdigest() == "5acc30d8fbbe6c3f2610313122e26fe82f64a7512f90e08dfe6213db6a88d536"
 
 
 @settings(max_examples=120, derandomize=True, deadline=None)
