@@ -44,7 +44,7 @@ from .syntax import (
     subterms,
 )
 from .synthesis import Solution
-from .textio import parse_formula, parse_program, print_formula, print_terms
+from .textio import _parse, print_formula, print_terms
 
 __all__ = [
     "RewriteRule",
@@ -534,17 +534,12 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 
 def certificate_from_json(doc: dict) -> Certificate:
-    """Read a certificate document.  Each distinct binding text is parsed
-    once per document, so equal bindings are one shared object."""
+    """Read a certificate document.  One parse memo serves the document: each
+    distinct binding text, and each distinct text between a matched pair of
+    parentheses inside any of them or inside ``from`` and ``to``, is parsed
+    once.  Equal subterms are therefore one object, and replay's comparisons
+    end at the first identical pair."""
     parsed: dict[tuple[bool, str], object] = {}
-
-    def term(text: str, is_program: bool):
-        key = (is_program, text)
-        found = parsed.get(key)
-        if found is None:
-            found = parsed[key] = parse_program(text) if is_program else parse_formula(text)
-        return found
-
     try:
         steps = tuple(
             RewriteStep(
@@ -552,7 +547,7 @@ def certificate_from_json(doc: dict) -> Certificate:
                 direction=item["direction"],
                 path=tuple(int(i) for i in item["path"]),
                 bindings={
-                    name: term(text, name in _PROGRAM_METAVARS)
+                    name: _parse(text, name in _PROGRAM_METAVARS, parsed)
                     for name, text in item.get("bindings", {}).items()
                 },
                 group=int(item.get("group", 0)),
@@ -560,8 +555,8 @@ def certificate_from_json(doc: dict) -> Certificate:
             for item in doc["steps"]
         )
         return Certificate(
-            source=term(doc["from"], False),
-            target=term(doc["to"], False),
+            source=_parse(doc["from"], False, parsed),
+            target=_parse(doc["to"], False, parsed),
             steps=steps,
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -284,14 +284,22 @@ def _list(value) -> list:
     return value
 
 
+def _world(value) -> str:
+    """A world name: a JSON string, or an integer as its decimal text.  A
+    bool, float, null, list or object is not a world name."""
+    if type(value) is str or type(value) is int:
+        return str(value)
+    raise TypeError(f"a world name must be a string or an integer, got {value!r}")
+
+
 def model_from_json(doc: dict) -> KripkeModel:
     """The model of a JSON document.  Its lists reach the constructor in
     document order, so an unknown world is reported where it first occurs."""
     try:
-        worlds = [str(w) for w in _list(doc["worlds"])]
-        relations = {str(name): [(str(u), str(v)) for u, v in map(_list, _list(pairs))]
+        worlds = [_world(w) for w in _list(doc["worlds"])]
+        relations = {str(name): [(_world(u), _world(v)) for u, v in map(_list, _list(pairs))]
                      for name, pairs in doc.get("programs", {}).items()}
-        valuation = {str(name): [str(w) for w in _list(ext)]
+        valuation = {str(name): [_world(w) for w in _list(ext)]
                      for name, ext in doc.get("valuation", {}).items()}
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed model document: {exc}") from exc

@@ -28,12 +28,28 @@ word characters (those ``str.isalnum`` accepts, and ``_``) or any other single
 non-space character.  An identifier starts with a letter (``str.isalpha``), so
 a word led by a digit, ``_`` or a numeric sign such as ``²`` is an unknown
 token, reported by its first character.  The tokens are two parallel lists,
-kinds and texts, which the recursive-descent parser reads by index.  Source
+kinds and texts, which the recursive-descent parser reads by index.  Token
 offsets are not kept: only when a ``ParseError`` is raised is the text scanned
 again for the offset of the offending token, which becomes a line and a
 column.  Input nested beyond the interpreter's recursion limit is a
 ``ParseError`` as well, and so is a name that its term class rejects (``p²``,
 ``É``), reported at that name.
+
+Parentheses are the exception.  A paren is always a token of its own, so the
+k-th paren token is the k-th paren character, and one pass over them pairs
+each ``(`` with its ``)`` and keeps the character offsets of both.  The text
+between a matched pair, with its sort (formula or program; the formula of a
+``(...)?`` test is a formula), keys a memo of parsed terms: a group whose text
+was parsed before is that same object, and the parser jumps past its ``)``.
+This holds for any input, printed or hand-written: what a group parses to
+depends on nothing but the tokens between its parentheses.
+The memo lives for one ``parse_formula``/``parse_program`` call, or for one
+certificate document (``certify.certificate_from_json``), where it also holds
+every whole binding text, so equal subterms of the whole document are one
+object.  The pairing also tells a test ``(...)?`` from a program group.
+A group the memo holds is not parsed again, so recursion no longer bounds how
+tall a term can grow: a term built through the memo that is taller than the
+recursion limit is ``input nested too deeply`` as well.
 
 The printer dispatches on the type of each node.  Within one call it keeps
 the text of every composite node it printed, per precedence level, so a
@@ -43,7 +59,8 @@ subterm shared by several terms is printed once (``print_terms``).
 from __future__ import annotations
 
 import re
-from itertools import islice
+from itertools import compress, count, islice
+from sys import getrecursionlimit
 
 from .syntax import (
     And,
@@ -62,6 +79,7 @@ from .syntax import (
     Test,
     Top,
     Var,
+    children,
 )
 
 __all__ = [
@@ -74,6 +92,10 @@ __all__ = [
 ]
 
 _TOKEN = re.compile(r"\w+|\S")
+_PAREN = re.compile(r"[()]")
+_PARENS = frozenset("()")
+# The memo entry that holds term heights, by node id (see ``_height``).
+_HEIGHTS = ("heights",)
 _ALIASES = {"∪": "u", "⊤": "true", "⊥": "false", "¬": "~"}
 # The kind of every token that is not an identifier.
 _KINDS = {ch: ch for ch in "&|~;*?()[]<>"}
@@ -113,11 +135,13 @@ class _Parser:
     for the sentinel after the last token.
     """
 
-    __slots__ = ("text", "kinds", "texts", "pos")
+    __slots__ = ("text", "kinds", "texts", "pos", "groups", "memo", "hit")
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, memo: dict):
         self.text = text
         self.pos = 0
+        self.memo = memo
+        self.hit = None  # the last '(' whose group the memo held
         texts = _TOKEN.findall(text)
         kinds = [_KINDS.get(token) or _word_kind(token) for token in texts]
         if None in kinds:
@@ -128,6 +152,18 @@ class _Parser:
         kinds.append("end")
         texts.append("")
         self.kinds, self.texts = kinds, texts
+        # Parentheses are single-character tokens, so the k-th paren token is
+        # the k-th paren character.  Each matched '(' maps to its ')' token
+        # and the character span between the two.
+        groups = self.groups = {}
+        opened = []
+        for index, offset in zip(compress(count(), map(_PARENS.__contains__, kinds)),
+                                 map(re.Match.start, _PAREN.finditer(text))):
+            if kinds[index] == "(":
+                opened.append((index, offset + 1))
+            elif opened:
+                start_index, start = opened.pop()
+                groups[start_index] = (index, start, offset)
 
     def error(self, message: str, index: int) -> ParseError:
         return ParseError(message, *_position(self.text, index))
@@ -190,9 +226,18 @@ class _Parser:
             self.pos = pos + 1
             return Var(self.texts[pos])
         if kind == "(":
-            self.pos = pos + 1
-            inner = self.formula()
-            self.expect(")", "')'")
+            group = self.groups.get(pos)
+            key = None if group is None else (False, self.text[group[1]:group[2]])
+            inner = self.memo.get(key)
+            if inner is None:
+                # An unmatched '(' (key None) makes this parse fail by itself.
+                self.pos = pos + 1
+                inner = self.formula()
+                self.expect(")", "')'")
+                self.memo[key] = inner
+            else:
+                self.hit = pos
+                self.pos = group[0] + 1
             return inner
         if kind == "~":
             self.pos = pos + 1
@@ -228,20 +273,6 @@ class _Parser:
             prog = Star(prog)
         return prog
 
-    def _paren_is_test(self) -> bool:
-        # Scan from the current '(' to its match; a trailing '?' marks a test.
-        kinds = self.kinds
-        depth = 0
-        for index in range(self.pos, len(kinds)):
-            kind = kinds[index]
-            if kind == "(":
-                depth += 1
-            elif kind == ")":
-                depth -= 1
-                if depth == 0:
-                    return kinds[index + 1] == "?"
-        self.fail("a matching ')'")
-
     def prog_primary(self) -> Program:
         pos = self.pos
         kind = self.kinds[pos]
@@ -261,15 +292,25 @@ class _Parser:
                 self.fail("a program", pos)
             return AtomicProg(name)
         if kind == "(":
-            if self._paren_is_test():
+            group = self.groups.get(pos)
+            if group is None:
+                self.fail("a matching ')'")
+            close = group[0]
+            # A '?' after the matching ')' makes the group a test's formula.
+            is_test = self.kinds[close + 1] == "?"
+            key = (not is_test, self.text[group[1]:group[2]])
+            inner = self.memo.get(key)
+            if inner is None:
                 self.pos = pos + 1
-                cond = self.formula()
+                inner = self.formula() if is_test else self.program()
                 self.expect(")", "')'")
-                self.expect("?", "'?'")
-                return Test(cond)
-            self.pos = pos + 1
-            inner = self.program()
-            self.expect(")", "')'")
+                self.memo[key] = inner
+            else:
+                self.hit = pos
+            if is_test:
+                self.pos = close + 2
+                return Test(inner)
+            self.pos = close + 1
             return inner
         if kind == "~":
             self.pos = pos + 1
@@ -283,10 +324,18 @@ class _Parser:
         self.fail("a program")
 
 
-def _parse(text: str, start):
-    parser = _Parser(text)
+def _parse(text: str, is_program: bool, memo: dict):
+    """The formula or program that ``text`` spells, through ``memo``: a dict
+    from ``(is_program, text)`` to the term parsed from that text.  Every
+    parenthesized group is looked up and stored under the text between its
+    parentheses, so texts parsed through one memo share their subterms."""
+    key = (is_program, text)
+    found = memo.get(key)
+    if found is not None:
+        return found
+    parser = _Parser(text, memo)
     try:
-        result = start(parser)
+        result = parser.program() if is_program else parser.formula()
     except RecursionError:
         raise parser.error("input nested too deeply", parser.pos) from None
     except ParseError:
@@ -300,15 +349,46 @@ def _parse(text: str, start):
     end = parser.pos
     if parser.kinds[end] != "end":
         raise parser.error(f"unexpected trailing input {parser.texts[end]!r}", end)
+    # A memoized group is not parsed again, so the recursion limit no longer
+    # bounds the height of the term: bound it here as the recursion would.
+    # Every node owns a token of the text, so a short text needs no count.
+    limit = getrecursionlimit()
+    if parser.hit is not None and len(parser.kinds) > limit:
+        if _height(result, memo.setdefault(_HEIGHTS, {})) > limit:
+            del memo[_HEIGHTS]  # its ids may outlive the rejected term's nodes
+            raise parser.error("input nested too deeply", parser.hit)
+    memo[key] = result
     return result
 
 
+def _height(term, heights: dict) -> int:
+    """Nodes on the longest path down ``term``.  ``heights`` maps the id of
+    each node measured through one memo to its height; the memo keeps those
+    nodes alive."""
+    known = heights.get
+    stack = [term]
+    while stack:
+        node = stack[-1]
+        tallest = 0  # -1 once a child waits on the stack
+        for kid in children(node):
+            height = known(id(kid))
+            if height is None:
+                stack.append(kid)
+                tallest = -1
+            elif height > tallest >= 0:
+                tallest = height
+        if tallest >= 0:
+            heights[id(node)] = tallest + 1
+            stack.pop()
+    return heights[id(term)]
+
+
 def parse_formula(text: str) -> Formula:
-    return _parse(text, _Parser.formula)
+    return _parse(text, False, {})
 
 
 def parse_program(text: str) -> Program:
-    return _parse(text, _Parser.program)
+    return _parse(text, True, {})
 
 
 # Precedence levels used by the printer.  Higher binds tighter.

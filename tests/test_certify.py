@@ -30,7 +30,7 @@ from pdlfix.generators import derive_seed, random_decomposition
 from pdlfix.hierarchy import classify, to_nested_form
 from pdlfix.semantics import ModelGenParams, equivalent_on, random_model
 from pdlfix.synthesis import solve, solve_pi, solve_sigma
-from pdlfix.syntax import And, Atom, Or, substitute
+from pdlfix.syntax import And, Atom, Or, substitute, subterms
 from pdlfix.textio import parse_formula, parse_program, print_formula
 
 EXAMPLE = "p & [a](q | (r & X))"
@@ -355,7 +355,76 @@ def test_equal_binding_texts_read_back_as_one_object():
                 seen[key] = step.bindings[name]
         assert shared > 0
         # Nothing is cached across documents.
-        assert certificate_from_json(doc).source is not back.source
+        again = certificate_from_json(doc)
+        assert again.source is not back.source
+        first = {id(node) for term in terms_of(back) for node in subterms(term)}
+        assert not any(id(node) in first for term in terms_of(again) for node in subterms(term))
+
+
+def terms_of(cert):
+    """The source, the target and every binding of ``cert``."""
+    yield cert.source
+    yield cert.target
+    for step in cert.steps:
+        yield from step.bindings.values()
+
+
+def seeded_certificates():
+    """Certificates of seeded decompositions with up to 1-4 pairs, both
+    hierarchies, leading or not."""
+    for trial in range(32):
+        kind, leading = CASES[trial % 4]
+        rng = random.Random(derive_seed(41, trial))
+        d = random_decomposition(rng, kind=kind, leading=leading, max_pairs=1 + trial // 4 % 4)
+        phi = to_nested_form(d)
+        yield generate_certificate(solve(phi, d.x), padding=classify(phi, d.x).padding)
+
+
+def test_terms_read_by_shared_subterm_equal_a_fresh_parse():
+    for cert in seeded_certificates():
+        doc = certificate_to_json(cert)
+        back = certificate_from_json(doc)
+        assert back == cert
+        assert back.source == parse_formula(doc["from"])
+        assert back.target == parse_formula(doc["to"])
+        for item, step in zip(doc["steps"], back.steps):
+            for name, text in item["bindings"].items():
+                parse = parse_program if name in ("alpha", "beta") else parse_formula
+                assert step.bindings[name] == parse(text)
+
+
+def test_a_binding_inside_the_source_reads_back_as_that_subterm():
+    # Within one document a binding text and the same text between
+    # parentheses in "from" are one object.
+    doc = certificate_to_json(example_certificate()[2])
+    back = certificate_from_json(doc)
+    found = 0
+    for item, step in zip(doc["steps"], back.steps):
+        for name, text in item["bindings"].items():
+            if f"({text})" in doc["from"]:
+                assert any(node is step.bindings[name] for node in subterms(back.source)), text
+                found += 1
+    assert found >= 2
+
+
+def test_tampered_group_shared_with_another_step_fails_at_that_step():
+    # Step 0 binds phi to a text that other steps hold as a parenthesized
+    # group; editing that group in one step must fail exactly there.
+    doc = certificate_to_json(example_certificate()[2])
+    shared = doc["steps"][0]["bindings"]["phi"]
+    group = f"({shared})"
+    edited = 0
+    for i, item in enumerate(doc["steps"]):
+        for name, text in item["bindings"].items():
+            if group not in text:
+                continue
+            bad = json.loads(json.dumps(doc))
+            bad["steps"][i]["bindings"][name] = text.replace(group, f"({shared} & q)", 1)
+            report = check_certificate(certificate_from_json(bad))
+            assert not report.ok
+            assert report.failed_step == i, (i, name)
+            edited += 1
+    assert edited >= 3
 
 
 def test_malformed_certificate_rejected():

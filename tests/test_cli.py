@@ -151,6 +151,17 @@ def test_check_malformed_model_exits_2(tmp_path, capsys):
     assert doc["message"].startswith("malformed model document")
 
 
+def test_check_model_with_a_list_as_world_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"worlds": [["w0"]], "valuation": {"p": [["w0"]]}}))
+    code, doc = run_json(capsys, "check", "--var", "X", "--equation", "p | X",
+                         "--candidate", "true", "--model", str(bad))
+    assert code == 2
+    assert doc["status"] == "error"
+    assert doc["message"] == ("malformed model document: "
+                              "a world name must be a string or an integer, got ['w0']")
+
+
 def test_fuzz_rules_scope(capsys):
     code, doc = run_json(capsys, "fuzz", "--scope", "rules", "--trials", "10",
                          "--models-per-trial", "4", "--seed", "3")

@@ -218,6 +218,22 @@ def test_malformed_model_rejected():
                 {"worlds": "w0"}):
         with pytest.raises(ValueError, match="malformed model document"):
             model_from_json(doc)
+    # A world name is a string or an integer; nothing else is turned into one.
+    for bad in (["w0"], {}, None, True, False, 1.0, 0.5):
+        for doc in ({"worlds": [bad]},
+                    {"worlds": ["w0"], "programs": {"r": [["w0", bad]]}},
+                    {"worlds": ["w0"], "programs": {"r": [[bad, "w0"]]}},
+                    {"worlds": ["w0"], "valuation": {"p": [bad]}}):
+            with pytest.raises(ValueError, match="^malformed model document: a world name must be"):
+                model_from_json(doc)
+
+
+def test_integer_world_names_read_as_decimal_text():
+    model = model_from_json({"worlds": [0, "w1"], "programs": {"r": [[0, "w1"]]},
+                             "valuation": {"p": [0]}})
+    assert model.worlds == ("0", "w1")
+    assert model.relations == {"r": frozenset({("0", "w1")})}
+    assert model.valuation["p"] == frozenset({"0"})
 
 
 def test_first_unknown_world_in_document_order_is_reported():

@@ -229,6 +229,32 @@ def test_aliases_underscores_and_whitespace_parse():
     assert parse_formula("p\xa0& q\n") == And(Atom("p"), Atom("q"))
 
 
+def test_one_group_text_keeps_its_sort_in_each_position():
+    # The text between the parentheses is "p" each time: a formula, a test's
+    # formula and a program.  Within one parse, one sort gives one object.
+    phi = parse_formula("(p) & [(p)?][(p)](p)")
+    first, box = phi.left, phi.right
+    test, inner = box.prog, box.body
+    assert type(first) is Atom and first == Atom("p")
+    assert type(test) is Test and test.cond is first
+    assert type(inner.prog) is AtomicProg and inner.prog == AtomicProg("p")
+    assert inner.body is first
+    assert parse_program("(p)? ; (p)") == Seq(Test(Atom("p")), AtomicProg("p"))
+
+
+@pytest.mark.parametrize("text, canonical", [
+    ("( p&q )|(p & q)|((p & q))", "p & q | p & q | p & q"),
+    ("[(a;b)*]((p&q)) & [( a ; b )*](p & q)", "[(a ; b)*](p & q) & [(a ; b)*](p & q)"),
+    ("[((a ∪ b))*](¬p | ⊤) | [(a u b)*](~p | true)", "[(a u b)*](~p | true) | [(a u b)*](~p | true)"),
+    ("<(((p & q))?)>(p&q) | <(p & q)?>(p & q)", "<(p & q)?>(p & q) | <(p & q)?>(p & q)"),
+    ("[(⊥)?](\n(p)\n)", "[false?]p"),
+])
+def test_spelling_of_a_group_does_not_change_its_term(text, canonical):
+    term = parse_formula(text)
+    assert term == parse_formula(canonical)
+    assert print_formula(term) == canonical
+
+
 def nested(levels):
     return "[a](p | " * levels + "X" + ")" * levels
 
@@ -236,6 +262,23 @@ def nested(levels):
 def test_150_levels_of_nesting_still_parse():
     text = nested(150)
     assert print_formula(parse_formula(text)) == text
+
+
+def test_memoized_groups_cannot_stack_past_the_recursion_limit():
+    # Each group holds the one before it under 300 boxes.  The memo parses
+    # each group once, so only a height check stops the term from growing
+    # taller than any parse that recursed through it could build.
+    group, groups = "X", []
+    for _ in range(4):
+        group = "(" + "[a]" * 300 + group + ")"
+        groups.append(group)
+    two = parse_formula(" & ".join(groups[:2]))
+    inner = two.right
+    for _ in range(300):
+        inner = inner.body
+    assert inner is two.left
+    with pytest.raises(ParseError, match=r"^input nested too deeply \(line 1, column \d+\)$"):
+        parse_formula(" & ".join(groups))
 
 
 @pytest.mark.parametrize("parse", [parse_formula, parse_program])
