@@ -15,6 +15,9 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import lru_cache
+from math import ceil
+from struct import Struct
 
 from .syntax import (
     And,
@@ -249,19 +252,79 @@ class ModelGenParams:
 
 
 def random_model(params: ModelGenParams) -> KripkeModel:
-    """Deterministic random model: same params and seed, same model.  One
-    draw per program and world pair (source outer), then per name and world."""
-    draw = random.Random(params.seed).random
-    worlds = tuple(f"w{i}" for i in range(params.world_count))
-    bits = [1 << i for i in range(params.world_count)]
-    p = params.edge_probability
-    succ = {prog: tuple(sum([b for b in bits if draw() < p]) for _ in bits)
-            for prog in params.prog_names}
-    ext = {name: sum([b for b in bits if draw() < 0.5])
-           for name in (*params.atom_names, *params.var_names)}
+    """Deterministic random model: same params and seed, same model.
+
+    The model is that of one ``rng.random() < p`` draw per program and world
+    pair (source world outer, target inner), then one ``< 0.5`` draw per name
+    and world, from ``rng = random.Random(params.seed)``.  The draws are made
+    in bulk, and exactly: ``random()`` is ``((a >> 5) * 2**26 + (b >> 6)) /
+    2**53`` for two consecutive Mersenne Twister words ``a`` and ``b``, and
+    ``getrandbits(64 * k)`` consumes the same ``2 * k`` words, least
+    significant first.  So draw ``j`` of a call is below ``p`` exactly when
+    that 53-bit integer, read from bytes ``8 * j`` to ``8 * j + 8`` of the
+    call's little-endian bits, is below ``ceil(p * 2**53)``.  The integer's
+    top byte, byte ``8 * j + 3`` (the top byte of ``a``), decides every draw
+    but those whose top byte equals the bound's; those are decided on all 53
+    bits.
+    """
+    n = params.world_count
+    names = (*params.atom_names, *params.var_names)
+    edges = n * len(params.prog_names)  # rows of edge draws; a row per name follows
+    total = edges + len(names)
+    rng = random.Random(params.seed)
+    full = (1 << n) - 1
+    step = max(1, _BLOCK_DRAWS // n)
+    rows: list[int] = []
+    for start in range(0, total, step):
+        stop = min(start + step, total)
+        data = rng.getrandbits(64 * n * (stop - start)).to_bytes(8 * n * (stop - start), "little")
+        tops = data[3::8]
+        cut = n * (min(max(edges, start), stop) - start)  # the draws before the name rows
+        flags = _flags(tops[:cut], data, params.edge_probability) + tops[cut:].translate(_HALF)
+        bits = int(flags[::-1], 2)  # draw j of the block is bit j
+        rows += [bits >> i & full for i in range(0, len(flags), n)]
+    rows_left = iter(rows)
+    succ = dict(zip(params.prog_names, zip(*[rows_left] * n)))  # n rows a program
+    ext = dict(zip(names, rows_left))
     model = object.__new__(KripkeModel)
-    model.__dict__.update(worlds=worlds, succ=succ, ext=ext)
+    model.__dict__.update(worlds=tuple(f"w{i}" for i in range(n)), succ=succ, ext=ext)
     return model
+
+
+# Draws per getrandbits call, in whole rows (at least one): 32 KiB of bits,
+# so a model of any size is drawn in flat memory, and a small one in one call.
+_BLOCK_DRAWS = 4096
+# The two 32-bit words of the draw at a byte offset.
+_WORDS = Struct("<II").unpack_from
+
+
+def _flags(tops: bytes, data: bytes, p: float) -> bytes:
+    """``b"1"`` or ``b"0"`` for each of the first draws of ``data`` (8 bytes
+    a draw), given their top bytes ``tops``: is it below ``p``?"""
+    table, bound = _threshold(p)
+    flags = tops.translate(table)
+    if 63 in flags:  # b"?": a tie on the top byte, decided on all 53 bits
+        flags = bytearray(flags)
+        j = flags.find(63)
+        while j >= 0:
+            a, b = _WORDS(data, 8 * j)
+            flags[j] = 49 if (a >> 5 << 26 | b >> 6) < bound else 48
+            j = flags.find(63, j + 1)
+    return flags
+
+
+@lru_cache(maxsize=64)
+def _threshold(p: float) -> tuple[bytes, int]:
+    """The bound ``ceil(p * 2**53)`` on a draw's 53-bit integer, and the
+    table from a draw's top byte to ``b"1"`` (below the bound), ``b"0"``
+    (not below) or ``b"?"`` (the bound's own top byte, with more bits to compare)."""
+    bound = ceil(p * 2**53)
+    top, rest = divmod(bound, 2**45)
+    return bytes(49 if c < top else 63 if c == top and rest else 48 for c in range(256)), bound
+
+
+# The table for a name's draws: 0.5 is 2**52 / 2**53, so its top byte decides every draw.
+_HALF = _threshold(0.5)[0]
 
 
 def model_to_json(model: KripkeModel) -> dict:

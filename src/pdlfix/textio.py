@@ -267,11 +267,17 @@ class _Parser:
 
     def starred(self) -> Program:
         prog = self.prog_primary()
-        kinds = self.kinds
-        while kinds[self.pos] == "*":
-            self.pos += 1
-            prog = Star(prog)
+        if self.kinds[self.pos] == "*":
+            return self.stars(prog)
         return prog
+
+    def stars(self, prog: Program) -> Program:
+        """``prog`` under the run of stars at ``pos``.  One frame per star, so
+        that the recursion limit bounds a run of stars as it bounds every
+        other nesting."""
+        self.pos += 1
+        prog = Star(prog)
+        return self.stars(prog) if self.kinds[self.pos] == "*" else prog
 
     def prog_primary(self) -> Program:
         pos = self.pos

@@ -354,26 +354,29 @@ def test_usage_error_under_json_is_one_document(capsys, argv, message):
 
 
 DEEP = "[a](p | " * 400 + "X" + ")" * 400
+# A run of stars nests as deep with no parentheses.
+DEEP_STARS = "[a" + "*" * 3000 + "]X"
 
 
 @pytest.mark.parametrize("command", ["solve", "classify", "check", "verify-cert"])
 def test_deep_input_exits_2_with_one_document(tmp_path, capsys, command):
-    deep = tmp_path / "deep.txt"
-    deep.write_text(DEEP)
-    cert = tmp_path / "cert.json"
-    cert.write_text(json.dumps({"from": "p", "to": "p", "steps": [
-        {"rule": "E5", "direction": "LR", "path": [], "bindings": {"phi": DEEP}, "group": 1}]}))
-    argv = {
-        "solve": ["solve", "--var", "X", f"@{deep}"],
-        "classify": ["classify", "--var", "X", f"@{deep}"],
-        "check": ["check", "--var", "X", "--equation", f"@{deep}", "--candidate", "p",
-                  "--random", "2"],
-        "verify-cert": ["verify-cert", str(cert)],
-    }[command]
-    code = main(argv + ["--json"])
-    captured = capsys.readouterr()
-    assert code == 2
-    doc = json.loads(captured.out)
-    assert doc["status"] == "error"
-    assert "input nested too deeply (line 1, column " in doc["message"]
-    assert "Traceback" not in captured.err
+    for text in (DEEP, DEEP_STARS):
+        deep = tmp_path / "deep.txt"
+        deep.write_text(text)
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps({"from": "p", "to": "p", "steps": [
+            {"rule": "E5", "direction": "LR", "path": [], "bindings": {"phi": text}, "group": 1}]}))
+        argv = {
+            "solve": ["solve", "--var", "X", f"@{deep}"],
+            "classify": ["classify", "--var", "X", f"@{deep}"],
+            "check": ["check", "--var", "X", "--equation", f"@{deep}", "--candidate", "p",
+                      "--random", "2"],
+            "verify-cert": ["verify-cert", str(cert)],
+        }[command]
+        code = main(argv + ["--json"])
+        captured = capsys.readouterr()
+        assert code == 2
+        doc = json.loads(captured.out)
+        assert doc["status"] == "error"
+        assert "input nested too deeply (line 1, column " in doc["message"]
+        assert "Traceback" not in captured.err

@@ -264,6 +264,42 @@ def test_seeded_models_are_pinned():
     assert digest.hexdigest() == "5acc30d8fbbe6c3f2610313122e26fe82f64a7512f90e08dfe6213db6a88d536"
 
 
+def per_draw_model(params):
+    """The reference for random_model's bulk draw: one ``random()`` call per
+    program and world pair (source world outer), then per name and world."""
+    draw = random.Random(params.seed).random
+    bits = [1 << i for i in range(params.world_count)]
+    p = params.edge_probability
+    succ = {prog: tuple(sum([b for b in bits if draw() < p]) for _ in bits)
+            for prog in params.prog_names}
+    ext = {name: sum([b for b in bits if draw() < 0.5])
+           for name in (*params.atom_names, *params.var_names)}
+    return succ, ext
+
+
+# A block of the bulk draw holds 65, 64 and 63 rows at 63, 64 and 65 worlds,
+# so the rows of a program end inside a block, at its end or past it; 200 and
+# 256 worlds take many blocks.
+@pytest.mark.parametrize("worlds", [*range(1, 10), 63, 64, 65, 200, 256])
+def test_bulk_draws_equal_the_per_draw_loop(worlds):
+    seed = derive_seed(worlds, 0)
+    # The first draw's 53-bit integer: as the bound, or one below it, that
+    # draw is a tie on the top byte, decided by the last bits.
+    first = int(random.Random(seed).random() * 2**53)
+    cases = [ModelGenParams(world_count=worlds, edge_probability=p, prog_names=tuple(progs),
+                            seed=seed)
+             for p in (0.0, 1.0, 0.4, 0.5, 1 / 3, 5e-324, 1 - 2**-53,
+                       first / 2**53, (first + 1) / 2**53)
+             for progs in ("a", "ab", "abc")]
+    # 70 name rows: a block then starts among the name rows.
+    cases.append(ModelGenParams(world_count=worlds, atom_names=tuple(f"p{i}" for i in range(70)),
+                                seed=seed))
+    for params in cases:
+        m = random_model(params)
+        assert m.worlds == tuple(f"w{i}" for i in range(worlds))
+        assert (m.succ, m.ext) == per_draw_model(params), params
+
+
 @settings(max_examples=120, derandomize=True, deadline=None)
 @given(variable_free_formulas)
 def test_negation_flip_on_variable_free_formulas(phi):

@@ -260,8 +260,8 @@ def nested(levels):
 
 
 def test_150_levels_of_nesting_still_parse():
-    text = nested(150)
-    assert print_formula(parse_formula(text)) == text
+    for text in (nested(150), "[a" + "*" * 150 + "]X"):
+        assert print_formula(parse_formula(text)) == text
 
 
 def test_memoized_groups_cannot_stack_past_the_recursion_limit():
@@ -283,7 +283,9 @@ def test_memoized_groups_cannot_stack_past_the_recursion_limit():
 
 @pytest.mark.parametrize("parse", [parse_formula, parse_program])
 def test_nesting_past_the_recursion_limit_is_a_parse_error(parse):
-    text = nested(400) if parse is parse_formula else "(" * 2000 + "a" + ")" * 2000
-    with pytest.raises(ParseError, match=r"^input nested too deeply \(line 1, column \d+\)$") as err:
-        parse(text)
-    assert err.value.line == 1 and 1 <= err.value.column <= len(text)
+    texts = ([nested(400), "[a" + "*" * 3000 + "]X"] if parse is parse_formula
+             else ["(" * 2000 + "a" + ")" * 2000, "a" + "*" * 3000])
+    for text in texts:
+        with pytest.raises(ParseError, match=r"^input nested too deeply \(line 1, column \d+\)$") as err:
+            parse(text)
+        assert err.value.line == 1 and 1 <= err.value.column <= len(text)
