@@ -537,8 +537,10 @@ def certificate_from_json(doc: dict) -> Certificate:
     """Read a certificate document.  One parse memo serves the document: each
     distinct binding text, and each distinct text between a matched pair of
     parentheses inside any of them or inside ``from`` and ``to``, is parsed
-    once.  Equal subterms are therefore one object, and replay's comparisons
-    end at the first identical pair."""
+    once.  It is also tokenized once: a group whose text the memo already
+    holds is left out before a later text is tokenized, and the parser jumps
+    past it (see ``textio``).  Equal subterms are therefore one object, and
+    replay's comparisons end at the first identical pair."""
     parsed: dict[tuple[bool, str], object] = {}
     try:
         steps = tuple(

@@ -23,8 +23,8 @@ reserved.  Unicode aliases (``∪`` ``⊤`` ``⊥`` ``¬``) are accepted on inpu
 never emitted.  Printing produces canonical ASCII with minimal parentheses;
 ``parse(print(t)) == t`` holds for every term.
 
-One compiled regular expression splits the whole text into tokens: a run of
-word characters (those ``str.isalnum`` accepts, and ``_``) or any other single
+One compiled regular expression splits text into tokens: a run of word
+characters (those ``str.isalnum`` accepts, and ``_``) or any other single
 non-space character.  An identifier starts with a letter (``str.isalpha``), so
 a word led by a digit, ``_`` or a numeric sign such as ``²`` is an unknown
 token, reported by its first character.  The tokens are two parallel lists,
@@ -47,9 +47,26 @@ The memo lives for one ``parse_formula``/``parse_program`` call, or for one
 certificate document (``certify.certificate_from_json``), where it also holds
 every whole binding text, so equal subterms of the whole document are one
 object.  The pairing also tells a test ``(...)?`` from a program group.
+
+A group the memo already holds is also left out before tokenizing.  When the
+memo holds anything, the parens are paired by character offset first, and
+each group, outermost first, is looked up in the memo in either sort; the
+inside of a group found there is not tokenized, only its two parens are, and
+the parser finds the group in the memo and jumps past it.  In a certificate
+document that is most of every binding text.  If a group left out is needed
+in the sort the memo does not hold (``(a)`` read as a program, then needed as
+an atom), or the parse fails in any way, the memo is set back to what it held
+before and the text is read again with nothing left out: every error then
+names the token, line and column that a full read names.  Text whose
+parentheses do not balance cannot parse and is read in full at once.
+
 A group the memo holds is not parsed again, so recursion no longer bounds how
-tall a term can grow: a term built through the memo that is taller than the
-recursion limit is ``input nested too deeply`` as well.
+tall a term can grow.  When the parser jumped a held group and the text is
+longer than the recursion limit, the height of the term is measured: a term
+taller than the limit is ``input nested too deeply`` as well, reported at the
+last group jumped.  Every node owns at least one token, and so one character,
+of the text, so a shorter text cannot build such a term, however many tokens
+were left out.
 
 The printer dispatches on the type of each node.  Within one call it keeps
 the text of every composite node it printed, per precedence level, so a
@@ -59,6 +76,7 @@ subterm shared by several terms is printed once (``print_terms``).
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from itertools import compress, count, islice
 from sys import getrecursionlimit
 
@@ -115,7 +133,10 @@ def _position(text: str, index: int) -> tuple[int, int]:
     """Line and column of token ``index`` of ``text``; one past the last
     token is the end of the input."""
     match = next(islice(_TOKEN.finditer(text), index, None), None)
-    offset = len(text) if match is None else match.start()
+    return _line_column(text, len(text) if match is None else match.start())
+
+
+def _line_column(text: str, offset: int) -> tuple[int, int]:
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
@@ -128,23 +149,107 @@ def _word_kind(token: str) -> str | None:
     return None
 
 
+def _pairs(text: str) -> tuple[list[int], dict[int, int]] | None:
+    """The offsets of the parentheses of ``text`` in order, and the offset of
+    each '(' mapped to that of its ')'; None if a paren is unmatched."""
+    _PAREN.search(text)  # a text that is not a string fails in ``re``, as tokenizing does
+    find = text.find
+    parens, close_of, opened = [], {}, []
+    left, right = find("("), find(")")
+    while right >= 0:
+        if 0 <= left < right:
+            parens.append(left)
+            opened.append(left)
+            left = find("(", left + 1)
+        elif opened:
+            parens.append(right)
+            close_of[opened.pop()] = right
+            right = find(")", right + 1)
+        else:
+            return None
+    return None if opened or left >= 0 else (parens, close_of)
+
+
+def _tokens(text: str) -> tuple[list[str], dict]:
+    """Every token of ``text``, and the groups of the parser (see ``_Parser``)."""
+    texts = _TOKEN.findall(text)
+    # The k-th paren token is the k-th paren character.
+    groups = {}
+    opened = []
+    for index, offset in zip(compress(count(), map(_PARENS.__contains__, texts)),
+                             map(re.Match.start, _PAREN.finditer(text))):
+        if texts[index] == "(":
+            opened.append((index, offset + 1))
+        elif opened:
+            start_index, start = opened.pop()
+            groups[start_index] = (index, start, offset)
+    return texts, groups
+
+
+def _tokens_around(text: str, memo: dict, parens: list[int], close_of: dict[int, int]):
+    """The tokens of ``text`` and its groups as ``_tokens`` gives them, but
+    with the inside of every group whose text ``memo`` holds, in either sort,
+    left out, and whether one was.  ``parens`` and ``close_of`` are
+    ``_pairs(text)``.  Outer groups are looked up first, so nothing inside a
+    group left out is looked up.  A paren is a token of its own, so no token
+    spans a cut."""
+    findall = _TOKEN.findall
+    texts, groups, opened = [], {}, []
+    skipped = False
+    last = index = 0
+    while index < len(parens):
+        offset = parens[index]
+        index += 1
+        texts += findall(text, last, offset)
+        token = len(texts)
+        last = offset + 1
+        if text[offset] == ")":
+            texts.append(")")
+            start_index, start = opened.pop()
+            groups[start_index] = (token, start, offset)
+            continue
+        close = close_of[offset]
+        inner = text[last:close]
+        if (False, inner) in memo or (True, inner) in memo:
+            texts += "()"
+            groups[token] = (token + 1, last, close)
+            skipped = True
+            last = close + 1
+            index = bisect_left(parens, close, index) + 1
+        else:
+            texts.append("(")
+            opened.append((token, last))
+    texts += findall(text, last)
+    return texts, groups, skipped
+
+
 class _Parser:
     """Recursive descent over the parallel lists ``kinds`` and ``texts``.
 
     A kind is ``'lower'``, ``'upper'``, a punctuation character, or ``'end'``
-    for the sentinel after the last token.
+    for the sentinel after the last token.  ``groups`` maps the index of each
+    matched '(' to the index of its ')' and the character span between them.
     """
 
-    __slots__ = ("text", "kinds", "texts", "pos", "groups", "memo", "hit")
+    __slots__ = ("text", "kinds", "texts", "pos", "groups", "memo", "hit", "skipped")
 
-    def __init__(self, text: str, memo: dict):
+    def __init__(self, text: str, memo: dict, skip: bool):
         self.text = text
         self.pos = 0
         self.memo = memo
-        self.hit = None  # the last '(' whose group the memo held
-        texts = _TOKEN.findall(text)
+        self.hit = None  # the offset of the last '(' whose group the memo held
+        self.skipped = False
+        # An empty memo holds no group to leave out, and text whose parens do
+        # not balance cannot parse: both are read in full at once.
+        pairs = _pairs(text) if skip and memo else None
+        if pairs is None:
+            texts, self.groups = _tokens(text)
+        else:
+            texts, self.groups, self.skipped = _tokens_around(text, memo, *pairs)
         kinds = [_KINDS.get(token) or _word_kind(token) for token in texts]
         if None in kinds:
+            if self.skipped:
+                _Parser(text, memo, False)  # raises, counting the tokens left out
             index = kinds.index(None)
             raise self.error(f"unknown token {texts[index][0]!r}", index)
         if not text.isascii():
@@ -152,18 +257,6 @@ class _Parser:
         kinds.append("end")
         texts.append("")
         self.kinds, self.texts = kinds, texts
-        # Parentheses are single-character tokens, so the k-th paren token is
-        # the k-th paren character.  Each matched '(' maps to its ')' token
-        # and the character span between the two.
-        groups = self.groups = {}
-        opened = []
-        for index, offset in zip(compress(count(), map(_PARENS.__contains__, kinds)),
-                                 map(re.Match.start, _PAREN.finditer(text))):
-            if kinds[index] == "(":
-                opened.append((index, offset + 1))
-            elif opened:
-                start_index, start = opened.pop()
-                groups[start_index] = (index, start, offset)
 
     def error(self, message: str, index: int) -> ParseError:
         return ParseError(message, *_position(self.text, index))
@@ -230,13 +323,15 @@ class _Parser:
             key = None if group is None else (False, self.text[group[1]:group[2]])
             inner = self.memo.get(key)
             if inner is None:
-                # An unmatched '(' (key None) makes this parse fail by itself.
+                # An unmatched '(' (key None) makes this parse fail by itself,
+                # and so does a group left out whose text the memo holds only
+                # as a program.
                 self.pos = pos + 1
                 inner = self.formula()
                 self.expect(")", "')'")
                 self.memo[key] = inner
             else:
-                self.hit = pos
+                self.hit = group[1] - 1
                 self.pos = group[0] + 1
             return inner
         if kind == "~":
@@ -312,7 +407,7 @@ class _Parser:
                 self.expect(")", "')'")
                 self.memo[key] = inner
             else:
-                self.hit = pos
+                self.hit = group[1] - 1
             if is_test:
                 self.pos = close + 2
                 return Test(inner)
@@ -339,30 +434,42 @@ def _parse(text: str, is_program: bool, memo: dict):
     found = memo.get(key)
     if found is not None:
         return found
-    parser = _Parser(text, memo)
-    try:
-        result = parser.program() if is_program else parser.formula()
-    except RecursionError:
-        raise parser.error("input nested too deeply", parser.pos) from None
-    except ParseError:
-        raise
-    except ValueError as exc:
-        # A name its term class rejects; only '?' tokens follow it.
-        index = parser.pos - 1
-        while parser.kinds[index] not in ("lower", "upper"):
-            index -= 1
-        raise parser.error(str(exc), index) from None
-    end = parser.pos
-    if parser.kinds[end] != "end":
-        raise parser.error(f"unexpected trailing input {parser.texts[end]!r}", end)
+    known = len(memo)
+    parser = _Parser(text, memo, True)
+    while True:
+        try:
+            result = parser.program() if is_program else parser.formula()
+            end = parser.pos
+            if parser.kinds[end] == "end":
+                break
+            error = parser.error(f"unexpected trailing input {parser.texts[end]!r}", end)
+        except RecursionError:
+            error = parser.error("input nested too deeply", parser.pos)
+        except ParseError as exc:
+            error = exc
+        except ValueError as exc:
+            # A name its term class rejects; only '?' tokens follow it.
+            index = parser.pos - 1
+            while parser.kinds[index] not in ("lower", "upper"):
+                index -= 1
+            error = parser.error(str(exc), index)
+        if not parser.skipped:
+            raise error
+        # A group left out is needed in the other sort, or the text is wrong.
+        # Forget what this read added to the memo and read the text again in
+        # full, so that the error is found at the token it always was.
+        for added in list(islice(memo, known, None)):
+            del memo[added]
+        parser = _Parser(text, memo, False)
     # A memoized group is not parsed again, so the recursion limit no longer
     # bounds the height of the term: bound it here as the recursion would.
-    # Every node owns a token of the text, so a short text needs no count.
+    # Every node owns a token of the text, so a text no longer than the limit
+    # needs no count, however many of its tokens were left out.
     limit = getrecursionlimit()
-    if parser.hit is not None and len(parser.kinds) > limit:
+    if parser.hit is not None and len(text) > limit:
         if _height(result, memo.setdefault(_HEIGHTS, {})) > limit:
             del memo[_HEIGHTS]  # its ids may outlive the rejected term's nodes
-            raise parser.error("input nested too deeply", parser.hit)
+            raise ParseError("input nested too deeply", *_line_column(text, parser.hit))
     memo[key] = result
     return result
 

@@ -1,7 +1,9 @@
 import hashlib
 import json
 import random
+import re
 from dataclasses import replace
+from sys import getrecursionlimit
 
 import pytest
 
@@ -30,7 +32,7 @@ from pdlfix.generators import derive_seed, random_decomposition
 from pdlfix.hierarchy import classify, to_nested_form
 from pdlfix.semantics import ModelGenParams, equivalent_on, random_model
 from pdlfix.synthesis import solve, solve_pi, solve_sigma
-from pdlfix.syntax import And, Atom, Or, substitute, subterms
+from pdlfix.syntax import And, Atom, Or, Var, substitute, subterms
 from pdlfix.textio import parse_formula, parse_program, print_formula
 
 EXAMPLE = "p & [a](q | (r & X))"
@@ -425,6 +427,92 @@ def test_tampered_group_shared_with_another_step_fails_at_that_step():
             assert report.failed_step == i, (i, name)
             edited += 1
     assert edited >= 3
+
+
+def document(*bindings, source="p", target="p"):
+    """A certificate document with one E1 step per binding dict, read in order."""
+    return {"from": source, "to": target, "steps": [
+        {"rule": "E1", "direction": "LR", "path": [], "bindings": b} for b in bindings]}
+
+
+@pytest.mark.parametrize("doc", [
+    # "(a)" is read as a program group, then needed as an atom, and back.
+    document({"alpha": "(a) ; b"}, {"phi": "(a) & p"}, {"beta": "(a)*"}, source="[(a)](a)"),
+    # "(p)" is a test's formula, then a program, then a formula.
+    document({"phi": "[(p)?]q"}, {"alpha": "(p) u (p)?"}, {"psi": "(p) | ((p))"},
+             target="<(p)>(p)"),
+])
+def test_a_group_held_in_one_sort_reads_back_in_the_other(doc):
+    back = certificate_from_json(doc)
+    assert back.source == parse_formula(doc["from"])
+    assert back.target == parse_formula(doc["to"])
+    for item, step in zip(doc["steps"], back.steps):
+        for name, text in item["bindings"].items():
+            parse = parse_program if name in ("alpha", "beta") else parse_formula
+            assert step.bindings[name] == parse(text), text
+
+
+# Each edited text follows one whose groups the memo holds, so it is first read
+# with those groups left out.  The messages and positions are those of a read
+# of every token.
+@pytest.mark.parametrize("first, edited, message", [
+    ({"alpha": "(a ; b)*"}, {"phi": "[c]p & (a ; b)"}, "expected ')', found ';' (line 1, column 11)"),
+    ({"phi": "(p & q) | r"}, {"psi": "[a](p & q) r"}, "unexpected trailing input 'r' (line 1, column 12)"),
+    ({"phi": "(p & q) | r"}, {"psi": "[a]\n(p & q)\n  r"}, "unexpected trailing input 'r' (line 3, column 3)"),
+    ({"phi": "(p & q) | r"}, {"psi": "<a>(p & q)\n& $"}, "unknown token '$' (line 2, column 3)"),
+    ({"phi": "(p & q) | r"}, {"psi": "(p & q) & (p & q) & 1p"}, "unknown token '1' (line 1, column 21)"),
+    ({"phi": "(p & q) | r"}, {"psi": "(p & q) & q²"},
+     "atom name must be a lowercase identifier (not a keyword): 'q²' (line 1, column 11)"),
+])
+def test_an_edited_text_fails_as_a_full_read_does(first, edited, message):
+    with pytest.raises(ValueError) as err:
+        certificate_from_json(document(first, edited))
+    assert str(err.value) == f"malformed certificate document: {message}"
+
+
+@pytest.mark.parametrize("value", [3, None, 2.5, True])
+def test_a_binding_that_is_not_a_string_fails_as_the_tokenizer_does(value):
+    # The message is the one ``re`` gives, which differs between Pythons.
+    with pytest.raises(TypeError) as plain:
+        re.compile(r"\S").findall(value)
+    with pytest.raises(ValueError) as err:
+        certificate_from_json(document({"phi": "(p & q) | r"}, {"psi": value}))
+    assert str(err.value) == f"malformed certificate document: {plain.value}"
+
+
+def test_groups_left_out_cannot_stack_past_the_recursion_limit():
+    # Each binding is the one before it in a group under limit/5 boxes, so
+    # it is read with that group left out: fewer tokens than the limit, but
+    # a term that grows by limit/5 each time.
+    k = getrecursionlimit() // 5
+    texts, inner = [], "X"
+    for _ in range(7):
+        inner = "[a]" * k + "\n <b>(" + inner + ")"
+        texts.append(inner)
+    with pytest.raises(ValueError) as err:
+        certificate_from_json(document(*({"phi": text} for text in texts)))
+    assert str(err.value) == \
+        "malformed certificate document: input nested too deeply (line 2, column 5)"
+    # Four levels stay within the limit and read whole.
+    back = certificate_from_json(document(*({"phi": text} for text in texts[:4])))
+    node, height = back.steps[3].bindings["phi"], 1
+    while type(node) is not Var:
+        node, height = node.body, height + 1
+    assert height == 4 * (k + 1) + 1
+
+
+def test_a_redone_read_forgets_the_groups_the_first_read_stored():
+    # The first read of the last text stores the group "([b]...)" before it
+    # fails on "(a)", held only as a program.  The full read must parse that
+    # group again, and so report the last group it jumped, "(g)" inside it.
+    k = getrecursionlimit() // 5
+    g = "[a]" * (3 * k) + "X"
+    edited = "<c>([b]" + "[a]" * (2 * k) + "(" + g + ")) & (a)"
+    with pytest.raises(ValueError) as err:
+        certificate_from_json(document({"alpha": "(a)*"}, {"phi": g}, {"psi": edited}))
+    column = edited.index("(" + g) + 1
+    assert str(err.value) == \
+        f"malformed certificate document: input nested too deeply (line 1, column {column})"
 
 
 def test_malformed_certificate_rejected():

@@ -19,6 +19,8 @@ from pdlfix.syntax import (
 )
 from pdlfix.textio import (
     ParseError,
+    _Parser,
+    _parse,
     parse_formula,
     parse_program,
     print_formula,
@@ -253,6 +255,16 @@ def test_spelling_of_a_group_does_not_change_its_term(text, canonical):
     term = parse_formula(text)
     assert term == parse_formula(canonical)
     assert print_formula(term) == canonical
+
+
+def test_a_group_the_memo_holds_is_tokenized_as_its_two_parens():
+    # A program group and a formula group, each held by the memo.
+    memo = {}
+    _parse("[(a ; b)*](p & q)", False, memo)
+    text = "<(a ; b)>(p & q) | (p & q)"
+    parser = _Parser(text, memo, True)
+    assert parser.texts == ["<", "(", ")", ">", "(", ")", "|", "(", ")", ""]
+    assert _parse(text, False, memo) == parse_formula(text)
 
 
 def nested(levels):
