@@ -534,25 +534,25 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 
 def certificate_from_json(doc: dict) -> Certificate:
-    """Read a certificate document.  One parse memo serves the document: each
-    distinct binding text, and each distinct text between a matched pair of
-    parentheses inside any of them or inside ``from`` and ``to``, is parsed
-    once.  It is also tokenized once: a group whose text the memo already
-    holds is left out before a later text is tokenized, and the parser jumps
-    past it (see ``textio``).  Equal subterms are therefore one object, and
-    replay's comparisons end at the first identical pair."""
+    """Read a certificate document.  A step's ``path`` must be a list of JSON
+    integers and its ``group`` a JSON integer (a bool is neither).  One parse
+    memo serves the document: each distinct binding text, and each distinct
+    text between a matched pair of parentheses inside any of them or inside
+    ``from`` and ``to``, is parsed once, and a group the memo already holds is
+    not even tokenized (see ``textio``).  Equal subterms are therefore one
+    object, and replay's comparisons end at the first identical pair."""
     parsed: dict[tuple[bool, str], object] = {}
     try:
         steps = tuple(
             RewriteStep(
                 rule=item["rule"],
                 direction=item["direction"],
-                path=tuple(int(i) for i in item["path"]),
+                path=_path(item["path"]),
                 bindings={
                     name: _parse(text, name in _PROGRAM_METAVARS, parsed)
                     for name, text in item.get("bindings", {}).items()
                 },
-                group=int(item.get("group", 0)),
+                group=_group(item.get("group", 0)),
             )
             for item in doc["steps"]
         )
@@ -565,3 +565,15 @@ def certificate_from_json(doc: dict) -> Certificate:
         if isinstance(exc, CertifyError):
             raise
         raise ValueError(f"malformed certificate document: {exc}") from exc
+
+
+def _path(value) -> tuple[int, ...]:
+    if type(value) is not list or any(type(index) is not int for index in value):
+        raise ValueError(f"path must be a list of integers, not {value!r}")
+    return tuple(value)
+
+
+def _group(value) -> int:
+    if type(value) is not int:
+        raise ValueError(f"group must be an integer, not {value!r}")
+    return value

@@ -27,46 +27,45 @@ One compiled regular expression splits text into tokens: a run of word
 characters (those ``str.isalnum`` accepts, and ``_``) or any other single
 non-space character.  An identifier starts with a letter (``str.isalpha``), so
 a word led by a digit, ``_`` or a numeric sign such as ``²`` is an unknown
-token, reported by its first character.  The tokens are two parallel lists,
-kinds and texts, which the recursive-descent parser reads by index.  Token
-offsets are not kept: only when a ``ParseError`` is raised is the text scanned
-again for the offset of the offending token, which becomes a line and a
-column.  Input nested beyond the interpreter's recursion limit is a
-``ParseError`` as well, and so is a name that its term class rejects (``p²``,
-``É``), reported at that name.
+token, reported by its first character.  Input nested beyond the interpreter's
+recursion limit is a ``ParseError`` as well, and so is a name that its term
+class rejects (``p²``, ``É``), reported at that name.
 
-Parentheses are the exception.  A paren is always a token of its own, so the
-k-th paren token is the k-th paren character, and one pass over them pairs
-each ``(`` with its ``)`` and keeps the character offsets of both.  The text
-between a matched pair, with its sort (formula or program; the formula of a
-``(...)?`` test is a formula), keys a memo of parsed terms: a group whose text
-was parsed before is that same object, and the parser jumps past its ``)``.
-This holds for any input, printed or hand-written: what a group parses to
-depends on nothing but the tokens between its parentheses.
-The memo lives for one ``parse_formula``/``parse_program`` call, or for one
-certificate document (``certify.certificate_from_json``), where it also holds
-every whole binding text, so equal subterms of the whole document are one
-object.  The pairing also tells a test ``(...)?`` from a program group.
+A paren is always a token of its own.  One pass over the parens of a text
+pairs each ``(`` with its ``)``, leniently: an unmatched ``(`` or ``)`` stays a
+plain token, and the read fails where the grammar meets it.  The text between
+a matched pair, with its sort (formula or program; the formula of a
+``(...)?`` test is a formula), keys a memo of parsed terms.  This holds for any
+input, printed or hand-written: what a group parses to depends on nothing but
+the text between its parentheses.  The memo lives for one
+``parse_formula``/``parse_program`` call, or for one certificate document
+(``certify.certificate_from_json``), where it also holds every whole binding
+text, so equal subterms of the whole document are one object.
 
-A group the memo already holds is also left out before tokenizing.  When the
-memo holds anything, the parens are paired by character offset first, and
-each group, outermost first, is looked up in the memo in either sort; the
-inside of a group found there is not tokenized, only its two parens are, and
-the parser finds the group in the memo and jumps past it.  In a certificate
-document that is most of every binding text.  If a group left out is needed
-in the sort the memo does not hold (``(a)`` read as a program, then needed as
-an atom), or the parse fails in any way, the memo is set back to what it held
-before and the text is read again with nothing left out: every error then
-names the token, line and column that a full read names.  Text whose
-parentheses do not balance cannot parse and is read in full at once.
+One reader reads every text.  A parser tokenizes one region, the whole text
+or the inside of one group, into two parallel lists, kinds and texts, which
+its recursive descent reads by index; every matched group inside the region
+is just its two paren tokens.  At a group the parser looks the group's text
+up in the memo, in the sort the grammar needs there, and takes the term it
+holds; on a miss it builds a parser for that group, reads it and stores the
+term.  So each group is read once and by its own parser, and the inside of a
+group the memo holds is never tokenized: in a certificate document that is
+most of every binding text.
+
+Token offsets are not kept.  When a read fails, the text is scanned once for
+its first unknown token, which is the error if there is one, as it is for a
+read that tokenizes every token first.  Otherwise the error is where the read
+stopped, in the innermost group being read; only then is that group's text
+scanned again for the offset of the offending token, which becomes a line and
+a column.
 
 A group the memo holds is not parsed again, so recursion no longer bounds how
-tall a term can grow.  When the parser jumped a held group and the text is
+tall a term can grow.  When the parser took a held group and the text is
 longer than the recursion limit, the height of the term is measured: a term
 taller than the limit is ``input nested too deeply`` as well, reported at the
-last group jumped.  Every node owns at least one token, and so one character,
-of the text, so a shorter text cannot build such a term, however many tokens
-were left out.
+last group taken.  Every node owns at least one token, and so one character,
+of the text, so a shorter text cannot build such a term, however many of its
+groups the memo held.
 
 The printer dispatches on the type of each node.  Within one call it keeps
 the text of every composite node it printed, per precedence level, so a
@@ -76,8 +75,7 @@ subterm shared by several terms is printed once (``print_terms``).
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
-from itertools import compress, count, islice
+from itertools import islice
 from sys import getrecursionlimit
 
 from .syntax import (
@@ -111,7 +109,6 @@ __all__ = [
 
 _TOKEN = re.compile(r"\w+|\S")
 _PAREN = re.compile(r"[()]")
-_PARENS = frozenset("()")
 # The memo entry that holds term heights, by node id (see ``_height``).
 _HEIGHTS = ("heights",)
 _ALIASES = {"∪": "u", "⊤": "true", "⊥": "false", "¬": "~"}
@@ -129,13 +126,6 @@ class ParseError(ValueError):
         self.column = column
 
 
-def _position(text: str, index: int) -> tuple[int, int]:
-    """Line and column of token ``index`` of ``text``; one past the last
-    token is the end of the input."""
-    match = next(islice(_TOKEN.finditer(text), index, None), None)
-    return _line_column(text, len(text) if match is None else match.start())
-
-
 def _line_column(text: str, offset: int) -> tuple[int, int]:
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
@@ -149,117 +139,94 @@ def _word_kind(token: str) -> str | None:
     return None
 
 
-def _pairs(text: str) -> tuple[list[int], dict[int, int]] | None:
-    """The offsets of the parentheses of ``text`` in order, and the offset of
-    each '(' mapped to that of its ')'; None if a paren is unmatched."""
-    _PAREN.search(text)  # a text that is not a string fails in ``re``, as tokenizing does
-    find = text.find
-    parens, close_of, opened = [], {}, []
-    left, right = find("("), find(")")
-    while right >= 0:
-        if 0 <= left < right:
-            parens.append(left)
-            opened.append(left)
-            left = find("(", left + 1)
-        elif opened:
-            parens.append(right)
-            close_of[opened.pop()] = right
-            right = find(")", right + 1)
-        else:
-            return None
-    return None if opened or left >= 0 else (parens, close_of)
+class _Read:
+    """What the parsers of one text share: the text, the memo, the paren
+    pairing and the last group the memo held.
 
+    ``parens`` lists the offset of every paren in order, between a virtual
+    '(' at -1 and a virtual ')' at the end of the text, so that the whole
+    text is the group of paren 0.  ``partner[i]`` is the index of the ')'
+    that closes the '(' at index i, and None for every other paren.
+    """
 
-def _tokens(text: str) -> tuple[list[str], dict]:
-    """Every token of ``text``, and the groups of the parser (see ``_Parser``)."""
-    texts = _TOKEN.findall(text)
-    # The k-th paren token is the k-th paren character.
-    groups = {}
-    opened = []
-    for index, offset in zip(compress(count(), map(_PARENS.__contains__, texts)),
-                             map(re.Match.start, _PAREN.finditer(text))):
-        if texts[index] == "(":
-            opened.append((index, offset + 1))
-        elif opened:
-            start_index, start = opened.pop()
-            groups[start_index] = (index, start, offset)
-    return texts, groups
+    __slots__ = ("text", "memo", "parens", "partner", "hit")
 
-
-def _tokens_around(text: str, memo: dict, parens: list[int], close_of: dict[int, int]):
-    """The tokens of ``text`` and its groups as ``_tokens`` gives them, but
-    with the inside of every group whose text ``memo`` holds, in either sort,
-    left out, and whether one was.  ``parens`` and ``close_of`` are
-    ``_pairs(text)``.  Outer groups are looked up first, so nothing inside a
-    group left out is looked up.  A paren is a token of its own, so no token
-    spans a cut."""
-    findall = _TOKEN.findall
-    texts, groups, opened = [], {}, []
-    skipped = False
-    last = index = 0
-    while index < len(parens):
-        offset = parens[index]
-        index += 1
-        texts += findall(text, last, offset)
-        token = len(texts)
-        last = offset + 1
-        if text[offset] == ")":
-            texts.append(")")
-            start_index, start = opened.pop()
-            groups[start_index] = (token, start, offset)
-            continue
-        close = close_of[offset]
-        inner = text[last:close]
-        if (False, inner) in memo or (True, inner) in memo:
-            texts += "()"
-            groups[token] = (token + 1, last, close)
-            skipped = True
-            last = close + 1
-            index = bisect_left(parens, close, index) + 1
-        else:
-            texts.append("(")
-            opened.append((token, last))
-    texts += findall(text, last)
-    return texts, groups, skipped
+    def __init__(self, text: str, memo: dict):
+        self.text = text
+        self.memo = memo
+        self.hit = None  # the offset of the last '(' whose group the memo held
+        parens = [-1]
+        parens += map(re.Match.start, _PAREN.finditer(text))
+        parens.append(len(text))
+        partner = [None] * len(parens)
+        partner[0] = len(parens) - 1
+        opened = []
+        for index in range(1, len(parens) - 1):
+            if text[parens[index]] == "(":
+                opened.append(index)
+            elif opened:
+                partner[opened.pop()] = index
+        self.parens, self.partner = parens, partner
 
 
 class _Parser:
-    """Recursive descent over the parallel lists ``kinds`` and ``texts``.
+    """Recursive descent over the tokens of one region of a text: the inside
+    of the group that opens at paren ``opened`` (0 for the whole text).
 
-    A kind is ``'lower'``, ``'upper'``, a punctuation character, or ``'end'``
-    for the sentinel after the last token.  ``groups`` maps the index of each
-    matched '(' to the index of its ')' and the character span between them.
+    ``kinds`` and ``texts`` are parallel lists.  A kind is ``'lower'``,
+    ``'upper'``, a punctuation character, or None for an unknown token; the
+    sentinel after the last token is ``'end'`` for the whole text and ``')'``
+    for a group.  Every matched group inside the region is its two paren
+    tokens, and ``groups`` maps the index of each such '(' token to the
+    index of its paren.  ``inner`` is the parser of the group being read.
     """
 
-    __slots__ = ("text", "kinds", "texts", "pos", "groups", "memo", "hit", "skipped")
+    __slots__ = ("read", "opened", "kinds", "texts", "groups", "pos", "inner")
 
-    def __init__(self, text: str, memo: dict, skip: bool):
-        self.text = text
+    def __init__(self, read: _Read, opened: int):
+        self.read = read
+        self.opened = opened
         self.pos = 0
-        self.memo = memo
-        self.hit = None  # the offset of the last '(' whose group the memo held
-        self.skipped = False
-        # An empty memo holds no group to leave out, and text whose parens do
-        # not balance cannot parse: both are read in full at once.
-        pairs = _pairs(text) if skip and memo else None
-        if pairs is None:
-            texts, self.groups = _tokens(text)
-        else:
-            texts, self.groups, self.skipped = _tokens_around(text, memo, *pairs)
+        self.inner = None
+        text, parens, partner = read.text, read.parens, read.partner
+        findall = _TOKEN.findall
+        texts, groups = [], {}
+        index, stop = opened + 1, partner[opened]
+        at = parens[opened] + 1
+        while index < stop:
+            close = partner[index]
+            if close is None:  # an unmatched paren is a token like any other
+                index += 1
+                continue
+            texts += findall(text, at, parens[index])
+            groups[len(texts)] = index
+            texts += "()"
+            at = parens[close] + 1
+            index = close + 1
+        texts += findall(text, at, parens[stop])
         kinds = [_KINDS.get(token) or _word_kind(token) for token in texts]
-        if None in kinds:
-            if self.skipped:
-                _Parser(text, memo, False)  # raises, counting the tokens left out
-            index = kinds.index(None)
-            raise self.error(f"unknown token {texts[index][0]!r}", index)
         if not text.isascii():
             texts = [_ALIASES.get(token, token) for token in texts]
-        kinds.append("end")
-        texts.append("")
-        self.kinds, self.texts = kinds, texts
+        kinds.append(")" if opened else "end")
+        texts.append(")" if opened else "")
+        self.kinds, self.texts, self.groups = kinds, texts, groups
 
     def error(self, message: str, index: int) -> ParseError:
-        return ParseError(message, *_position(self.text, index))
+        """``message`` at token ``index``; the sentinel stands at the end of
+        the region.  Token offsets are not kept, so the stretch of the region
+        after the last group before that token is scanned for it."""
+        text, parens, partner = self.read.text, self.read.parens, self.read.partner
+        at, first = parens[self.opened] + 1, 0
+        for token, paren in self.groups.items():
+            if token > index:
+                break
+            if token == index:
+                at, first = parens[paren], token
+            else:
+                at, first = parens[partner[paren]], token + 1
+        end = parens[partner[self.opened]]
+        match = next(islice(_TOKEN.finditer(text, at, end), index - first, None), None)
+        return ParseError(message, *_line_column(text, end if match is None else match.start()))
 
     def fail(self, expected: str, index: int | None = None):
         if index is None:
@@ -319,20 +286,26 @@ class _Parser:
             self.pos = pos + 1
             return Var(self.texts[pos])
         if kind == "(":
-            group = self.groups.get(pos)
-            key = None if group is None else (False, self.text[group[1]:group[2]])
-            inner = self.memo.get(key)
-            if inner is None:
-                # An unmatched '(' (key None) makes this parse fail by itself,
-                # and so does a group left out whose text the memo holds only
-                # as a program.
+            opened = self.groups.get(pos)
+            if opened is None:
+                # An unmatched '(' makes the read fail by itself.
                 self.pos = pos + 1
-                inner = self.formula()
-                self.expect(")", "')'")
-                self.memo[key] = inner
+                self.formula()
+                self.fail("')'")
+            read = self.read
+            parens = read.parens
+            key = (False, read.text[parens[opened] + 1:parens[read.partner[opened]]])
+            inner = read.memo.get(key)
+            if inner is None:
+                self.inner = reader = _Parser(read, opened)
+                inner = reader.formula()
+                if reader.pos + 1 != len(reader.kinds):
+                    reader.fail("')'")
+                self.inner = None
+                read.memo[key] = inner
             else:
-                self.hit = group[1] - 1
-                self.pos = group[0] + 1
+                read.hit = parens[opened]
+            self.pos = pos + 2
             return inner
         if kind == "~":
             self.pos = pos + 1
@@ -393,25 +366,28 @@ class _Parser:
                 self.fail("a program", pos)
             return AtomicProg(name)
         if kind == "(":
-            group = self.groups.get(pos)
-            if group is None:
+            opened = self.groups.get(pos)
+            if opened is None:
                 self.fail("a matching ')'")
-            close = group[0]
             # A '?' after the matching ')' makes the group a test's formula.
-            is_test = self.kinds[close + 1] == "?"
-            key = (not is_test, self.text[group[1]:group[2]])
-            inner = self.memo.get(key)
+            is_test = self.kinds[pos + 2] == "?"
+            read = self.read
+            parens = read.parens
+            key = (not is_test, read.text[parens[opened] + 1:parens[read.partner[opened]]])
+            inner = read.memo.get(key)
             if inner is None:
-                self.pos = pos + 1
-                inner = self.formula() if is_test else self.program()
-                self.expect(")", "')'")
-                self.memo[key] = inner
+                self.inner = reader = _Parser(read, opened)
+                inner = reader.formula() if is_test else reader.program()
+                if reader.pos + 1 != len(reader.kinds):
+                    reader.fail("')'")
+                self.inner = None
+                read.memo[key] = inner
             else:
-                self.hit = group[1] - 1
+                read.hit = parens[opened]
             if is_test:
-                self.pos = close + 2
+                self.pos = pos + 3
                 return Test(inner)
-            self.pos = close + 1
+            self.pos = pos + 2
             return inner
         if kind == "~":
             self.pos = pos + 1
@@ -434,44 +410,48 @@ def _parse(text: str, is_program: bool, memo: dict):
     found = memo.get(key)
     if found is not None:
         return found
-    known = len(memo)
-    parser = _Parser(text, memo, True)
-    while True:
-        try:
-            result = parser.program() if is_program else parser.formula()
-            end = parser.pos
-            if parser.kinds[end] == "end":
-                break
-            error = parser.error(f"unexpected trailing input {parser.texts[end]!r}", end)
-        except RecursionError:
-            error = parser.error("input nested too deeply", parser.pos)
-        except ParseError as exc:
-            error = exc
-        except ValueError as exc:
-            # A name its term class rejects; only '?' tokens follow it.
-            index = parser.pos - 1
-            while parser.kinds[index] not in ("lower", "upper"):
-                index -= 1
-            error = parser.error(str(exc), index)
-        if not parser.skipped:
-            raise error
-        # A group left out is needed in the other sort, or the text is wrong.
-        # Forget what this read added to the memo and read the text again in
-        # full, so that the error is found at the token it always was.
-        for added in list(islice(memo, known, None)):
-            del memo[added]
-        parser = _Parser(text, memo, False)
+    read = _Read(text, memo)
+    parser = _Parser(read, 0)
+    try:
+        result = parser.program() if is_program else parser.formula()
+        end = parser.pos
+        if parser.kinds[end] != "end":
+            raise parser.error(f"unexpected trailing input {parser.texts[end]!r}", end)
+    except (RecursionError, ValueError) as exc:
+        raise _failure(parser, exc) from None
     # A memoized group is not parsed again, so the recursion limit no longer
     # bounds the height of the term: bound it here as the recursion would.
     # Every node owns a token of the text, so a text no longer than the limit
-    # needs no count, however many of its tokens were left out.
+    # needs no count, however many of its groups the memo held.
     limit = getrecursionlimit()
-    if parser.hit is not None and len(text) > limit:
+    if read.hit is not None and len(text) > limit:
         if _height(result, memo.setdefault(_HEIGHTS, {})) > limit:
             del memo[_HEIGHTS]  # its ids may outlive the rejected term's nodes
-            raise ParseError("input nested too deeply", *_line_column(text, parser.hit))
+            raise ParseError("input nested too deeply", *_line_column(text, read.hit))
     memo[key] = result
     return result
+
+
+def _failure(parser: _Parser, exc: Exception) -> ParseError:
+    """The error of a read that ``parser``, reading the whole text, gave up
+    with ``exc``: the first unknown token anywhere in the text, or else the
+    error where the read stopped, in the innermost group being read."""
+    text = parser.read.text
+    for match in _TOKEN.finditer(text):
+        token = match.group()
+        if not (_KINDS.get(token) or _word_kind(token)):
+            return ParseError(f"unknown token {token[0]!r}", *_line_column(text, match.start()))
+    if type(exc) is ParseError:
+        return exc
+    while parser.inner is not None:
+        parser = parser.inner
+    if type(exc) is RecursionError:
+        return parser.error("input nested too deeply", parser.pos)
+    # A name its term class rejects; only '?' tokens follow it.
+    index = parser.pos - 1
+    while parser.kinds[index] not in ("lower", "upper"):
+        index -= 1
+    return parser.error(str(exc), index)
 
 
 def _height(term, heights: dict) -> int:

@@ -463,6 +463,8 @@ def test_a_group_held_in_one_sort_reads_back_in_the_other(doc):
     ({"phi": "(p & q) | r"}, {"psi": "(p & q) & (p & q) & 1p"}, "unknown token '1' (line 1, column 21)"),
     ({"phi": "(p & q) | r"}, {"psi": "(p & q) & q²"},
      "atom name must be a lowercase identifier (not a keyword): 'q²' (line 1, column 11)"),
+    ({"phi": "(p & q) | r"}, {"psi": "(p & q) & (r & &) | (q $)"},
+     "unknown token '$' (line 1, column 24)"),
 ])
 def test_an_edited_text_fails_as_a_full_read_does(first, edited, message):
     with pytest.raises(ValueError) as err:
@@ -524,6 +526,32 @@ def test_malformed_certificate_rejected():
     with pytest.raises(ValueError):
         certificate_from_json({"from": "p", "to": "q", "steps": [{"rule": "E99",
                                "direction": "LR", "path": [], "bindings": {}}]})
+
+
+# Each edit spells every step's path or group as JSON that is not integers.
+# ``int()`` would read all of them, and the edited certificate would verify.
+@pytest.mark.parametrize("edit, message", [
+    (lambda step: step.update(path=[i + 0.9 for i in step["path"]]),
+     "path must be a list of integers, not [1.9, 0.9]"),
+    (lambda step: step.update(path="".join(map(str, step["path"]))),
+     "path must be a list of integers, not ''"),
+    (lambda step: step.update(path=[i == 1 for i in step["path"]]),
+     "path must be a list of integers, not [True, False]"),
+    (lambda step: step.update(path={str(i): i for i in step["path"]}),
+     "path must be a list of integers, not {}"),
+    (lambda step: step.update(group=step["group"] + 0.5), "group must be an integer, not 1.5"),
+    (lambda step: step.update(group=step["group"] == 1), "group must be an integer, not True"),
+    (lambda step: step.update(group=str(step["group"])), "group must be an integer, not '1'"),
+], ids=["path-floats", "path-string", "path-bools", "path-object",
+        "group-float", "group-bool", "group-string"])
+def test_a_path_or_group_that_is_not_json_integers_is_malformed(edit, message):
+    doc = certificate_to_json(example_certificate()[2])
+    assert check_certificate(certificate_from_json(doc)).ok
+    for step in doc["steps"]:
+        edit(step)
+    with pytest.raises(ValueError) as err:
+        certificate_from_json(doc)
+    assert str(err.value) == f"malformed certificate document: {message}"
 
 
 def test_validate_rules_finds_no_counterexamples():

@@ -221,6 +221,27 @@ def test_verify_cert_malformed_exits_2(tmp_path, capsys):
     assert doc["message"].startswith("malformed certificate document")
 
 
+@pytest.mark.parametrize("edit", [
+    lambda step: step.update(path=[i + 0.9 for i in step["path"]], group=step["group"] + 0.5),
+    lambda step: step.update(group=True),
+    lambda step: step.update(path="".join(map(str, step["path"]))),
+], ids=["floats", "group-bool", "path-string"])
+def test_verify_cert_rejects_paths_and_groups_that_are_not_integers(tmp_path, capsys, edit):
+    cert_path = tmp_path / "cert.json"
+    code, _ = run(capsys, "solve", "--var", "X", "--certify", str(cert_path),
+                  "p & [a](q | (r & X))")
+    assert code == 0
+    doc = json.loads(cert_path.read_text())
+    for step in doc["steps"]:
+        edit(step)
+    cert_path.write_text(json.dumps(doc))
+    code, report = run_json(capsys, "verify-cert", str(cert_path))
+    assert code == 2
+    assert report["status"] == "error"
+    assert report["message"].startswith("malformed certificate document: ")
+    assert "must be" in report["message"] and "integer" in report["message"]
+
+
 def test_usage_error_exits_2(capsys):
     assert main(["classify"]) == 2  # missing --var and formula
 

@@ -1,3 +1,5 @@
+from sys import getrecursionlimit
+
 import hypothesis.strategies as st
 import pytest
 from conftest import formulas, programs
@@ -20,6 +22,7 @@ from pdlfix.syntax import (
 from pdlfix.textio import (
     ParseError,
     _Parser,
+    _Read,
     _parse,
     parse_formula,
     parse_program,
@@ -192,6 +195,12 @@ def test_rejection_always_carries_a_position(junk):
     (parse_program, "a ; (b", "expected a matching ')', found '('", 1, 5),
     (parse_program, "~p", "expected '?' after a test shorthand, found 'end of input'", 1, 3),
     (parse_program, "X", "expected '?' after a variable test, found 'end of input'", 1, 2),
+    # An unknown token anywhere wins over a syntax error met before it, and
+    # an error inside a group is placed in the whole text.
+    (parse_formula, "(p & &) | (q $)", "unknown token '$'", 1, 14),
+    (parse_program, "(a ; (b u)) ; (c $)", "unknown token '$'", 1, 18),
+    (parse_formula, "p &\n  ((q |\n   ~u))", "expected an atom after '~', found 'u'", 3, 5),
+    (parse_formula, "[(¬p)?](q\n & (r ⊤))", "expected ')', found 'true'", 2, 7),
 ])
 def test_parse_error_message_and_position(parse, text, message, line, column):
     with pytest.raises(ParseError) as err:
@@ -213,6 +222,12 @@ def test_parse_error_message_and_position(parse, text, message, line, column):
     ("[~q²?]p", "atom name must be a lowercase identifier (not a keyword): 'q²'", 3),
     ("[Xé?]p", "variable name must be an uppercase identifier: 'Xé'", 2),
     ("[a ; bé]p", "atomic program name must be a lowercase identifier (not a keyword): 'bé'", 6),
+    # The same, inside groups.
+    ("(p & (q | r²))", "atom name must be a lowercase identifier (not a keyword): 'r²'", 11),
+    ("[(a ; bé)*]p", "atomic program name must be a lowercase identifier (not a keyword): 'bé'", 7),
+    ("<((p | é))?>q", "atom name must be a lowercase identifier (not a keyword): 'é'", 8),
+    ("[(a u (Xé?))*]p", "variable name must be an uppercase identifier: 'Xé'", 8),
+    ("(p & (~é))", "atom name must be a lowercase identifier (not a keyword): 'é'", 8),
 ])
 def test_names_outside_the_ascii_grammar_fail_the_name_check(text, message, column):
     with pytest.raises(ParseError) as err:
@@ -257,14 +272,29 @@ def test_spelling_of_a_group_does_not_change_its_term(text, canonical):
     assert print_formula(term) == canonical
 
 
-def test_a_group_the_memo_holds_is_tokenized_as_its_two_parens():
+def test_a_group_the_memo_holds_is_tokenized_as_its_two_parens(monkeypatch):
     # A program group and a formula group, each held by the memo.
     memo = {}
     _parse("[(a ; b)*](p & q)", False, memo)
+    program, formula = memo[(True, "a ; b")], memo[(False, "p & q")]
     text = "<(a ; b)>(p & q) | (p & q)"
-    parser = _Parser(text, memo, True)
+    parser = _Parser(_Read(text, memo), 0)
     assert parser.texts == ["<", "(", ")", ">", "(", ")", "|", "(", ")", ""]
-    assert _parse(text, False, memo) == parse_formula(text)
+    # Reading the text builds no parser for a group the memo holds.
+    regions = []
+    build = _Parser.__init__
+
+    def counted(self, read, opened):
+        regions.append(opened)
+        build(self, read, opened)
+
+    monkeypatch.setattr(_Parser, "__init__", counted)
+    phi = _parse(text, False, memo)
+    assert regions == [0]  # the whole text only
+    assert phi.left.prog is program
+    assert phi.left.body is formula and phi.right is formula
+    monkeypatch.undo()
+    assert phi == parse_formula(text)
 
 
 def nested(levels):
@@ -301,3 +331,14 @@ def test_nesting_past_the_recursion_limit_is_a_parse_error(parse):
         with pytest.raises(ParseError, match=r"^input nested too deeply \(line 1, column \d+\)$") as err:
             parse(text)
         assert err.value.line == 1 and 1 <= err.value.column <= len(text)
+
+
+def test_nesting_past_the_limit_is_reported_where_the_innermost_group_stopped():
+    # Each level costs a few frames, so the read gives up at least a tenth of
+    # the limit deep, far inside the text, and the error is placed there.
+    levels = getrecursionlimit() // 10
+    for parse, text, width in ((parse_formula, nested(400), len("[a](p | ")),
+                               (parse_program, "(" * 2000 + "a" + ")" * 2000, 1)):
+        with pytest.raises(ParseError, match="^input nested too deeply") as err:
+            parse(text)
+        assert err.value.column > levels * width
