@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace as _dc_replace
 from itertools import chain
 
-from .hierarchy import Decomposition, PaddingRecord
+from .hierarchy import Decomposition, PaddingRecord, _layers
 from .syntax import (
     And,
     Box,
@@ -36,7 +36,6 @@ from .syntax import (
     Star,
     Test,
     Top,
-    Var,
     children,
     negate,
     rebuild,
@@ -195,6 +194,10 @@ def rule_metavariables(rule: RewriteRule) -> dict[str, bool]:
     return found
 
 
+# The metavariable names of each rule: a step may bind only these.
+_METAVARIABLES = {rule_id: frozenset(rule_metavariables(rule)) for rule_id, rule in RULES.items()}
+
+
 # ---------------------------------------------------------------------------
 # positions
 
@@ -264,7 +267,11 @@ def _clip(text: str, limit: int = 120) -> str:
 
 
 def apply_rule(phi: Formula, step: RewriteStep) -> Formula:
-    """Replay one step under its stored bindings; exact or an error."""
+    """Replay one step under its stored bindings; exact or an error.  A
+    binding for a name that is not a metavariable of the rule is an error."""
+    names = _METAVARIABLES[step.rule]
+    if not step.bindings.keys() <= names:
+        raise MismatchError(f"{step.rule} has no metavariable {min(step.bindings.keys() - names)!r}")
     src, dst = _directed(RULES[step.rule], step.direction)
     subject = subterm_at(phi, step.path)
     expected = _instantiate(src, step.bindings)
@@ -333,19 +340,6 @@ def grouped_rule_ids(cert: Certificate) -> list[list[str]]:
 # ---------------------------------------------------------------------------
 # certificate generation
 
-def _nested_with_drops(d: Decomposition, drops: frozenset[int]) -> Formula:
-    """Nested form with the disjunct layer omitted at dropped (padded) pairs."""
-    acc: Formula = Var(d.x)
-    for i in range(d.n, 0, -1):
-        pair = d.pairs[i - 1]
-        acc = And(pair.psi, acc)
-        if i not in drops:
-            acc = Or(pair.phi, acc)
-        if pair.alpha is not None:
-            acc = Box(pair.alpha, acc)
-    return acc
-
-
 _DUAL_RULE = {"E1": "E6", "E3": "E8", "E4": "E9", "E5": "E10", "E7": "E2", "AA": "AO"}
 
 
@@ -400,9 +394,9 @@ def generate_certificate(sol: Solution, padding: tuple[PaddingRecord, ...] = ())
 
     Pairs whose disjunct was introduced by classification padding are
     eliminated with E5 (E10 on the diamond side), so for ordinary classified
-    input the target is exactly ``phi(lambda)``.  A padded-in ``true``
-    conjunct has no removal rule, so such layers stay in the target (see
-    DISCREPANCIES.md).
+    input the target is exactly ``phi(lambda)``, written by ``hierarchy._layers``
+    from records for the phi-padded pairs only.  A padded-in ``true`` conjunct
+    has no removal rule, so such layers stay in the target (see DISCREPANCIES.md).
 
     The steps come from ``_derivation`` (diamond duals for a Sigma solution,
     which must use the duality strategy), each applied once by ``apply_rule``;
@@ -418,8 +412,8 @@ def generate_certificate(sol: Solution, padding: tuple[PaddingRecord, ...] = ())
     if sigma and sol.strategy != "duality":
         raise GenerationError("only duality-strategy Sigma solutions are certifiable")
     drops = frozenset(pad.index for pad in padding if pad.phi_padded)
-    shape = _nested_with_drops(d, drops)
-    target = substitute(negate(shape) if sigma else shape, d.x, sol.formula)
+    shape = _layers(d, tuple(PaddingRecord(index, phi_padded=True) for index in drops))
+    target = substitute(shape, d.x, sol.formula)
     state = sol.formula
     steps = []
     try:

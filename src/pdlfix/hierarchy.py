@@ -18,7 +18,7 @@ trap in the literal diamond schemas (see DISCREPANCIES.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .syntax import (
     And,
@@ -141,9 +141,9 @@ def _split_on_x(left: Formula, right: Formula, x: str, index: int):
     return right, left, True
 
 
-def _match_pi(formula: Formula, x: str, strict: bool) -> ClassifyResult:
-    """The box-hierarchy decomposition of ``formula``, matched one
-    ``phi | (psi & core)`` layer at a time; ``_NoMatch`` says why not."""
+def _match_pi(formula: Formula, x: str, strict: bool, kind: str) -> ClassifyResult:
+    """The box-hierarchy decomposition of ``formula``, tagged ``kind``, matched
+    one ``phi | (psi & core)`` layer at a time; ``_NoMatch`` says why not."""
     pairs: list[Pair] = []
     pads: list[PaddingRecord] = []
     leading = isinstance(formula, Box)
@@ -179,8 +179,17 @@ def _match_pi(formula: Formula, x: str, strict: bool) -> ClassifyResult:
         if not is_x_free(xi.prog, x):
             raise _NoMatch(f"{x} occurs inside the program guarding layer {index + 1}")
         alpha, xi, index = xi.prog, xi.body, index + 1
-    decomposition = Decomposition(kind="Pi", x=x, pairs=tuple(pairs), leading_modality=leading)
+    decomposition = Decomposition(kind=kind, x=x, pairs=tuple(pairs), leading_modality=leading)
     return ClassifyResult(decomposition=decomposition, padding=tuple(pads))
+
+
+def _classify(formula: Formula, x: str, strict: bool, kind: str) -> ClassifyResult | None:
+    if is_x_free(formula, x):
+        return None
+    try:
+        return _match_pi(formula, x, strict, kind)
+    except _NoMatch:
+        return None
 
 
 def classify_pi(phi: Formula, x: str, strict: bool = False) -> ClassifyResult | None:
@@ -189,34 +198,20 @@ def classify_pi(phi: Formula, x: str, strict: bool = False) -> ClassifyResult | 
     A top-level box is always read as the leading modality (odd level);
     anything else enters at an even level.
     """
-    if is_x_free(phi, x):
-        return None
-    try:
-        return _match_pi(phi, x, strict)
-    except _NoMatch:
-        return None
+    return _classify(phi, x, strict, "Pi")
 
 
 def classify_sigma(phi: Formula, x: str, strict: bool = False) -> ClassifyResult | None:
-    """Dual hierarchy: succeeds iff ``negate(phi)`` is Pi; stores Pi components
-    of the negation, retagged Sigma."""
-    result = classify_pi(negate(phi), x, strict)
-    if result is None:
-        return None
-    return ClassifyResult(
-        decomposition=replace(result.decomposition, kind="Sigma"),
-        padding=result.padding,
-    )
+    """Dual hierarchy: succeeds iff ``negate(phi)`` is Pi; stores the Pi
+    components of the negation in a decomposition built as Sigma."""
+    return _classify(negate(phi), x, strict, "Sigma")
 
 
 def classify(phi: Formula, x: str, strict: bool = False) -> ClassifyResult | XFree | None:
     """Pi first, then Sigma; x-free input gets the trivial tag."""
     if is_x_free(phi, x):
         return XFree(formula=phi, x=x)
-    result = classify_pi(phi, x, strict)
-    if result is not None:
-        return result
-    return classify_sigma(phi, x, strict)
+    return classify_pi(phi, x, strict) or classify_sigma(phi, x, strict)
 
 
 def diagnose(phi: Formula, x: str, strict: bool = False) -> str:
@@ -224,7 +219,7 @@ def diagnose(phi: Formula, x: str, strict: bool = False) -> str:
     reasons = []
     for side, formula in (("Pi", phi), ("Sigma", negate(phi))):
         try:
-            _match_pi(formula, x, strict)
+            _match_pi(formula, x, strict, side)
         except _NoMatch as exc:
             reasons.append(str(exc))
         else:
@@ -232,49 +227,48 @@ def diagnose(phi: Formula, x: str, strict: bool = False) -> str:
     return f"as Pi: {reasons[0]}; as Sigma (after negating): {reasons[1]}"
 
 
-def _pi_decomposition(d: Decomposition) -> Decomposition:
-    return d if d.kind == "Pi" else replace(d, kind="Pi")
+def _layers(d: Decomposition, padding: tuple[PaddingRecord, ...] = ()) -> Formula:
+    """The one writer of the layered shape ``phi1 | (psi1 & [a2](... X))``.
 
-
-def to_nested_form(d: Decomposition) -> Formula:
-    """The fully written shape with every slot present (padding as constants)."""
+    Each pair is written as its padding record (looked up by index) says: a
+    padded slot is left out, commuted operands are swapped, and a pair without
+    a record is written in full.  The result is negated once for Sigma."""
+    records = {pad.index: pad for pad in padding}
+    full = PaddingRecord(index=0)
     acc: Formula = Var(d.x)
-    for pair in reversed(_pi_decomposition(d).pairs):
-        acc = Or(pair.phi, And(pair.psi, acc))
-        if pair.alpha is not None:
-            acc = Box(pair.alpha, acc)
-    if d.kind == "Sigma":
-        acc = negate(acc)
-    return acc
-
-
-def to_chain_form(d: Decomposition) -> Formula:
-    """The equivalent modal chain ``[a1;(~phi1)?]<psi1?>...X`` (dual for Sigma)."""
-    acc: Formula = Var(d.x)
-    for pair in reversed(_pi_decomposition(d).pairs):
-        guard: Program = Test(negate(pair.phi))
-        if pair.alpha is not None:
-            guard = Seq(pair.alpha, guard)
-        acc = Box(guard, Diamond(Test(pair.psi), acc))
-    if d.kind == "Sigma":
-        acc = negate(acc)
-    return acc
-
-
-def reconstruct(result: ClassifyResult) -> Formula:
-    """Rebuild the exact classified input by replaying the padding records."""
-    d = result.decomposition
-    acc: Formula = Var(d.x)
-    for pair, pad in zip(reversed(d.pairs), reversed(result.padding)):
+    for index in range(d.n, 0, -1):
+        pair = d.pairs[index - 1]
+        pad = records.get(index, full)
         if not pad.psi_padded:
             acc = And(acc, pair.psi) if pad.and_commuted else And(pair.psi, acc)
         if not pad.phi_padded:
             acc = Or(acc, pair.phi) if pad.or_commuted else Or(pair.phi, acc)
         if pair.alpha is not None:
             acc = Box(pair.alpha, acc)
-    if d.kind == "Sigma":
-        acc = negate(acc)
-    return acc
+    return negate(acc) if d.kind == "Sigma" else acc
+
+
+def to_nested_form(d: Decomposition) -> Formula:
+    """The fully written shape, padding as constants: ``_layers`` without records."""
+    return _layers(d)
+
+
+def to_chain_form(d: Decomposition) -> Formula:
+    """The equivalent modal chain ``[a1;(~phi1)?]<psi1?>...X`` (dual for Sigma)."""
+    acc: Formula = Var(d.x)
+    for pair in reversed(d.pairs):
+        guard: Program = Test(negate(pair.phi))
+        if pair.alpha is not None:
+            guard = Seq(pair.alpha, guard)
+        acc = Box(guard, Diamond(Test(pair.psi), acc))
+    return negate(acc) if d.kind == "Sigma" else acc
+
+
+def reconstruct(result: ClassifyResult) -> Formula:
+    """Rebuild the exact classified input: ``_layers`` replaying the padding
+    records.  A pair without a record is written in full (as
+    ``decomposition_from_json`` reads a missing index), never dropped."""
+    return _layers(result.decomposition, result.padding)
 
 
 def decomposition_to_json(result: ClassifyResult) -> dict:

@@ -67,14 +67,17 @@ class Solution:
         return doc
 
 
+def _fold_right(make, terms: list):
+    """``make(t1, make(t2, ... tn))`` over a non-empty list."""
+    acc = terms[-1]
+    for term in reversed(terms[:-1]):
+        acc = make(term, acc)
+    return acc
+
+
 def odot(chain: list[Program]) -> Program:
     """Right-associated sequential composition; the empty chain is ``true?``."""
-    if not chain:
-        return Test(Top())
-    acc = chain[-1]
-    for prog in reversed(chain[:-1]):
-        acc = Seq(prog, acc)
-    return acc
+    return _fold_right(Seq, chain) if chain else Test(Top())
 
 
 def tested_chain(d: Decomposition, start: int, stop: int) -> Program:
@@ -94,27 +97,17 @@ def tested_chain(d: Decomposition, start: int, stop: int) -> Program:
 tested_chain.__test__ = False  # keep pytest from collecting it by name
 
 
-def _big_and(terms: list[Formula]) -> Formula:
-    acc = terms[-1]
-    for term in reversed(terms[:-1]):
-        acc = And(term, acc)
-    return acc
-
-
-def _big_or(terms: list[Formula]) -> Formula:
-    acc = terms[-1]
-    for term in reversed(terms[:-1]):
-        acc = Or(term, acc)
-    return acc
+def _box_lambda(d: Decomposition) -> Formula:
+    """The box-side solution over the stored Pi components of ``d``."""
+    conjuncts = [Box(tested_chain(d, 1, j), d.pairs[j - 1].psi) for j in range(1, d.n + 1)]
+    return Box(Star(tested_chain(d, 1, d.n)), _fold_right(And, conjuncts))
 
 
 def solve_pi(d: Decomposition) -> Solution:
     if d.kind != "Pi":
         raise ValueError(f"solve_pi needs a Pi decomposition, got {d.kind}")
-    conjuncts = [Box(tested_chain(d, 1, j), d.pairs[j - 1].psi) for j in range(1, d.n + 1)]
-    lam = Box(Star(tested_chain(d, 1, d.n)), _big_and(conjuncts))
     schema = "lambda2" if d.leading_modality else "lambda1"
-    return Solution(formula=lam, schema=schema, strategy="literal", decomposition=d)
+    return Solution(formula=_box_lambda(d), schema=schema, strategy="literal", decomposition=d)
 
 
 def _literal_sigma(d: Decomposition) -> Formula:
@@ -130,7 +123,7 @@ def _literal_sigma(d: Decomposition) -> Formula:
         Diamond(tested_chain(written, 1, j), written.pairs[j - 1].psi)
         for j in range(1, written.n + 1)
     ]
-    return Diamond(Star(tested_chain(written, 1, written.n)), _big_or(disjuncts))
+    return Diamond(Star(tested_chain(written, 1, written.n)), _fold_right(Or, disjuncts))
 
 
 def solve_sigma(d: Decomposition, strategy: str = "duality") -> Solution:
@@ -138,8 +131,7 @@ def solve_sigma(d: Decomposition, strategy: str = "duality") -> Solution:
         raise ValueError(f"solve_sigma needs a Sigma decomposition, got {d.kind}")
     schema = "lambda4" if d.leading_modality else "lambda3"
     if strategy == "duality":
-        mu = solve_pi(replace(d, kind="Pi"))
-        return Solution(formula=negate(mu.formula), schema=schema, strategy="duality", decomposition=d)
+        return Solution(formula=negate(_box_lambda(d)), schema=schema, strategy="duality", decomposition=d)
     if strategy == "literal":
         return Solution(formula=_literal_sigma(d), schema=schema, strategy="literal", decomposition=d)
     raise ValueError(f"unknown strategy: {strategy!r}")

@@ -267,6 +267,18 @@ def test_tampered_binding_fails_at_that_step():
         state = apply_rule(state, step)
 
 
+def test_a_binding_that_is_no_metavariable_of_the_rule_fails_at_that_step():
+    _phi, _sol, cert = example_certificate()
+    for i, step in enumerate(cert.steps):
+        bad = replace(step, bindings={**step.bindings, "zzz": parse_formula("p"),
+                                      "aaa": parse_formula("q")})
+        tampered = Certificate(cert.source, cert.target, cert.steps[:i] + (bad,) + cert.steps[i + 1:])
+        report = check_certificate(tampered)
+        assert not report.ok
+        assert report.failed_step == i
+        assert report.reason == f"{step.rule} has no metavariable 'aaa'"
+
+
 def clip(text):
     return text if len(text) <= 120 else text[:117] + "..."
 

@@ -208,6 +208,33 @@ def test_verify_cert_rejects_tampering(tmp_path, capsys):
     assert report["failedStep"] == 3
 
 
+def test_verify_cert_rejects_a_binding_the_rule_does_not_have(tmp_path, capsys):
+    cert_path = tmp_path / "cert.json"
+    code, _ = run(capsys, "solve", "--var", "X", "--certify", str(cert_path),
+                  "p & [a](q | (r & X))")
+    assert code == 0
+    doc = json.loads(cert_path.read_text())
+    doc["steps"][0]["bindings"]["zzz"] = "p"
+    cert_path.write_text(json.dumps(doc))
+    code, report = run_json(capsys, "verify-cert", str(cert_path))
+    assert code == 1
+    assert (report["ok"], report["failedStep"]) == (False, 0)
+    assert report["reason"] == "E4 has no metavariable 'zzz'"
+
+
+@pytest.mark.parametrize("equation, target", [
+    ("p | X", "p | true & [(~p)?*][(~p)?]true"),
+    ("(q & X) | p", "p | q & [(~p)?*][(~p)?]q"),
+])
+def test_certificate_targets_stated_in_discrepancies_section_5(tmp_path, capsys, equation, target):
+    cert_path = tmp_path / "c.json"
+    code, _ = run(capsys, "solve", "--var", "X", "--certify", str(cert_path), equation)
+    assert code == 0
+    assert json.loads(cert_path.read_text())["to"] == target
+    notes = Path(__file__).resolve().parent.parent / "DISCREPANCIES.md"
+    assert f'"to": "{target}"' in notes.read_text()
+
+
 def test_verify_cert_malformed_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("not json")

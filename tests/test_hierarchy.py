@@ -180,6 +180,13 @@ def test_reconstruct_replays_padding_exactly():
         assert reconstruct(result) == phi, text
 
 
+@pytest.mark.parametrize("keep", [slice(0, 0), slice(1, None)], ids=["no-records", "first-missing"])
+def test_reconstruct_writes_a_pair_without_a_record_in_full(keep):
+    result = classified("p & [a](q | (r & X))")
+    short = ClassifyResult(result.decomposition, result.padding[keep])
+    assert reconstruct(short) == parse_formula("false | p & [a](q | r & X)")
+
+
 def test_sigma_duality_mirrors_pi():
     rng = random.Random(31)
     for trial in range(60):
