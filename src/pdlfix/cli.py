@@ -15,7 +15,6 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass
 
 from .certify import (
     CertifyError,
@@ -31,43 +30,18 @@ from .hierarchy import XFree, classify, decomposition_to_json, diagnose, to_nest
 from .semantics import (
     ModelGenParams,
     check_solution_on,
+    equivalent_on,
     load_model,
     model_to_json,
     random_model,
 )
-from .synthesis import NotInClass, solve, solve_pi, solve_sigma
-from .syntax import Atom, AtomicProg, NegAtom, Var, is_x_free, subterms
+from .synthesis import NotInClass, _solve, solve_pi, solve_sigma
+from .syntax import Atom, AtomicProg, NegAtom, Var, is_x_free, substitute, subterms
 from .textio import parse_formula, print_formula
 
 OK, COUNTEREXAMPLE, USAGE_ERROR, INTERNAL_FAILURE = 0, 1, 2, 3
 
-__all__ = ["main", "console", "RunReport"]
-
-
-@dataclass(frozen=True)
-class RunReport:
-    """Aggregate outcome of a fuzzing run; failures replay from the seed."""
-
-    command: str
-    scope: str
-    seed: int
-    trials: int
-    checks: int
-    failures: int
-    first_counterexample: dict | None
-    wall_time: float
-
-    def to_json(self) -> dict:
-        return {
-            "command": self.command,
-            "scope": self.scope,
-            "seed": self.seed,
-            "trials": self.trials,
-            "checks": self.checks,
-            "failures": self.failures,
-            "firstCounterexample": self.first_counterexample,
-            "wallTime": round(self.wall_time, 3),
-        }
+__all__ = ["main", "console"]
 
 
 class _InputError(Exception):
@@ -136,14 +110,14 @@ def cmd_classify(args) -> int:
 def cmd_solve(args) -> int:
     phi = _read_formula_arg(args.formula)
     try:
-        sol = solve(phi, args.var, strategy=args.strategy)
+        sol, outcome = _solve(phi, args.var, args.strategy)
     except NotInClass as exc:
         _emit(args, {"status": "not-in-class", "detail": str(exc)}, [f"error: {exc}"])
         return USAGE_ERROR
     doc = sol.to_json()
     lines = [print_formula(sol.formula)]
     if args.certify is not None:
-        padding = () if sol.decomposition is None else classify(phi, args.var).padding
+        padding = () if sol.decomposition is None else outcome.padding
         try:
             cert = generate_certificate(sol, padding=padding)
         except CertifyError as exc:
@@ -169,10 +143,9 @@ def cmd_check(args) -> int:
     if not is_x_free(candidate, args.var):
         raise _InputError(f"candidate contains the unknown {args.var}")
     seed = _effective_seed(args)
-    models = []
     if args.model is not None:
         try:
-            models.append(load_model(args.model))
+            models = [load_model(args.model)]
         except (ValueError, OSError) as exc:
             raise _InputError(str(exc)) from exc
     else:
@@ -182,20 +155,23 @@ def cmd_check(args) -> int:
         atoms = tuple(sorted(atoms_e | atoms_c)) or ("p",)
         var_names = tuple(sorted(vars_e | vars_c))
         progs = tuple(dict.fromkeys(progs_e + progs_c)) or ("a",)
-        for i in range(args.random):
-            params = ModelGenParams(
+        # Drawn as they are checked: memory does not grow with N.
+        models = (
+            random_model(ModelGenParams(
                 world_count=rng.randint(1, args.worlds),
                 atom_names=atoms,
                 var_names=var_names,
                 prog_names=progs,
                 seed=derive_seed(seed, i),
-            )
-            models.append(random_model(params))
+            ))
+            for i in range(args.random)
+        )
+    instantiated = substitute(phi, args.var, candidate)
     checked = 0
     for model in models:
-        report = check_solution_on(model, args.var, phi, candidate)
         checked += 1
-        if not report.passed:
+        if equivalent_on(model, candidate, instantiated) is not None:
+            report = check_solution_on(model, args.var, phi, candidate)
             doc = report.to_json()
             doc["checked"] = checked
             doc["seed"] = seed
@@ -238,7 +214,7 @@ def _fuzz_rules(seed: int, trials: int, models_per_trial: int) -> tuple[int, int
 def _fuzz_solutions(seed: int, trials: int, models_per_trial: int,
                     max_pairs: int, depth: int) -> tuple[int, int, dict | None]:
     rng = random.Random(seed)
-    checks = failures = 0
+    failures = 0
     first = None
     cases = [("Pi", False), ("Pi", True), ("Sigma", False), ("Sigma", True)]
     for trial in range(trials):
@@ -247,51 +223,48 @@ def _fuzz_solutions(seed: int, trials: int, models_per_trial: int,
                                  max_pairs=max_pairs, depth=depth)
         phi_x = to_nested_form(d)
         sol = solve_pi(d) if kind == "Pi" else solve_sigma(d)
+        instantiated = substitute(phi_x, d.x, sol.formula)
         for k in range(models_per_trial):
             params = ModelGenParams(world_count=1 + (k % 5), seed=derive_seed(seed + trial, k))
             model = random_model(params)
-            result = check_solution_on(model, d.x, phi_x, sol.formula)
-            checks += 1
-            if not result.passed:
+            if equivalent_on(model, sol.formula, instantiated) is not None:
                 failures += 1
                 if first is None:
-                    doc = result.to_json()
-                    doc["trial"] = trial
-                    first = doc
-    return checks, failures, first
+                    first = check_solution_on(model, d.x, phi_x, sol.formula).to_json()
+                    first["trial"] = trial
+    return trials * models_per_trial, failures, first
 
 
 def cmd_fuzz(args) -> int:
+    """One document for the scopes run: their summed checks and failures, and
+    the first counterexample, which replays from the seed."""
     seed = _effective_seed(args)
     started = time.perf_counter()
-    checks = failures = 0
-    first = None
+    scopes = []
     if args.scope in ("rules", "both"):
-        c, f, cex = _fuzz_rules(seed, args.trials, args.models_per_trial)
-        checks += c
-        failures += f
-        first = first or cex
+        scopes.append(_fuzz_rules(seed, args.trials, args.models_per_trial))
     if args.scope in ("solutions", "both"):
-        c, f, cex = _fuzz_solutions(seed, args.trials, args.models_per_trial,
-                                    args.max_pairs, args.depth)
-        checks += c
-        failures += f
-        first = first or cex
-    report = RunReport(
-        command=(f"pdlfix fuzz --scope {args.scope} --trials {args.trials} "
-                 f"--models-per-trial {args.models_per_trial} "
-                 f"--max-pairs {args.max_pairs} --depth {args.depth} --seed {seed}"),
-        scope=args.scope,
-        seed=seed,
-        trials=args.trials,
-        checks=checks,
-        failures=failures,
-        first_counterexample=first,
-        wall_time=time.perf_counter() - started,
-    )
-    _emit(args, report.to_json(), [
+        scopes.append(_fuzz_solutions(seed, args.trials, args.models_per_trial,
+                                      args.max_pairs, args.depth))
+    checks = sum(c for c, _, _ in scopes)
+    failures = sum(f for _, f, _ in scopes)
+    first = next((cex for _, _, cex in scopes if cex), None)
+    wall_time = time.perf_counter() - started
+    doc = {
+        "command": (f"pdlfix fuzz --scope {args.scope} --trials {args.trials} "
+                    f"--models-per-trial {args.models_per_trial} "
+                    f"--max-pairs {args.max_pairs} --depth {args.depth} --seed {seed}"),
+        "scope": args.scope,
+        "seed": seed,
+        "trials": args.trials,
+        "checks": checks,
+        "failures": failures,
+        "firstCounterexample": first,
+        "wallTime": round(wall_time, 3),
+    }
+    _emit(args, doc, [
         f"scope={args.scope} seed={seed} trials={args.trials}",
-        f"checks: {checks}  failures: {failures}  ({report.wall_time:.2f}s)",
+        f"checks: {checks}  failures: {failures}  ({wall_time:.2f}s)",
     ] + ([f"first counterexample: {json.dumps(first)}"] if first else []))
     return OK if failures == 0 else COUNTEREXAMPLE
 

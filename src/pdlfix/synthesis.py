@@ -137,11 +137,11 @@ def solve_sigma(d: Decomposition, strategy: str = "duality") -> Solution:
     raise ValueError(f"unknown strategy: {strategy!r}")
 
 
-def solve(phi_x: Formula, x: str, strategy: str = "duality") -> Solution:
-    """Classify and synthesize; raises NotInClass outside the solvable class."""
+def _solve(phi_x: Formula, x: str, strategy: str) -> tuple[Solution, ClassifyResult | XFree]:
+    """``solve`` and the classification it made, whose padding a certificate needs."""
     outcome = classify(phi_x, x)
     if isinstance(outcome, XFree):
-        return Solution(formula=phi_x, schema="xfree", strategy="none", decomposition=None)
+        return Solution(formula=phi_x, schema="xfree", strategy="none", decomposition=None), outcome
     if outcome is None:
         raise NotInClass(
             f"{print_formula(phi_x)} is not in either hierarchy for {x} — "
@@ -151,4 +151,10 @@ def solve(phi_x: Formula, x: str, strategy: str = "duality") -> Solution:
     solution = solve_pi(d) if d.kind == "Pi" else solve_sigma(d, strategy)
     if not is_x_free(solution.formula, x):
         raise AssertionError("synthesized solution contains the unknown")
-    return solution
+    return solution, outcome
+
+
+def solve(phi_x: Formula, x: str, strategy: str = "duality") -> Solution:
+    """Classify and synthesize; raises NotInClass outside the solvable class.
+    The solution keeps the decomposition, not the input's padding records."""
+    return _solve(phi_x, x, strategy)[0]

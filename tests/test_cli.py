@@ -5,7 +5,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pdlfix import cli, hierarchy
 from pdlfix.cli import main
 
 
@@ -175,6 +178,52 @@ def test_fuzz_solutions_scope(capsys):
                          "--models-per-trial", "4", "--seed", "3")
     assert code == 0
     assert doc["failures"] == 0
+    assert list(doc) == ["command", "scope", "seed", "trials", "checks", "failures",
+                         "firstCounterexample", "wallTime"]
+
+
+def counting(monkeypatch, module, name):
+    """Replace ``module.name`` with a wrapper that counts its calls."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_check_draws_no_model_after_the_first_counterexample(capsys, monkeypatch):
+    drawn = counting(monkeypatch, cli, "random_model")
+    code, doc = run_json(capsys, "check", "--var", "X", "--equation", "p & (q | X)",
+                         "--candidate", "<(~p)?*><(~p)?>q", "--random", "100000")
+    assert code == 1
+    assert doc["checked"] == 1
+    assert len(drawn) == 1
+
+
+def test_solve_certify_classifies_once(tmp_path, capsys, monkeypatch):
+    matches = counting(monkeypatch, hierarchy, "_match_pi")
+    code, doc = run_json(capsys, "solve", "--certify", str(tmp_path / "c.json"),
+                         "--var", "X", "<a>(p & (q | X))")
+    assert code == 0
+    assert doc["decomposition"]["kind"] == "Sigma"
+    assert len(matches) == 2  # Pi fails, Sigma matches
+
+
+@pytest.mark.parametrize("argv, key, count", [
+    (["check", "--var", "X", "--equation", "p & (q | X)", "--candidate", "<p?*><p?>q",
+      "--random", "20"], "checked", 20),
+    (["fuzz", "--scope", "solutions", "--trials", "8", "--models-per-trial", "5"], "checks", 40),
+], ids=["check", "fuzz"])
+def test_passing_runs_build_no_equation_report(capsys, monkeypatch, argv, key, count):
+    reports = counting(monkeypatch, cli, "check_solution_on")
+    code, doc = run_json(capsys, *argv)
+    assert code == 0
+    assert doc[key] == count
+    assert reports == []
 
 
 def test_fuzz_is_reproducible(capsys):
@@ -428,3 +477,81 @@ def test_deep_input_exits_2_with_one_document(tmp_path, capsys, command):
         assert doc["status"] == "error"
         assert "input nested too deeply (line 1, column " in doc["message"]
         assert "Traceback" not in captured.err
+
+
+def _contract_files(tmp_path):
+    """Formula and model files, most of them bad, and a path to no file."""
+    contents = {
+        "formula.txt": b"p & (q | X)",
+        "model.json": json.dumps({"worlds": ["w0", "w1"], "programs": {"a": [["w0", "w1"]]},
+                                  "valuation": {"p": ["w0"], "q": ["w1"]}}).encode(),
+        "malformed.json": b"{]",
+        "list.json": b"[1, 2]",
+        "scalar.json": b"3",
+        "non-utf8.txt": b"p & \xff\xfe",
+        "world-list.json": json.dumps({"worlds": [["w0"]], "valuation": {"p": [["w0"]]}}).encode(),
+        "model-list.json": json.dumps({"worlds": ["w0"], "programs": [1]}).encode(),
+    }
+    for name, data in contents.items():
+        (tmp_path / name).write_bytes(data)
+    return [str(tmp_path / name) for name in contents] + [str(tmp_path / "missing.json")]
+
+
+@st.composite
+def _cli_argv(draw, files, cert):
+    def option(name):  # the full name or a prefix argparse completes
+        return draw(st.sampled_from([name, name[:max(3, len(name) - 2)]]))
+
+    def number():
+        return str(draw(st.integers(-1, 3)))
+
+    def maybe(*parts):
+        return list(parts) if draw(st.booleans()) else []
+
+    # Half the draws are well-formed, so that the commands also run to the end.
+    good = ["p & [a](q | (r & X))", "<a>(p & (q | X))", "p & (q | X)", "X", "p",
+            "<(~p)?*><(~p)?>q", "~p & q", f"@{files[0]}"]
+    formula = st.one_of(st.sampled_from(good), st.sampled_from(
+        ["[X?]p", "p & (", "p & X", ""] + [f"@{path}" for path in files[1:]]))
+    command = draw(st.sampled_from(["classify", "solve", "check", "fuzz"]))
+    if command == "classify":
+        argv = ["classify", option("--var"), "X", *maybe("--strict"), draw(formula)]
+    elif command == "solve":
+        argv = ["solve", option("--var"), "X", option("--certify"), cert,
+                *maybe("--strategy", draw(st.sampled_from(["duality", "literal"]))),
+                draw(formula)]
+    elif command == "check":
+        models = draw(st.sampled_from([[option("--random"), number()], [option("--random"), "9"],
+                                       ["--model", draw(st.sampled_from(files))], []]))
+        candidate = st.one_of(st.sampled_from(["<(~p)?*><(~p)?>q", "<p?*><p?>q", "true"]),
+                              formula)
+        argv = ["check", option("--var"), "X", "--equation", draw(formula),
+                "--candidate", draw(candidate), *models, *maybe(option("--worlds"), number()),
+                *maybe("--seed", number())]
+    else:
+        argv = ["fuzz", option("--trials"), number(), option("--models-per-trial"), number(),
+                *maybe("--scope", draw(st.sampled_from(["rules", "solutions", "both"]))),
+                *maybe(option("--max-pairs"), number()), *maybe(option("--depth"), number()),
+                *maybe("--seed", number())]
+    return argv + maybe(option("--json"))
+
+
+def test_exit_code_contract_holds_for_drawn_argv(tmp_path, capsys):
+    files = _contract_files(tmp_path)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(_cli_argv(files, str(tmp_path / "cert.json")))
+    def contract(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code in {0, 1, 2, 3}
+        assert "Traceback" not in captured.err
+        if any(arg.startswith("--js") for arg in argv):
+            doc = json.loads(captured.out)  # exactly one document
+            if code == 1:
+                assert doc.get("passed") is False or doc.get("failures", 0) > 0
+        elif code == 1:
+            assert captured.out.startswith("counterexample after ") or (
+                argv[0] == "fuzz" and "failures: 0 " not in captured.out)
+
+    contract()
