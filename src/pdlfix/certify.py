@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace as _dc_replace
 from itertools import chain
+from typing import TYPE_CHECKING
 
-from .hierarchy import Decomposition, PaddingRecord, _layers
 from .syntax import (
     And,
     Box,
@@ -42,8 +42,11 @@ from .syntax import (
     substitute,
     subterms,
 )
-from .synthesis import Solution
 from .textio import _parse, print_formula, print_terms
+
+if TYPE_CHECKING:  # reading and replaying a certificate loads neither module
+    from .hierarchy import Decomposition, PaddingRecord
+    from .synthesis import Solution
 
 __all__ = [
     "RewriteRule",
@@ -403,6 +406,8 @@ def generate_certificate(sol: Solution, padding: tuple[PaddingRecord, ...] = ())
     a step that does not match, or an end other than the target, raises
     ``GenerationError``.
     """
+    from .hierarchy import PaddingRecord, _layers
+
     if sol.schema == "xfree":
         return Certificate(source=sol.formula, target=sol.formula, steps=())
     d = sol.decomposition

@@ -5,6 +5,9 @@ counterexample found, 2 input or usage error, 3 internal failure (a solution
 that cannot be certified, or any unexpected exception).  ``--json`` emits
 exactly one JSON document on stdout, for errors too.
 The environment variable ``PDLFIX_SEED`` overrides ``--seed``.
+
+Each command imports the modules it runs inside its own function, so a cold
+``classify`` never loads the model checker or the certificate code.
 """
 
 from __future__ import annotations
@@ -12,30 +15,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
-import time
 
-from .certify import (
-    CertifyError,
-    certificate_from_json,
-    certificate_to_json,
-    check_certificate,
-    generate_certificate,
-    grouped_rule_ids,
-    validate_rules,
-)
-from .generators import derive_seed, random_decomposition
-from .hierarchy import XFree, classify, decomposition_to_json, diagnose, to_nested_form
-from .semantics import (
-    ModelGenParams,
-    check_solution_on,
-    equivalent_on,
-    load_model,
-    model_to_json,
-    random_model,
-)
-from .synthesis import NotInClass, _solve, solve_pi, solve_sigma
 from .syntax import Atom, AtomicProg, NegAtom, Var, is_x_free, substitute, subterms
 from .textio import parse_formula, print_formula
 
@@ -78,6 +59,8 @@ def _effective_seed(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .hierarchy import XFree, classify, decomposition_to_json, diagnose
+
     phi = _read_formula_arg(args.formula)
     outcome = classify(phi, args.var, strict=args.strict)
     if isinstance(outcome, XFree):
@@ -108,6 +91,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    from .synthesis import NotInClass, _solve
+
     phi = _read_formula_arg(args.formula)
     try:
         sol, outcome = _solve(phi, args.var, args.strategy)
@@ -117,6 +102,9 @@ def cmd_solve(args) -> int:
     doc = sol.to_json()
     lines = [print_formula(sol.formula)]
     if args.certify is not None:
+        from .certify import (CertifyError, certificate_to_json, generate_certificate,
+                              grouped_rule_ids)
+
         padding = () if sol.decomposition is None else outcome.padding
         try:
             cert = generate_certificate(sol, padding=padding)
@@ -138,6 +126,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .semantics import check_solution_on, equivalent_on, load_model, model_to_json
+
     phi = _read_formula_arg(args.equation)
     candidate = _read_formula_arg(args.candidate)
     if not is_x_free(candidate, args.var):
@@ -149,6 +139,11 @@ def cmd_check(args) -> int:
         except (ValueError, OSError) as exc:
             raise _InputError(str(exc)) from exc
     else:
+        import random
+
+        from .generators import derive_seed
+        from .semantics import ModelGenParams, random_model
+
         rng = random.Random(seed)
         atoms_e, vars_e, progs_e = _collect_names(phi)
         atoms_c, vars_c, progs_c = _collect_names(candidate)
@@ -204,6 +199,8 @@ def _collect_names(phi) -> tuple[set[str], set[str], list[str]]:
 
 
 def _fuzz_rules(seed: int, trials: int, models_per_trial: int) -> tuple[int, int, dict | None]:
+    from .certify import validate_rules
+
     report = validate_rules(trials=trials, models_per_trial=models_per_trial, seed=seed)
     checks = sum(entry.trials for entry in report.values())
     failures = sum(entry.counterexamples for entry in report.values())
@@ -213,31 +210,47 @@ def _fuzz_rules(seed: int, trials: int, models_per_trial: int) -> tuple[int, int
 
 def _fuzz_solutions(seed: int, trials: int, models_per_trial: int,
                     max_pairs: int, depth: int) -> tuple[int, int, dict | None]:
+    import random
+
+    from .generators import derive_seed, random_decomposition
+    from .hierarchy import to_nested_form
+    from .semantics import ModelGenParams, check_solution_on, equivalent_on, random_model
+    from .synthesis import solve_pi, solve_sigma
+
     rng = random.Random(seed)
     failures = 0
     first = None
     cases = [("Pi", False), ("Pi", True), ("Sigma", False), ("Sigma", True)]
-    for trial in range(trials):
-        kind, leading = cases[trial % 4]
-        d = random_decomposition(rng, kind=kind, leading=leading,
-                                 max_pairs=max_pairs, depth=depth)
-        phi_x = to_nested_form(d)
-        sol = solve_pi(d) if kind == "Pi" else solve_sigma(d)
-        instantiated = substitute(phi_x, d.x, sol.formula)
-        for k in range(models_per_trial):
-            params = ModelGenParams(world_count=1 + (k % 5), seed=derive_seed(seed + trial, k))
-            model = random_model(params)
-            if equivalent_on(model, sol.formula, instantiated) is not None:
-                failures += 1
-                if first is None:
-                    first = check_solution_on(model, d.x, phi_x, sol.formula).to_json()
-                    first["trial"] = trial
+    try:
+        for trial in range(trials):
+            kind, leading = cases[trial % 4]
+            d = random_decomposition(rng, kind=kind, leading=leading,
+                                     max_pairs=max_pairs, depth=depth)
+            phi_x = to_nested_form(d)
+            sol = solve_pi(d) if kind == "Pi" else solve_sigma(d)
+            instantiated = substitute(phi_x, d.x, sol.formula)
+            for k in range(models_per_trial):
+                params = ModelGenParams(world_count=1 + (k % 5),
+                                        seed=derive_seed(seed + trial, k))
+                model = random_model(params)
+                if equivalent_on(model, sol.formula, instantiated) is not None:
+                    failures += 1
+                    if first is None:
+                        first = check_solution_on(model, d.x, phi_x, sol.formula).to_json()
+                        first["trial"] = trial
+    except RecursionError:
+        # The equation's nesting grows with its pair count, which only the
+        # flags bound, so this is a usage error, not an internal one.
+        raise _InputError(f"--max-pairs {max_pairs} drew an equation nested too deeply "
+                          f"(trial {trial}); use a smaller --max-pairs") from None
     return trials * models_per_trial, failures, first
 
 
 def cmd_fuzz(args) -> int:
     """One document for the scopes run: their summed checks and failures, and
     the first counterexample, which replays from the seed."""
+    import time
+
     seed = _effective_seed(args)
     started = time.perf_counter()
     scopes = []
@@ -270,6 +283,8 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_verify_cert(args) -> int:
+    from .certify import certificate_from_json, check_certificate, grouped_rule_ids
+
     try:
         with open(args.certificate, encoding="utf-8") as handle:
             doc = json.load(handle)

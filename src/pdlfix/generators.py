@@ -8,8 +8,8 @@ decompositions never mention the equation unknown.
 from __future__ import annotations
 
 import random
+from typing import TYPE_CHECKING
 
-from .hierarchy import Decomposition, Pair
 from .syntax import (
     And,
     Atom,
@@ -28,6 +28,9 @@ from .syntax import (
     Top,
     Var,
 )
+
+if TYPE_CHECKING:  # only random_decomposition builds one, and imports it there
+    from .hierarchy import Decomposition
 
 __all__ = ["TermGen", "random_decomposition", "derive_seed"]
 
@@ -106,6 +109,8 @@ def random_decomposition(
     (see DISCREPANCIES.md).  Pass ``extra_vars`` to explore that territory
     deliberately.
     """
+    from .hierarchy import Decomposition, Pair
+
     gen = TermGen(rng, variables=tuple(v for v in extra_vars if v != "X"))
     if kind is None:
         kind = rng.choice(["Pi", "Sigma"])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdlfix import cli, hierarchy
+from pdlfix import hierarchy, semantics
 from pdlfix.cli import main
 
 
@@ -183,7 +183,9 @@ def test_fuzz_solutions_scope(capsys):
 
 
 def counting(monkeypatch, module, name):
-    """Replace ``module.name`` with a wrapper that counts its calls."""
+    """Replace ``module.name`` with a wrapper that counts its calls.  The CLI
+    imports what a command uses when the command runs, so wrap a name in the
+    module that defines it, not in ``pdlfix.cli``."""
     calls = []
     original = getattr(module, name)
 
@@ -196,7 +198,7 @@ def counting(monkeypatch, module, name):
 
 
 def test_check_draws_no_model_after_the_first_counterexample(capsys, monkeypatch):
-    drawn = counting(monkeypatch, cli, "random_model")
+    drawn = counting(monkeypatch, semantics, "random_model")
     code, doc = run_json(capsys, "check", "--var", "X", "--equation", "p & (q | X)",
                          "--candidate", "<(~p)?*><(~p)?>q", "--random", "100000")
     assert code == 1
@@ -219,11 +221,30 @@ def test_solve_certify_classifies_once(tmp_path, capsys, monkeypatch):
     (["fuzz", "--scope", "solutions", "--trials", "8", "--models-per-trial", "5"], "checks", 40),
 ], ids=["check", "fuzz"])
 def test_passing_runs_build_no_equation_report(capsys, monkeypatch, argv, key, count):
-    reports = counting(monkeypatch, cli, "check_solution_on")
+    reports = counting(monkeypatch, semantics, "check_solution_on")
     code, doc = run_json(capsys, *argv)
     assert code == 0
     assert doc[key] == count
     assert reports == []
+
+
+def test_a_refuted_check_builds_one_equation_report(capsys, monkeypatch):
+    # The control for the test above: the wrapper does see the CLI's calls.
+    reports = counting(monkeypatch, semantics, "check_solution_on")
+    code, doc = run_json(capsys, "check", "--var", "X", "--equation", "p & (q | X)",
+                         "--candidate", "<(~p)?*><(~p)?>q", "--random", "20")
+    assert code == 1
+    assert doc["checked"] == 1
+    assert len(reports) == 1
+
+
+def test_fuzz_too_many_pairs_for_the_stack_exits_2(capsys):
+    # The nested form of a few hundred pairs outgrows the recursion limit.
+    code, doc = run_json(capsys, "fuzz", "--scope", "solutions", "--trials", "8",
+                         "--models-per-trial", "1", "--max-pairs", "400", "--seed", "0")
+    assert code == 2
+    assert doc["status"] == "error"
+    assert "--max-pairs" in doc["message"]
 
 
 def test_fuzz_is_reproducible(capsys):
@@ -407,6 +428,47 @@ def test_module_entry_points_run_the_command(module, tmp_path):
                          env=dict(os.environ, PYTHONPATH=path), timeout=60)
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout)["status"] == "classified"  # exactly one document
+
+
+# Prints the pdlfix modules a fresh interpreter loaded, after running the
+# command given as arguments (none: only ``import pdlfix``).
+_LOADED = """import json, sys
+import pdlfix
+code = 0
+if sys.argv[1:]:
+    from pdlfix.cli import main
+    code = main(sys.argv[1:])
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("pdlfix"))), file=sys.stderr)
+sys.exit(code)
+"""
+_CLASSIFY_MODULES = {"pdlfix", "pdlfix.cli", "pdlfix.syntax", "pdlfix.textio",
+                     "pdlfix.hierarchy"}
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    ([], {"pdlfix"}),
+    (["classify", "--json", "--var", "X", "p & [a](q | (r & X))"], _CLASSIFY_MODULES),
+    (["solve", "--json", "--certify", "new.json", "--var", "X", "p & [a](q | (r & X))"],
+     _CLASSIFY_MODULES | {"pdlfix.synthesis", "pdlfix.certify"}),
+    (["verify-cert", "--json", "cert.json"],
+     {"pdlfix", "pdlfix.cli", "pdlfix.syntax", "pdlfix.textio", "pdlfix.certify"}),
+    (["check", "--json", "--var", "X", "--equation", "p & (q | X)", "--candidate",
+      "<p?*><p?>q", "--random", "20"],
+     {"pdlfix", "pdlfix.cli", "pdlfix.syntax", "pdlfix.textio", "pdlfix.semantics",
+      "pdlfix.generators"}),
+], ids=["import", "classify", "solve", "verify-cert", "check"])
+def test_a_cold_run_loads_only_the_modules_its_command_uses(argv, loaded, tmp_path, capsys):
+    assert main(["solve", "--certify", str(tmp_path / "cert.json"), "--var", "X",
+                 "p & [a](q | (r & X))"]) == 0
+    capsys.readouterr()
+    src = Path(__file__).resolve().parent.parent / "src"
+    run = subprocess.run([sys.executable, "-c", _LOADED, *argv], cwd=tmp_path,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert run.returncode == 0, run.stderr
+    if argv:
+        json.loads(run.stdout)  # exactly one document
+    assert set(json.loads(run.stderr.splitlines()[-1])) == loaded
 
 
 CHECK_RANDOM = ["check", "--var", "X", "--equation", "p", "--candidate", "p", "--random", "3"]
