@@ -220,8 +220,12 @@ class EquationReport:
 
 def check_solution_on(model: KripkeModel, x: str, phi_x: Formula, psi: Formula) -> EquationReport:
     """Check ``psi ≡ phi_x[x := psi]`` on one model.  ``psi`` must be x-free.
-    A caller checking many models can substitute once and call ``equivalent_on``
-    per model, as the CLI does, and build the report only for a failing one."""
+
+    The x-free test walks ``psi`` once per object: its variable set is kept,
+    so checking the same candidate again answers from it.  The substitution is
+    still done on every call.  A caller checking many models can substitute
+    once and call ``equivalent_on`` per model, as the CLI does, and build the
+    report only for a failing one."""
     if not is_x_free(psi, x):
         raise ValueError(f"candidate contains the unknown {x}: {print_formula(psi)}")
     instantiated = substitute(phi_x, x, psi)

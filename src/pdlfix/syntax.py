@@ -9,6 +9,13 @@ strategy work.
 ``rebuild`` and ``subterms`` read it, and every structural walk of a term
 goes through them: negation, substitution and the variable scans here, rule
 matching and positioned rewriting in ``certify``, name collection in the CLI.
+
+Terms are frozen, so a term's variable set never changes.  It is computed at
+most once per object: a variable scan (``variables``, or an ``is_x_free``
+that does not meet the unknown) stores the names it saw on the term it
+started from, and every later walk that meets that object uses the stored set
+instead of descending into it.  The set is a plain attribute, not a field, so
+it is not part of ``==``, ``hash`` or ``repr``.
 """
 
 from __future__ import annotations
@@ -59,12 +66,14 @@ class Formula:
     """Base class for formula nodes."""
 
     __slots__ = ()
+    _variables = None  # the node's variable names, once a scan has seen them all
 
 
 class Program:
     """Base class for program nodes."""
 
     __slots__ = ()
+    _variables = None
 
 
 def _check_lower(name: str, what: str) -> None:
@@ -240,9 +249,13 @@ def substitute(term, x: str, psi: Formula):
     program, by ``psi``.
 
     Occurrences inside test programs are replaced as well.  Subterms without
-    ``x`` are kept as they are, not copied.
+    ``x`` are kept as they are, not copied, and a subterm whose variable set is
+    known to lack ``x`` is not even entered.
     """
     def sub(node):
+        known = node._variables
+        if known is not None and x not in known:
+            return node
         kids = children(node)
         if len(kids) == 2:
             left, right = kids
@@ -258,27 +271,63 @@ def substitute(term, x: str, psi: Formula):
     return sub(term)
 
 
-def variables(term) -> frozenset[str]:
-    """All variable names occurring in ``term``, a formula or a program,
-    including under tests."""
-    return frozenset(node.name for node in subterms(term) if type(node) is Var)
+# Every stored variable set, so that equal sets are one object.
+_NO_NAMES: frozenset[str] = frozenset()
+_INTERNED: dict[frozenset[str], frozenset[str]] = {}
+_store = object.__setattr__  # frozen dataclasses refuse plain assignment
 
 
-program_variables = variables
+def _scan(term, x):
+    """Whether ``Var(x)`` is absent from ``term``, by an explicit-stack walk
+    that stops at the first ``Var(x)``.
 
-
-def is_x_free(term, x: str) -> bool:
-    """Whether ``Var(x)`` is absent from ``term``, tests included."""
-    # Model checking calls this once per model: a plain stack, no generator.
+    A node whose variable set is known is answered from it and not entered.
+    A walk that does not find ``x`` has seen every name, so it stores them on
+    ``term``; one that finds ``x`` stores nothing.
+    """
+    names = []
     stack = [term]
     while stack:
         node = stack.pop()
         if type(node) is Var:
             if node.name == x:
                 return False
-        else:
+            names.append(node.name)
+            continue
+        known = node._variables
+        if known is None:
             stack.extend(children(node))
+        elif x in known:
+            return False
+        elif known:
+            names.extend(known)
+    if names:
+        names = frozenset(names)
+        _store(term, "_variables", _INTERNED.setdefault(names, names))
+    else:
+        _store(term, "_variables", _NO_NAMES)
     return True
+
+
+def variables(term) -> frozenset[str]:
+    """All variable names occurring in ``term``, a formula or a program,
+    including under tests.  The set is computed once per object and kept."""
+    if term._variables is None:
+        _scan(term, None)
+    return term._variables
+
+
+program_variables = variables
+
+
+def is_x_free(term, x: str) -> bool:
+    """Whether ``Var(x)`` is absent from ``term``, tests included.
+
+    A term whose variable set is known is answered from it.  Otherwise the
+    term is walked, stopping at the first ``Var(x)`` and at every subterm with
+    a known set; a walk that does not find ``x`` stores the set on ``term``."""
+    known = term._variables
+    return _scan(term, x) if known is None else x not in known
 
 
 _ASSOCIATIVE = (And, Or, Seq, Choice)

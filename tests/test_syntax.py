@@ -1,9 +1,12 @@
 import dataclasses
+import pickle
 
+import hypothesis.strategies as st
 import pytest
-from conftest import formulas
-from hypothesis import assume, given, settings
+from conftest import formulas, programs
+from hypothesis import assume, example, given, settings
 
+import pdlfix.syntax
 from pdlfix.syntax import (
     And,
     Atom,
@@ -33,7 +36,8 @@ from pdlfix.syntax import (
     subterms,
     variables,
 )
-from pdlfix.textio import parse_formula, parse_program
+from pdlfix.synthesis import solve
+from pdlfix.textio import parse_formula, parse_program, print_formula
 
 
 def test_negate_atom_flips_polarity():
@@ -200,3 +204,146 @@ def test_subterms_walk_left_to_right_and_rebuild_inverts_children():
     assert [node.name for node in nodes if type(node) is AtomicProg] == ["a", "b", "c"]
     for node in nodes:
         assert rebuild(node, children(node)) == node
+
+
+# A term's variable set is stored on it once a scan has seen every name.  The
+# tests below hold that this cache changes no answer and no term's identity as
+# a value, and pin where it is used.
+
+def _reference_variables(term):
+    return frozenset(node.name for node in _pre_order(term) if type(node) is Var)
+
+
+def _reference_substitute(term, x, psi):
+    if type(term) is Var:
+        return psi if term.name == x else term
+    kids = children(term)
+    return type(term)(*(_reference_substitute(kid, x, psi) for kid in kids)) if kids else term
+
+
+def _fresh(term):
+    """An equal term made of new objects, none of which has a stored set."""
+    kids = children(term)
+    return type(term)(*map(_fresh, kids)) if kids else dataclasses.replace(term)
+
+
+def _prime(term, x, order, pick):
+    """Leave the cache of ``term`` in the state that ``order`` names."""
+    if order == "variables on the root":
+        variables(term)
+    elif order != "fresh":
+        with_x = order.endswith("with x")
+        inner = [node for node in list(subterms(term))[1:]
+                 if (x in _reference_variables(node)) == with_x]
+        if not inner:
+            return
+        node = inner[pick % len(inner)]
+        if order.startswith("variables"):
+            variables(node)  # a known set that holds x
+        else:
+            assert is_x_free(node, x) is not with_x
+
+
+_ORDERS = ("fresh", "variables on the root", "is_x_free on an inner subterm without x",
+           "is_x_free on an inner subterm with x", "variables on an inner subterm with x")
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.one_of(formulas, programs), st.sampled_from(["X", "Y", "Z"]), st.integers(0, 99))
+@example(parse_formula("[(X)?]p & <a>q"), "X", 0)  # x only under a test
+@example(parse_formula("[(X)?]p & <a>q"), "X", 1)
+@example(parse_formula("p | [a*](Y & q)"), "X", 0)  # variables other than x
+@example(parse_formula("p & [b]q"), "X", 0)  # no variable at all
+def test_cached_variable_sets_change_no_answer(term, x, pick):
+    psi = parse_formula("s | Y")
+    expected = _reference_variables(term)
+    for order in _ORDERS:
+        copy = _fresh(term)
+        _prime(copy, x, order, pick)
+        assert substitute(copy, x, psi) == _reference_substitute(term, x, psi), order
+        for _ in range(2):
+            assert is_x_free(copy, x) is (x not in expected), order
+            names = variables(copy)
+            assert type(names) is frozenset and names == expected, order
+        assert substitute(copy, x, psi) == _reference_substitute(term, x, psi), order
+        for node in subterms(copy):
+            assert is_x_free(node, x) is (x not in _reference_variables(node)), order
+            assert variables(node) == _reference_variables(node), order
+
+
+def _deep_chain(depth):
+    term = Var("Y")
+    for _ in range(depth):
+        term = And(Atom("p"), term)
+    return term
+
+
+def test_deep_terms_scan_without_recursion():
+    fresh = _deep_chain(20_000)
+    assert is_x_free(fresh, "X")
+    assert is_x_free(fresh, "X") and not is_x_free(fresh, "Y")
+    assert variables(fresh) == {"Y"}
+    fresh = _deep_chain(20_000)
+    assert not is_x_free(fresh, "Y")
+    assert variables(fresh) == {"Y"} and variables(fresh) == {"Y"}
+    assert is_x_free(fresh, "X") and not is_x_free(fresh, "Y")
+
+
+def test_a_stored_set_is_no_part_of_the_term_value():
+    phi = parse_formula("[(a ; (p & Y)?)* u b]<c>(true | ~q) & false")
+    seen = (hash(phi), repr(phi), print_formula(phi), dataclasses.fields(phi))
+    variables(phi)
+    assert (hash(phi), repr(phi), print_formula(phi), dataclasses.fields(phi)) == seen
+    assert phi == _fresh(phi) and hash(phi) == hash(_fresh(phi))
+    back = pickle.loads(pickle.dumps(phi))
+    assert back == phi and hash(back) == hash(phi)
+    assert repr(back) == repr(phi) and print_formula(back) == print_formula(phi)
+    assert variables(back) == {"Y"} and is_x_free(back, "X")
+
+
+def test_replacing_a_field_drops_the_stored_set():
+    node = parse_formula("[a]p")
+    assert is_x_free(node, "X")
+    assert is_x_free(dataclasses.replace(node, body=Var("X")), "X") is False
+
+
+def _count_children(monkeypatch):
+    calls = []
+    original = pdlfix.syntax.children
+
+    def counted(node):
+        calls.append(node)
+        return original(node)
+
+    monkeypatch.setattr(pdlfix.syntax, "children", counted)
+    return calls
+
+
+def test_a_solved_candidate_is_scanned_once(monkeypatch):
+    lam = solve(parse_formula("p & [a](q | (r & X))"), "X").formula
+    assert is_x_free(lam, "X")
+    calls = _count_children(monkeypatch)
+    assert is_x_free(lam, "X") and variables(lam) == frozenset()
+    assert calls == []
+
+
+def test_a_scan_that_meets_x_stores_nothing(monkeypatch):
+    phi = parse_formula("p & [a](q | (r & X))")
+    calls = _count_children(monkeypatch)
+    assert not is_x_free(phi, "X")
+    first = len(calls)
+    assert first > 0
+    assert not is_x_free(phi, "X")
+    assert len(calls) == 2 * first
+
+
+def test_substitute_does_not_enter_a_subterm_known_to_lack_x(monkeypatch):
+    big = parse_formula("<a*>(p | [b](q & ~r)) & [(s | t)?]s")
+    other = parse_formula("[c ; d](p | q)")
+    assert is_x_free(big, "X") and is_x_free(other, "X")
+    phi = And(big, Or(other, Box(AtomicProg("a"), Var("X"))))
+    calls = _count_children(monkeypatch)
+    out = substitute(phi, "X", Atom("p"))
+    assert out == And(big, Or(other, Box(AtomicProg("a"), Atom("p"))))
+    # The spine And, Or, Box and the Box's two children; neither big subterm.
+    assert calls == [phi, phi.right, phi.right.right, AtomicProg("a"), Var("X")]
