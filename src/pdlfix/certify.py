@@ -144,8 +144,14 @@ RULES: dict[str, RewriteRule] = {
 
 ASSOC_IDS = ("AA", "AO")
 
-# Binding names that denote programs; everything else is a formula.
-_PROGRAM_METAVARS = frozenset({"alpha", "beta"})
+# Binding names that denote programs, read off the rule patterns; everything
+# else is a formula.
+_PROGRAM_METAVARS = frozenset(
+    node.name
+    for rule in RULES.values()
+    for node in chain(subterms(rule.lhs), subterms(rule.rhs))
+    if type(node) is PMeta
+)
 
 
 # The sort of term each kind of metavariable matches.

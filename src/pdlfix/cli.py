@@ -59,16 +59,16 @@ def _effective_seed(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    from .hierarchy import XFree, classify, decomposition_to_json, diagnose
+    from .hierarchy import XFree, _classify_or_reason, decomposition_to_json
 
     phi = _read_formula_arg(args.formula)
-    outcome = classify(phi, args.var, strict=args.strict)
+    outcome, reason = _classify_or_reason(phi, args.var, strict=args.strict)
     if isinstance(outcome, XFree):
         _emit(args, {"status": "x-free", "x": args.var},
               [f"{print_formula(phi)} is {args.var}-free: the equation is trivial"])
         return OK
     if outcome is None:
-        message = f"not in class: {diagnose(phi, args.var, strict=args.strict)}"
+        message = f"not in class: {reason}"
         _emit(args, {"status": "not-in-class", "detail": message}, [message])
         return USAGE_ERROR
     doc = decomposition_to_json(outcome)

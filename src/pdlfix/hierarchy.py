@@ -207,24 +207,37 @@ def classify_sigma(phi: Formula, x: str, strict: bool = False) -> ClassifyResult
     return _classify(negate(phi), x, strict, "Sigma")
 
 
+def _match_sides(phi: Formula, x: str, strict: bool) -> tuple[ClassifyResult | None, str]:
+    """The Pi match of ``phi``, else the Sigma match of its negation, else None
+    with the reason each side failed.  Each side is matched at most once."""
+    try:
+        return _match_pi(phi, x, strict, "Pi"), ""
+    except _NoMatch as exc:
+        as_pi = exc
+    try:
+        return _match_pi(negate(phi), x, strict, "Sigma"), ""
+    except _NoMatch as exc:
+        return None, f"as Pi: {as_pi}; as Sigma (after negating): {exc}"
+
+
+def _classify_or_reason(
+    phi: Formula, x: str, strict: bool = False
+) -> tuple[ClassifyResult | XFree | None, str]:
+    """What ``classify`` gives, with ``diagnose``'s reason when that is None."""
+    if is_x_free(phi, x):
+        return XFree(formula=phi, x=x), ""
+    return _match_sides(phi, x, strict)
+
+
 def classify(phi: Formula, x: str, strict: bool = False) -> ClassifyResult | XFree | None:
     """Pi first, then Sigma; x-free input gets the trivial tag."""
-    if is_x_free(phi, x):
-        return XFree(formula=phi, x=x)
-    return classify_pi(phi, x, strict) or classify_sigma(phi, x, strict)
+    return _classify_or_reason(phi, x, strict)[0]
 
 
 def diagnose(phi: Formula, x: str, strict: bool = False) -> str:
     """Why classification failed, one reason per hierarchy side."""
-    reasons = []
-    for side, formula in (("Pi", phi), ("Sigma", negate(phi))):
-        try:
-            _match_pi(formula, x, strict, side)
-        except _NoMatch as exc:
-            reasons.append(str(exc))
-        else:
-            return f"the formula classifies as {side}"
-    return f"as Pi: {reasons[0]}; as Sigma (after negating): {reasons[1]}"
+    result, reason = _match_sides(phi, x, strict)
+    return reason if result is None else f"the formula classifies as {result.decomposition.kind}"
 
 
 def _layers(d: Decomposition, padding: tuple[PaddingRecord, ...] = ()) -> Formula:

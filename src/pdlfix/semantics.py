@@ -112,18 +112,22 @@ class _Evaluator:
     Each formula node is labelled once, memoized by identity, so a subterm
     shared by reference (as ``substitute`` shares the candidate at every
     occurrence of the unknown) is evaluated once.
+
+    The memo is keyed by ``id(node)`` alone.  That is sound only while every
+    labelled node stays alive, so that no id is reused: an evaluator lives for
+    one public call, labels only subterms of the roots its caller holds, and
+    builds no node of its own.
     """
 
     def __init__(self, model: KripkeModel):
         self.succ, self.names = model.succ, model.ext
         self.full = (1 << len(model.worlds)) - 1
-        # id(node) -> (node, mask); holding the node keeps its id from reuse.
-        self._ext: dict[int, tuple[Formula, int]] = {}
+        self._ext: dict[int, int] = {}  # id(node) -> mask
 
     def extension(self, phi: Formula) -> int:
-        entry = self._ext.get(id(phi))
-        if entry is not None:
-            return entry[1]
+        out = self._ext.get(id(phi))
+        if out is not None:
+            return out
         kind = type(phi)
         if kind is And:
             out = self.extension(phi.left) & self.extension(phi.right)
@@ -143,7 +147,7 @@ class _Evaluator:
             out = 0
         else:
             raise TypeError(f"not a formula: {phi!r}")
-        self._ext[id(phi)] = (phi, out)
+        self._ext[id(phi)] = out
         return out
 
     def pre(self, alpha: Program, s: int) -> int:

@@ -5,10 +5,12 @@ only on atoms; ``negate`` pushes it structurally and leaves variables fixed,
 which is what makes the dual (Sigma) hierarchy and the duality solving
 strategy work.
 
-``CHILD_FIELDS`` names the child fields of every term class.  ``children``,
-``rebuild`` and ``subterms`` read it, and every structural walk of a term
-goes through them: negation, substitution and the variable scans here, rule
-matching and positioned rewriting in ``certify``, name collection in the CLI.
+The 14 term classes come from one table: each is one ``_term`` call, which
+makes the frozen dataclass and writes its row of ``CHILD_FIELDS``, the child
+field names in path order.  ``children``, ``rebuild`` and ``subterms`` read
+that table, and every structural walk of a term goes through them: negation,
+substitution and the variable scans here, rule matching and positioned
+rewriting in ``certify``, name collection in the CLI.
 
 Terms are frozen, so a term's variable set never changes.  It is computed at
 most once per object: a variable scan (``variables``, or an ``is_x_free``
@@ -21,7 +23,7 @@ it is not part of ``==``, ``hash`` or ``repr``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import make_dataclass
 from operator import attrgetter
 
 __all__ = [
@@ -76,111 +78,57 @@ class Program:
     _variables = None
 
 
-def _check_lower(name: str, what: str) -> None:
-    if not _LOWER_NAME.match(name) or name in RESERVED_NAMES:
-        raise ValueError(f"{what} name must be a lowercase identifier (not a keyword): {name!r}")
+def _lowercase(what: str):
+    def check(name: str) -> None:
+        if not _LOWER_NAME.match(name) or name in RESERVED_NAMES:
+            raise ValueError(f"{what} name must be a lowercase identifier (not a keyword): {name!r}")
+    return check
 
 
-@dataclass(frozen=True)
-class Atom(Formula):
-    name: str
-
-    def __post_init__(self) -> None:
-        _check_lower(self.name, "atom")
-
-
-@dataclass(frozen=True)
-class NegAtom(Formula):
-    name: str
-
-    def __post_init__(self) -> None:
-        _check_lower(self.name, "atom")
-
-
-@dataclass(frozen=True)
-class Var(Formula):
-    name: str
-
-    def __post_init__(self) -> None:
-        if not _UPPER_NAME.match(self.name):
-            raise ValueError(f"variable name must be an uppercase identifier: {self.name!r}")
-
-
-@dataclass(frozen=True)
-class Top(Formula):
-    pass
-
-
-@dataclass(frozen=True)
-class Bot(Formula):
-    pass
-
-
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Diamond(Formula):
-    prog: Program
-    body: Formula
-
-
-@dataclass(frozen=True)
-class Box(Formula):
-    prog: Program
-    body: Formula
-
-
-@dataclass(frozen=True)
-class AtomicProg(Program):
-    name: str
-
-    def __post_init__(self) -> None:
-        _check_lower(self.name, "atomic program")
-
-
-@dataclass(frozen=True)
-class Test(Program):
-    cond: Formula
-
-
-Test.__test__ = False  # not a test case, despite the name
-
-
-@dataclass(frozen=True)
-class Seq(Program):
-    first: Program
-    second: Program
-
-
-@dataclass(frozen=True)
-class Choice(Program):
-    left: Program
-    right: Program
-
-
-@dataclass(frozen=True)
-class Star(Program):
-    body: Program
+def _uppercase(name: str) -> None:
+    if not _UPPER_NAME.match(name):
+        raise ValueError(f"variable name must be an uppercase identifier: {name!r}")
 
 
 # The child fields of each term class, in the order in which a certificate
-# path indexes them.
-CHILD_FIELDS: dict[type, tuple[str, ...]] = {
-    Atom: (), NegAtom: (), Var: (), Top: (), Bot: (), AtomicProg: (),
-    Or: ("left", "right"), And: ("left", "right"),
-    Diamond: ("prog", "body"), Box: ("prog", "body"),
-    Test: ("cond",), Seq: ("first", "second"), Choice: ("left", "right"), Star: ("body",),
-}
+# path indexes them.  ``_term`` writes one row per class it makes.
+CHILD_FIELDS: dict[type, tuple[str, ...]] = {}
+
+
+def _term(name: str, base: type, *children: tuple[str, str], check=None) -> type:
+    """Make the frozen dataclass ``name`` under ``base`` and record its child
+    fields, given as ``(field, type)`` pairs in path order, in ``CHILD_FIELDS``.
+
+    A class with a ``check`` is a leaf with one ``name`` field, which ``check``
+    validates on construction.  ``__module__`` is given because
+    ``make_dataclass`` would otherwise name ``types`` before Python 3.12, and
+    pickling finds a class by its module and name.
+    """
+    fields = list(children)
+    namespace = {"__module__": __name__}
+    if check is not None:
+        fields.append(("name", "str"))
+        namespace["__post_init__"] = lambda self: check(self.name)
+    cls = make_dataclass(name, fields, bases=(base,), frozen=True, namespace=namespace)
+    CHILD_FIELDS[cls] = tuple(field for field, _ in children)
+    return cls
+
+
+Atom = _term("Atom", Formula, check=_lowercase("atom"))
+NegAtom = _term("NegAtom", Formula, check=_lowercase("atom"))
+Var = _term("Var", Formula, check=_uppercase)
+Top = _term("Top", Formula)
+Bot = _term("Bot", Formula)
+Or = _term("Or", Formula, ("left", "Formula"), ("right", "Formula"))
+And = _term("And", Formula, ("left", "Formula"), ("right", "Formula"))
+Diamond = _term("Diamond", Formula, ("prog", "Program"), ("body", "Formula"))
+Box = _term("Box", Formula, ("prog", "Program"), ("body", "Formula"))
+AtomicProg = _term("AtomicProg", Program, check=_lowercase("atomic program"))
+Test = _term("Test", Program, ("cond", "Formula"))
+Test.__test__ = False  # not a test case, despite the name
+Seq = _term("Seq", Program, ("first", "Program"), ("second", "Program"))
+Choice = _term("Choice", Program, ("left", "Program"), ("right", "Program"))
+Star = _term("Star", Program, ("body", "Program"))
 
 
 def _no_children(node) -> tuple:

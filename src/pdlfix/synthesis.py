@@ -20,9 +20,8 @@ from .hierarchy import (
     ClassifyResult,
     Decomposition,
     XFree,
-    classify,
+    _classify_or_reason,
     decomposition_to_json,
-    diagnose,
 )
 from .syntax import (
     And,
@@ -139,14 +138,11 @@ def solve_sigma(d: Decomposition, strategy: str = "duality") -> Solution:
 
 def _solve(phi_x: Formula, x: str, strategy: str) -> tuple[Solution, ClassifyResult | XFree]:
     """``solve`` and the classification it made, whose padding a certificate needs."""
-    outcome = classify(phi_x, x)
+    outcome, reason = _classify_or_reason(phi_x, x)
     if isinstance(outcome, XFree):
         return Solution(formula=phi_x, schema="xfree", strategy="none", decomposition=None), outcome
     if outcome is None:
-        raise NotInClass(
-            f"{print_formula(phi_x)} is not in either hierarchy for {x} — "
-            + diagnose(phi_x, x)
-        )
+        raise NotInClass(f"{print_formula(phi_x)} is not in either hierarchy for {x} — {reason}")
     d = outcome.decomposition
     solution = solve_pi(d) if d.kind == "Pi" else solve_sigma(d, strategy)
     if not is_x_free(solution.formula, x):

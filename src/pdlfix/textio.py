@@ -90,6 +90,7 @@ from .syntax import (
     NegAtom,
     Or,
     Program,
+    RESERVED_NAMES,
     Seq,
     Star,
     Test,
@@ -311,7 +312,7 @@ class _Parser:
             self.pos = pos + 1
             self.expect("lower", "an atom after '~'")
             name = self.texts[pos + 1]
-            if name in ("true", "false", "u"):
+            if name in RESERVED_NAMES:
                 self.fail("an atom after '~'", pos + 1)
             return NegAtom(name)
         self.fail("a formula")
@@ -362,7 +363,7 @@ class _Parser:
                 if name == "u":
                     self.fail("a program ('u' is reserved)", pos)
                 return Test(Atom(name))
-            if name in ("true", "false", "u"):
+            if name in RESERVED_NAMES:
                 self.fail("a program", pos)
             return AtomicProg(name)
         if kind == "(":
@@ -392,8 +393,11 @@ class _Parser:
         if kind == "~":
             self.pos = pos + 1
             self.expect("lower", "an atom after '~'")
+            name = self.texts[pos + 1]
+            if name in RESERVED_NAMES:
+                self.fail("an atom after '~'", pos + 1)
             self.expect("?", "'?' after a test shorthand")
-            return Test(NegAtom(self.texts[pos + 1]))
+            return Test(NegAtom(name))
         if kind == "upper":
             self.pos = pos + 1
             self.expect("?", "'?' after a variable test")

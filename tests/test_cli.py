@@ -215,6 +215,16 @@ def test_solve_certify_classifies_once(tmp_path, capsys, monkeypatch):
     assert len(matches) == 2  # Pi fails, Sigma matches
 
 
+@pytest.mark.parametrize("command", ["classify", "solve"])
+def test_a_not_in_class_input_is_matched_once_per_side(capsys, monkeypatch, command):
+    matches = counting(monkeypatch, hierarchy, "_match_pi")
+    code, doc = run_json(capsys, command, "--var", "X", "X & X")
+    assert code == 2
+    assert doc["status"] == "not-in-class"
+    assert "both operands of layer 1 contain X" in doc["detail"]
+    assert len(matches) == 2  # the reasons come from the same two matches
+
+
 @pytest.mark.parametrize("argv, key, count", [
     (["check", "--var", "X", "--equation", "p & (q | X)", "--candidate", "<p?*><p?>q",
       "--random", "20"], "checked", 20),

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import pickle
 
@@ -13,6 +14,7 @@ from pdlfix.syntax import (
     AtomicProg,
     Bot,
     Box,
+    Choice,
     Diamond,
     NegAtom,
     Or,
@@ -188,6 +190,61 @@ def test_child_fields_name_every_term_field():
         names = tuple(f.name for f in dataclasses.fields(cls))
         assert fields == (() if names in ((), ("name",)) else names), cls
     assert set(CHILD_FIELDS) == set(Formula.__subclasses__()) | set(Program.__subclasses__())
+
+
+# One sample term of each class, its repr and, for a named leaf, a rejected
+# name with its error.  Certificates, pickles and user messages depend on this
+# surface, however the classes are made.
+_SAMPLES = {
+    Atom: (Atom("p"), "Atom(name='p')", ("true", "atom name must be a lowercase identifier (not a keyword): 'true'")),
+    NegAtom: (NegAtom("p"), "NegAtom(name='p')", ("P", "atom name must be a lowercase identifier (not a keyword): 'P'")),
+    Var: (Var("X"), "Var(name='X')", ("x", "variable name must be an uppercase identifier: 'x'")),
+    Top: (Top(), "Top()", None),
+    Bot: (Bot(), "Bot()", None),
+    Or: (Or(Atom("p"), Var("X")), "Or(left=Atom(name='p'), right=Var(name='X'))", None),
+    And: (And(Var("X"), Bot()), "And(left=Var(name='X'), right=Bot())", None),
+    Diamond: (Diamond(AtomicProg("a"), Top()), "Diamond(prog=AtomicProg(name='a'), body=Top())", None),
+    Box: (Box(Star(AtomicProg("a")), Var("X")),
+          "Box(prog=Star(body=AtomicProg(name='a')), body=Var(name='X'))", None),
+    AtomicProg: (AtomicProg("a"), "AtomicProg(name='a')",
+                 ("u", "atomic program name must be a lowercase identifier (not a keyword): 'u'")),
+    Test: (Test(NegAtom("q")), "Test(cond=NegAtom(name='q'))", None),
+    Seq: (Seq(AtomicProg("a"), Test(Top())), "Seq(first=AtomicProg(name='a'), second=Test(cond=Top()))", None),
+    Choice: (Choice(AtomicProg("a"), AtomicProg("b")),
+             "Choice(left=AtomicProg(name='a'), right=AtomicProg(name='b'))", None),
+    Star: (Star(AtomicProg("a")), "Star(body=AtomicProg(name='a'))", None),
+}
+
+
+@pytest.mark.parametrize("cls", list(CHILD_FIELDS), ids=lambda cls: cls.__name__)
+def test_term_class_surface(cls):
+    term, text, bad_name = _SAMPLES[cls]
+    assert type(term) is cls
+    assert cls.__module__ == "pdlfix.syntax"
+    assert cls.__qualname__ == cls.__name__
+    assert getattr(pdlfix.syntax, cls.__name__) is cls
+    assert pickle.loads(pickle.dumps(cls)) is cls
+    assert repr(term) == text
+    for twin in (pickle.loads(pickle.dumps(term)), copy.deepcopy(term)):
+        assert type(twin) is cls and twin == term and hash(twin) == hash(term)
+    fields = tuple(field.name for field in dataclasses.fields(cls))
+    values = tuple(getattr(term, name) for name in fields)
+    assert cls(*values) == term
+    for name in (*fields, "extra"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(term, name, Top())
+    kids = children(term)
+    if kids:
+        other = Bot() if isinstance(kids[0], Formula) else AtomicProg("z")
+        changed = dataclasses.replace(term, **{CHILD_FIELDS[cls][0]: other})
+        assert type(changed) is cls and children(changed) == (other, *kids[1:])
+    if bad_name is not None:
+        name, message = bad_name
+        with pytest.raises(ValueError) as err:
+            cls(name)
+        assert str(err.value) == message
+    if cls is Test:
+        assert cls.__test__ is False  # pytest must not collect it
 
 
 def _pre_order(term):

@@ -177,6 +177,9 @@ def test_rejection_always_carries_a_position(junk):
     (parse_formula, "~⊤", "expected an atom after '~', found 'true'", 1, 2),
     (parse_formula, "~true", "expected an atom after '~', found 'true'", 1, 2),
     (parse_program, "~X?", "expected an atom after '~', found 'X'", 1, 2),
+    (parse_program, "~true?", "expected an atom after '~', found 'true'", 1, 2),
+    (parse_program, "~u?", "expected an atom after '~', found 'u'", 1, 2),
+    (parse_formula, "[~false?]p", "expected an atom after '~', found 'false'", 1, 3),
     (parse_program, "u ; a", "expected a program, found 'u'", 1, 1),
     (parse_program, "u?", "expected a program ('u' is reserved), found 'u'", 1, 1),
     (parse_program, "true", "expected a program, found 'true'", 1, 1),
