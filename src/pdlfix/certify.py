@@ -539,13 +539,14 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 
 def certificate_from_json(doc: dict) -> Certificate:
-    """Read a certificate document.  A step's ``path`` must be a list of JSON
-    integers and its ``group`` a JSON integer (a bool is neither).  One parse
-    memo serves the document: each distinct binding text, and each distinct
-    text between a matched pair of parentheses inside any of them or inside
-    ``from`` and ``to``, is parsed once, and a group the memo already holds is
-    not even tokenized (see ``textio``).  Equal subterms are therefore one
-    object, and replay's comparisons end at the first identical pair."""
+    """Read a certificate document.  Its ``steps`` must be a JSON array, a
+    step's ``path`` a list of JSON integers and its ``group`` a JSON integer
+    (a bool is neither).  One parse memo serves the document: each distinct
+    binding text, and each distinct text between a matched pair of
+    parentheses inside any of them or inside ``from`` and ``to``, is parsed
+    once, and a group the memo already holds is not even tokenized (see
+    ``textio``).  Equal subterms are therefore one object, and replay's
+    comparisons end at the first identical pair."""
     parsed: dict[tuple[bool, str], object] = {}
     try:
         steps = tuple(
@@ -559,7 +560,7 @@ def certificate_from_json(doc: dict) -> Certificate:
                 },
                 group=_group(item.get("group", 0)),
             )
-            for item in doc["steps"]
+            for item in _steps(doc["steps"])
         )
         return Certificate(
             source=_parse(doc["from"], False, parsed),
@@ -570,6 +571,16 @@ def certificate_from_json(doc: dict) -> Certificate:
         if isinstance(exc, CertifyError):
             raise
         raise ValueError(f"malformed certificate document: {exc}") from exc
+
+
+def _steps(value) -> list:
+    """The steps array.  Any other value is refused, even one that iterates:
+    an empty object or string would otherwise read as a certificate with no
+    steps, which replay rejects as a wrong derivation, not as a malformed
+    document."""
+    if type(value) is not list:
+        raise ValueError(f"steps must be a list, not {type(value).__name__}")
+    return value
 
 
 def _path(value) -> tuple[int, ...]:

@@ -12,8 +12,8 @@ Variables are interpreted through the valuation exactly like atoms.
 
 from __future__ import annotations
 
+import _random
 import json
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 from math import ceil
@@ -109,9 +109,12 @@ def _members(worlds: tuple[str, ...], mask: int) -> list[str]:
 class _Evaluator:
     """Bottom-up labelling of one model, reading its masks directly.
 
-    Each formula node is labelled once, memoized by identity, so a subterm
+    A leaf (an atom, negated atom, variable or constant) is answered from the
+    model at once and never memoized: looking it up would cost as much.  Every
+    other formula node is labelled once, memoized by identity, so a subterm
     shared by reference (as ``substitute`` shares the candidate at every
-    occurrence of the unknown) is evaluated once.
+    occurrence of the unknown) is evaluated once.  ``pre`` tries tests and
+    sequences first, the programs that solutions are built from.
 
     The memo is keyed by ``id(node)`` alone.  That is sound only while every
     labelled node stays alive, so that no id is reused: an evaluator lives for
@@ -125,10 +128,20 @@ class _Evaluator:
         self._ext: dict[int, int] = {}  # id(node) -> mask
 
     def extension(self, phi: Formula) -> int:
-        out = self._ext.get(id(phi))
+        kind = type(phi)
+        if kind is Atom or kind is Var:
+            return self.names.get(phi.name, 0)
+        if kind is NegAtom:
+            return self.full ^ self.names.get(phi.name, 0)
+        if kind is Top:
+            return self.full
+        if kind is Bot:
+            return 0
+        memo = self._ext
+        key = id(phi)
+        out = memo.get(key)
         if out is not None:
             return out
-        kind = type(phi)
         if kind is And:
             out = self.extension(phi.left) & self.extension(phi.right)
         elif kind is Or:
@@ -137,17 +150,9 @@ class _Evaluator:
             out = self.pre(phi.prog, self.extension(phi.body))
         elif kind is Box:
             out = self.full ^ self.pre(phi.prog, self.full ^ self.extension(phi.body))
-        elif kind is Atom or kind is Var:
-            out = self.names.get(phi.name, 0)
-        elif kind is NegAtom:
-            out = self.full ^ self.names.get(phi.name, 0)
-        elif kind is Top:
-            out = self.full
-        elif kind is Bot:
-            out = 0
         else:
             raise TypeError(f"not a formula: {phi!r}")
-        self._ext[id(phi)] = out
+        memo[key] = out
         return out
 
     def pre(self, alpha: Program, s: int) -> int:
@@ -155,18 +160,18 @@ class _Evaluator:
         if not s:
             return 0
         kind = type(alpha)
+        if kind is Test:
+            return self.extension(alpha.cond) & s
+        if kind is Seq:
+            return self.pre(alpha.first, self.pre(alpha.second, s))
         if kind is AtomicProg:
             out = 0
             for i, row in enumerate(self.succ.get(alpha.name, ())):
                 if row & s:
                     out |= 1 << i
             return out
-        if kind is Seq:
-            return self.pre(alpha.first, self.pre(alpha.second, s))
         if kind is Choice:
             return self.pre(alpha.left, s) | self.pre(alpha.right, s)
-        if kind is Test:
-            return self.extension(alpha.cond) & s
         if kind is Star:
             # Least fixpoint of T -> s | pre(body, T); pre-image distributes
             # over union, so each round only needs the newly reached worlds.
@@ -279,25 +284,29 @@ def random_model(params: ModelGenParams) -> KripkeModel:
     """
     n = params.world_count
     names = (*params.atom_names, *params.var_names)
-    edges = n * len(params.prog_names)  # rows of edge draws; a row per name follows
-    total = edges + len(names)
-    rng = random.Random(params.seed)
+    edges = n * n * len(params.prog_names)  # the edge draws; n draws a name follow
+    total = edges + n * len(names)
+    # ``_random.Random`` is the C generator that ``random.Random`` extends.
+    # Seeded with the same integer it holds the same state and draws the same
+    # bits, without ``random.Random``'s Python-level ``seed``, which costs a
+    # sizeable share of a small model's draw.
+    rng = _random.Random(params.seed)
     full = (1 << n) - 1
-    step = max(1, _BLOCK_DRAWS // n)
+    step = n * max(1, _BLOCK_DRAWS // n)  # draws a block, in whole rows
     rows: list[int] = []
     for start in range(0, total, step):
-        stop = min(start + step, total)
-        data = rng.getrandbits(64 * n * (stop - start)).to_bytes(8 * n * (stop - start), "little")
+        k = min(step, total - start)
+        data = rng.getrandbits(64 * k).to_bytes(8 * k, "little")
         tops = data[3::8]
-        cut = n * (min(max(edges, start), stop) - start)  # the draws before the name rows
+        cut = min(max(edges - start, 0), k)  # the block's edge draws
         flags = _flags(tops[:cut], data, params.edge_probability) + tops[cut:].translate(_HALF)
         bits = int(flags[::-1], 2)  # draw j of the block is bit j
-        rows += [bits >> i & full for i in range(0, len(flags), n)]
+        rows += [bits >> i & full for i in range(0, k, n)]
     rows_left = iter(rows)
     succ = dict(zip(params.prog_names, zip(*[rows_left] * n)))  # n rows a program
     ext = dict(zip(names, rows_left))
     model = object.__new__(KripkeModel)
-    model.__dict__.update(worlds=tuple(f"w{i}" for i in range(n)), succ=succ, ext=ext)
+    model.__dict__.update(worlds=tuple([f"w{i}" for i in range(n)]), succ=succ, ext=ext)
     return model
 
 

@@ -6,24 +6,26 @@ which is what makes the dual (Sigma) hierarchy and the duality solving
 strategy work.
 
 The 14 term classes come from one table: each is one ``_term`` call, which
-makes the frozen dataclass and writes its row of ``CHILD_FIELDS``, the child
-field names in path order.  ``children``, ``rebuild`` and ``subterms`` read
-that table, and every structural walk of a term goes through them: negation,
+makes the class and writes its row of ``CHILD_FIELDS``, the child field names
+in path order.  ``children``, ``rebuild`` and ``subterms`` read that table,
+and every structural walk of a term goes through them: negation,
 substitution and the variable scans here, rule matching and positioned
-rewriting in ``certify``, name collection in the CLI.
+rewriting in ``certify``, name collection in the CLI.  Each class is slotted
+and frozen, with one shared ``repr``, ``==``, ``hash`` and pickling, and is a
+dataclass to ``dataclasses.fields`` and ``dataclasses.replace``.
 
 Terms are frozen, so a term's variable set never changes.  It is computed at
 most once per object: a variable scan (``variables``, or an ``is_x_free``
 that does not meet the unknown) stores the names it saw on the term it
 started from, and every later walk that meets that object uses the stored set
-instead of descending into it.  The set is a plain attribute, not a field, so
-it is not part of ``==``, ``hash`` or ``repr``.
+instead of descending into it.  The set has a slot of its own, not a field,
+so it is not part of ``==``, ``hash``, ``repr`` or a pickle.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import make_dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from operator import attrgetter
 
 __all__ = [
@@ -68,14 +70,12 @@ class Formula:
     """Base class for formula nodes."""
 
     __slots__ = ()
-    _variables = None  # the node's variable names, once a scan has seen them all
 
 
 class Program:
     """Base class for program nodes."""
 
     __slots__ = ()
-    _variables = None
 
 
 def _lowercase(what: str):
@@ -90,28 +90,82 @@ def _uppercase(name: str) -> None:
         raise ValueError(f"variable name must be an uppercase identifier: {name!r}")
 
 
+def _no_children(node) -> tuple:
+    return ()
+
+
 # The child fields of each term class, in the order in which a certificate
 # path indexes them.  ``_term`` writes one row per class it makes.
 CHILD_FIELDS: dict[type, tuple[str, ...]] = {}
+# The value of each term class's terms, which ``==`` and ``hash`` compare:
+# the tuple of its field values, or the one value of a class with one field.
+_KEYS = {}
+
+
+# The methods that every term class shares.
+def _repr(self) -> str:
+    fields = ", ".join(f"{field}={getattr(self, field)!r}" for field in self.__match_args__)
+    return f"{type(self).__qualname__}({fields})"
+
+
+def _eq(self, other):
+    cls = type(self)
+    if type(other) is cls:
+        key = _KEYS[cls]
+        return key(self) == key(other)
+    return NotImplemented
+
+
+def _hash(self) -> int:
+    return hash(_KEYS[type(self)](self))
+
+
+def _reduce(self):
+    return type(self), tuple(getattr(self, field) for field in self.__match_args__)
+
+
+def _setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 def _term(name: str, base: type, *children: tuple[str, str], check=None) -> type:
-    """Make the frozen dataclass ``name`` under ``base`` and record its child
-    fields, given as ``(field, type)`` pairs in path order, in ``CHILD_FIELDS``.
+    """Make the term class ``name`` under ``base`` and record its child fields,
+    given as ``(field, type)`` pairs in path order, in ``CHILD_FIELDS``.
 
     A class with a ``check`` is a leaf with one ``name`` field, which ``check``
-    validates on construction.  ``__module__`` is given because
-    ``make_dataclass`` would otherwise name ``types`` before Python 3.12, and
-    pickling finds a class by its module and name.
+    validates on construction.  The class is slotted: one slot per field and
+    one for ``_variables``, which its ``__init__`` sets to ``None``.  That
+    ``__init__`` is the one function made from source, so that it takes its
+    fields by name as well as by position (``dataclasses.replace`` passes
+    names) and fills each slot straight through the slot's descriptor.
+    ``dataclass`` then only records the fields: with ``init``, ``repr`` and
+    ``eq`` off it compiles nothing, and ``dataclasses.fields`` and
+    ``replace`` work as on any dataclass.
     """
-    fields = list(children)
-    namespace = {"__module__": __name__}
-    if check is not None:
-        fields.append(("name", "str"))
-        namespace["__post_init__"] = lambda self: check(self.name)
-    cls = make_dataclass(name, fields, bases=(base,), frozen=True, namespace=namespace)
+    fields = (*children, ("name", "str")) if check else children
+    names = tuple(field for field, _ in fields)
+    cls = type(name, (base,), {
+        "__slots__": (*names, "_variables"), "__match_args__": names,
+        "__annotations__": dict(fields),
+        "__repr__": _repr, "__eq__": _eq, "__hash__": _hash, "__reduce__": _reduce,
+        "__setattr__": _setattr, "__delattr__": _delattr,
+    })
+    scope = {f"set_{slot}": getattr(cls, slot).__set__ for slot in (*names, "_variables")}
+    scope["check"] = check
+    exec(f"def __init__(self, {', '.join(names)}):\n"
+         + ("    check(name)\n" if check else "")
+         + "".join(f"    set_{field}(self, {field})\n" for field in names)
+         + "    set__variables(self, None)\n", scope)
+    init = cls.__init__ = scope["__init__"]
+    init.__qualname__ = f"{name}.__init__"
+    init.__annotations__ = {**cls.__annotations__, "return": None}
     CHILD_FIELDS[cls] = tuple(field for field, _ in children)
-    return cls
+    _KEYS[cls] = attrgetter(*names) if names else _no_children
+    return dataclass(cls, init=False, repr=False, eq=False)
 
 
 Atom = _term("Atom", Formula, check=_lowercase("atom"))
@@ -129,10 +183,6 @@ Test.__test__ = False  # not a test case, despite the name
 Seq = _term("Seq", Program, ("first", "Program"), ("second", "Program"))
 Choice = _term("Choice", Program, ("left", "Program"), ("right", "Program"))
 Star = _term("Star", Program, ("body", "Program"))
-
-
-def _no_children(node) -> tuple:
-    return ()
 
 
 def _getter(fields: tuple[str, ...]):
@@ -222,7 +272,7 @@ def substitute(term, x: str, psi: Formula):
 # Every stored variable set, so that equal sets are one object.
 _NO_NAMES: frozenset[str] = frozenset()
 _INTERNED: dict[frozenset[str], frozenset[str]] = {}
-_store = object.__setattr__  # frozen dataclasses refuse plain assignment
+_store = object.__setattr__  # term classes refuse plain assignment; this writes the slot
 
 
 def _scan(term, x):

@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdlfix import hierarchy, semantics
@@ -625,5 +625,67 @@ def test_exit_code_contract_holds_for_drawn_argv(tmp_path, capsys):
         elif code == 1:
             assert captured.out.startswith("counterexample after ") or (
                 argv[0] == "fuzz" and "failures: 0 " not in captured.out)
+
+    contract()
+
+
+# Values of every JSON type.  A certificate document is an object whose "from"
+# and "to" are strings and whose "steps" is a list of objects; a step's "rule"
+# and "direction" are strings, its "path" a list of integers, its "bindings"
+# an object of strings and its "group" an integer (a bool is no integer).
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2, 9), st.floats(-2, 2),
+                          st.text("pX&|[]<>;?*~ae0", max_size=4))
+_JSON = st.recursive(_JSON_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=2), st.dictionaries(st.text("abz", max_size=2), inner, max_size=2)),
+    max_leaves=4)
+_WRONG_TYPE = {
+    "from": lambda v: type(v) is not str,
+    "to": lambda v: type(v) is not str,
+    "steps": lambda v: type(v) is not list,
+    "rule": lambda v: type(v) is not str,
+    "direction": lambda v: type(v) is not str,
+    "path": lambda v: type(v) is not list or any(type(i) is not int for i in v),
+    "bindings": lambda v: type(v) is not dict or any(type(t) is not str for t in v.values()),
+    "group": lambda v: type(v) is not int,
+}
+
+
+@st.composite
+def _malformed_certificate(draw, doc):
+    """``doc`` as a list or a scalar, or with one field of the document or of
+    one of its steps given a value of a wrong type."""
+    field = draw(st.sampled_from(["list", "scalar", *_WRONG_TYPE]))
+    if field == "list":
+        return draw(st.lists(st.one_of(_JSON, st.just(doc)), max_size=2))
+    if field == "scalar":
+        return draw(_JSON_SCALARS)
+    doc = json.loads(json.dumps(doc))
+    target = doc if field in doc else draw(st.sampled_from(doc["steps"]))
+    target[field] = draw(_JSON.filter(_WRONG_TYPE[field]))
+    return doc
+
+
+def test_exit_code_contract_holds_for_drawn_certificates(tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    assert main(["solve", "--var", "X", "--certify", str(cert), "p & [a](q | (r & X))"]) == 0
+    capsys.readouterr()
+    good = json.loads(cert.read_text())
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(_malformed_certificate(good), st.booleans())
+    @example(dict(good, steps={}), True)  # found by the property: read as no steps, exit 1
+    @example(dict(good, steps=""), False)
+    def contract(doc, json_mode):
+        cert.write_text(json.dumps(doc))
+        code = main(["verify-cert", str(cert), *(["--json"] if json_mode else [])])
+        captured = capsys.readouterr()
+        assert code == 2, doc
+        assert "Traceback" not in captured.err
+        if json_mode:
+            report = json.loads(captured.out)  # exactly one document
+            assert report["status"] == "error"
+            assert report["message"].startswith("malformed certificate document")
+        else:
+            assert captured.out.startswith("error: malformed certificate document")
 
     contract()

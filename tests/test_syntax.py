@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import pickle
+import sys
 
 import hypothesis.strategies as st
 import pytest
@@ -245,6 +246,21 @@ def test_term_class_surface(cls):
         assert str(err.value) == message
     if cls is Test:
         assert cls.__test__ is False  # pytest must not collect it
+    # Slotted: no instance dict, and the stored variable set has a slot of its
+    # own that is no dataclass field.
+    assert not hasattr(term, "__dict__")
+    assert "_variables" in cls.__slots__ and term._variables is None
+    assert fields == CHILD_FIELDS[cls] + (("name",) if bad_name is not None else ())
+    # The dataclass surface as perfbench/workloads.py uses it (renamed,
+    # node_counts): read the fields' values, rebuild from the children.
+    parts = {f.name: getattr(term, f.name) for f in dataclasses.fields(term)}
+    rebuilt = dataclasses.replace(term, **{k: v for k, v in parts.items()
+                                           if isinstance(v, (Formula, Program))})
+    assert type(rebuilt) is cls and rebuilt == term and rebuilt._variables is None
+    if bad_name is not None:
+        assert dataclasses.replace(term, name=term.name + "z") == cls(term.name + "z")
+    if sys.version_info >= (3, 13):
+        assert copy.replace(term, **parts) == term
 
 
 def _pre_order(term):
