@@ -21,9 +21,7 @@ DISCREPANCIES.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as _dc_replace
 from itertools import chain
-from typing import TYPE_CHECKING
 
 from .syntax import (
     And,
@@ -36,6 +34,7 @@ from .syntax import (
     Star,
     Test,
     Top,
+    _frozen,
     children,
     negate,
     rebuild,
@@ -44,6 +43,7 @@ from .syntax import (
 )
 from .textio import _parse, print_formula, print_terms
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without loading typing on a cold run
 if TYPE_CHECKING:  # reading and replaying a certificate loads neither module
     from .hierarchy import Decomposition, PaddingRecord
     from .synthesis import Solution
@@ -88,21 +88,21 @@ class GenerationError(CertifyError):
 # ---------------------------------------------------------------------------
 # patterns
 
-@dataclass(frozen=True)
+@_frozen
 class FMeta:
     """Formula metavariable."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@_frozen
 class PMeta:
     """Program metavariable."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@_frozen
 class FNeg:
     """Matches the negation of whatever ``name`` is bound to (used for the
     ``(~phi)?`` tests of E7); negation is involutive, so matching binds
@@ -111,7 +111,7 @@ class FNeg:
     name: str
 
 
-@dataclass(frozen=True)
+@_frozen
 class RewriteRule:
     rule_id: str
     lhs: object
@@ -235,7 +235,7 @@ def replace_at(term, path: tuple[int, ...], new):
 # ---------------------------------------------------------------------------
 # steps and certificates
 
-@dataclass(frozen=True)
+@_frozen
 class RewriteStep:
     rule: str
     direction: str  # "LR" | "RL"
@@ -250,7 +250,7 @@ class RewriteStep:
             raise ValueError(f"direction must be LR or RL: {self.direction!r}")
 
 
-@dataclass(frozen=True)
+@_frozen
 class Certificate:
     source: Formula
     target: Formula
@@ -304,7 +304,7 @@ def rewrite_at(phi: Formula, rule_id: str, direction: str, path: tuple[int, ...]
     return apply_rule(phi, step), step
 
 
-@dataclass(frozen=True)
+@_frozen
 class CheckReport:
     ok: bool
     steps_applied: int
@@ -445,7 +445,7 @@ def generate_certificate(sol: Solution, padding: tuple[PaddingRecord, ...] = ())
 # ---------------------------------------------------------------------------
 # rule validation
 
-@dataclass(frozen=True)
+@_frozen
 class RuleValidationEntry:
     rule: str
     trials: int
@@ -489,10 +489,9 @@ def validate_rules(
             lhs = _instantiate(rule.lhs, bindings)
             rhs = _instantiate(rule.rhs, bindings)
             for k in range(models_per_trial):
-                model = random_model(_dc_replace(
-                    params,
-                    world_count=rng.randint(1, params.world_count),
-                    seed=rng.getrandbits(48),
+                model = random_model(ModelGenParams(
+                    rng.randint(1, params.world_count), params.atom_names, params.var_names,
+                    params.prog_names, params.edge_probability, seed=rng.getrandbits(48),
                 ))
                 world = equivalent_on(model, lhs, rhs)
                 if world is not None:

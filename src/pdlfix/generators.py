@@ -8,7 +8,6 @@ decompositions never mention the equation unknown.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING
 
 from .syntax import (
     And,
@@ -29,6 +28,7 @@ from .syntax import (
     Var,
 )
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without loading typing on a cold run
 if TYPE_CHECKING:  # only random_decomposition builds one, and imports it there
     from .hierarchy import Decomposition
 

@@ -18,8 +18,6 @@ trap in the literal diamond schemas (see DISCREPANCIES.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .syntax import (
     And,
     Bot,
@@ -32,6 +30,7 @@ from .syntax import (
     Test,
     Top,
     Var,
+    _frozen,
     is_x_free,
     negate,
 )
@@ -54,7 +53,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@_frozen
 class Pair:
     """One hierarchy layer: ``phi | (psi & ...)`` guarded by ``alpha`` (absent
     only at the first pair of an even-level formula)."""
@@ -64,7 +63,7 @@ class Pair:
     alpha: Program | None
 
 
-@dataclass(frozen=True)
+@_frozen
 class PaddingRecord:
     """How pair ``index`` (1-based) deviated from the fully written shape."""
 
@@ -78,7 +77,7 @@ class PaddingRecord:
         return not (self.phi_padded or self.psi_padded or self.or_commuted or self.and_commuted)
 
 
-@dataclass(frozen=True)
+@_frozen
 class Decomposition:
     kind: str  # "Pi" | "Sigma"
     x: str
@@ -110,13 +109,13 @@ class Decomposition:
         return 2 * self.n - 1 if self.leading_modality else 2 * (self.n - 1)
 
 
-@dataclass(frozen=True)
+@_frozen
 class ClassifyResult:
     decomposition: Decomposition
     padding: tuple[PaddingRecord, ...]
 
 
-@dataclass(frozen=True)
+@_frozen
 class XFree:
     """Marker for the trivial case: the equation unknown does not occur."""
 

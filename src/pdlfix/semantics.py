@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import _random
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from math import ceil
 from struct import Struct
@@ -36,6 +35,7 @@ from .syntax import (
     Test,
     Top,
     Var,
+    _frozen,
     is_x_free,
     substitute,
 )
@@ -46,7 +46,7 @@ __all__ = ["KripkeModel", "ModelGenParams", "EquationReport", "relation", "satis
            "model_from_json"]
 
 
-@dataclass(frozen=True, init=False)
+@_frozen
 class KripkeModel:
     """Worlds, with every world set over them held as a bitmask.
 
@@ -203,7 +203,7 @@ def equivalent_on(model: KripkeModel, phi: Formula, psi: Formula) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
+@_frozen
 class EquationReport:
     """Outcome of checking ``candidate`` against ``x ≡ equation`` on one model."""
 
@@ -227,17 +227,28 @@ class EquationReport:
         }
 
 
+# The last equation ``check_solution_on`` instantiated, as ``(phi_x, x, psi,
+# phi_x[x := psi])``.  It holds the terms themselves, so a match by identity
+# cannot be a reused id.
+_last_instantiated: tuple = (None, None, None, None)
+
+
 def check_solution_on(model: KripkeModel, x: str, phi_x: Formula, psi: Formula) -> EquationReport:
     """Check ``psi ≡ phi_x[x := psi]`` on one model.  ``psi`` must be x-free.
 
-    The x-free test walks ``psi`` once per object: its variable set is kept,
-    so checking the same candidate again answers from it.  The substitution is
-    still done on every call.  A caller checking many models can substitute
-    once and call ``equivalent_on`` per model, as the CLI does, and build the
-    report only for a failing one."""
-    if not is_x_free(psi, x):
-        raise ValueError(f"candidate contains the unknown {x}: {print_formula(psi)}")
-    instantiated = substitute(phi_x, x, psi)
+    The x-free test and the substitution are made once for a run of calls on
+    the same ``phi_x`` and ``psi`` objects and the same ``x``: the last
+    instantiated equation is kept, and a call that passes the very objects it
+    was made from reuses it.  A caller checking many models can also
+    substitute once and call ``equivalent_on`` per model, as the CLI does,
+    and build the report only for a failing one."""
+    global _last_instantiated
+    last_phi, last_x, last_psi, instantiated = _last_instantiated
+    if last_phi is not phi_x or last_psi is not psi or last_x != x:
+        if not is_x_free(psi, x):
+            raise ValueError(f"candidate contains the unknown {x}: {print_formula(psi)}")
+        instantiated = substitute(phi_x, x, psi)
+        _last_instantiated = (phi_x, x, psi, instantiated)
     world = equivalent_on(model, psi, instantiated)
     return EquationReport(
         passed=world is None,
@@ -250,7 +261,7 @@ def check_solution_on(model: KripkeModel, x: str, phi_x: Formula, psi: Formula) 
     )
 
 
-@dataclass(frozen=True)
+@_frozen
 class ModelGenParams:
     world_count: int = 4
     atom_names: tuple[str, ...] = ("p", "q", "r")

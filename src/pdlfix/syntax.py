@@ -11,8 +11,15 @@ in path order.  ``children``, ``rebuild`` and ``subterms`` read that table,
 and every structural walk of a term goes through them: negation,
 substitution and the variable scans here, rule matching and positioned
 rewriting in ``certify``, name collection in the CLI.  Each class is slotted
-and frozen, with one shared ``repr``, ``==``, ``hash`` and pickling, and is a
-dataclass to ``dataclasses.fields`` and ``dataclasses.replace``.
+and frozen, with one shared ``repr``, ``==``, ``hash`` and pickling.
+
+``_frozen`` makes every frozen value class of the package: the term classes
+here and the records of ``hierarchy``, ``synthesis``, ``certify`` and
+``semantics``.  No module imports ``dataclasses``, so no command loads it (nor
+``inspect``, which it pulls in).  Each class is still a dataclass to
+``dataclasses.fields``, ``replace`` and ``is_dataclass``: it records its
+dataclass fields on the first request for them, made by a caller that has
+loaded ``dataclasses`` already.
 
 Terms are frozen, so a term's variable set never changes.  It is computed at
 most once per object: a variable scan (``variables``, or an ``is_x_free``
@@ -25,7 +32,6 @@ so it is not part of ``==``, ``hash``, ``repr`` or a pickle.
 from __future__ import annotations
 
 import re
-from dataclasses import FrozenInstanceError, dataclass
 from operator import attrgetter
 
 __all__ = [
@@ -78,16 +84,18 @@ class Program:
     __slots__ = ()
 
 
+# Name checks, run by the leaf classes as their ``__post_init__``.
 def _lowercase(what: str):
-    def check(name: str) -> None:
+    def check(node) -> None:
+        name = node.name
         if not _LOWER_NAME.match(name) or name in RESERVED_NAMES:
             raise ValueError(f"{what} name must be a lowercase identifier (not a keyword): {name!r}")
     return check
 
 
-def _uppercase(name: str) -> None:
-    if not _UPPER_NAME.match(name):
-        raise ValueError(f"variable name must be an uppercase identifier: {name!r}")
+def _uppercase(node) -> None:
+    if not _UPPER_NAME.match(node.name):
+        raise ValueError(f"variable name must be an uppercase identifier: {node.name!r}")
 
 
 def _no_children(node) -> tuple:
@@ -97,12 +105,16 @@ def _no_children(node) -> tuple:
 # The child fields of each term class, in the order in which a certificate
 # path indexes them.  ``_term`` writes one row per class it makes.
 CHILD_FIELDS: dict[type, tuple[str, ...]] = {}
-# The value of each term class's terms, which ``==`` and ``hash`` compare:
+# The value of each frozen class's objects, which ``==`` and ``hash`` compare:
 # the tuple of its field values, or the one value of a class with one field.
 _KEYS = {}
+# Frozen classes refuse plain assignment; this writes a field or slot.  It
+# leaves an instance's attributes in the compact layout that a write to its
+# ``__dict__`` would give up, which makes every later read slower.
+_store = object.__setattr__
 
 
-# The methods that every term class shares.
+# The methods that every frozen class shares.
 def _repr(self) -> str:
     fields = ", ".join(f"{field}={getattr(self, field)!r}" for field in self.__match_args__)
     return f"{type(self).__qualname__}({fields})"
@@ -125,47 +137,101 @@ def _reduce(self):
 
 
 def _setattr(self, name, value):
+    from dataclasses import FrozenInstanceError
     raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
 
 def _delattr(self, name):
+    from dataclasses import FrozenInstanceError
     raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
+def _replace(self, /, **changes):
+    # ``copy.replace`` (Python 3.13) calls this before any request for the
+    # fields has made the class a dataclass with a ``__replace__`` of its own.
+    from dataclasses import replace
+    return replace(self, **changes)
+
+
+class _Fields:
+    """A frozen class's ``__dataclass_fields__``, made on first request.
+
+    ``dataclass`` with ``init``, ``repr`` and ``eq`` off records the fields
+    and generates no method; its table then replaces this descriptor in the
+    class, so every later request is a plain class attribute read.  Whoever
+    asks has loaded ``dataclasses`` already, so no command pays for it.
+    """
+
+    def __get__(self, obj, cls):
+        from dataclasses import dataclass
+        return dataclass(cls, init=False, repr=False, eq=False).__dataclass_fields__
+
+
+def _frozen(cls: type) -> type:
+    """Make ``cls`` a frozen value class whose fields are its annotations, in
+    order, with its class attributes as their defaults.
+
+    Unless ``cls`` has an ``__init__`` of its own, it gets one, made from
+    source once.  It takes the fields by position or by name and stores each:
+    through its slot's descriptor in a slotted class, whose other slots start
+    as ``None``, and with ``_store`` otherwise.  Then it calls
+    ``__post_init__``, if ``cls`` defines one.  ``repr``, ``==``, ``hash`` and
+    the refusal of assignment are shared.  A slotted class pickles through its
+    constructor, since its slots refuse ``setattr``.  An undocumented class is
+    documented by its signature, as ``dataclass`` documents one, and
+    ``_Fields`` makes the class a dataclass on the first request for its
+    fields.
+    """
+    fields = vars(cls).get("__annotations__", {})
+    names = tuple(fields)
+    slots = vars(cls).get("__slots__", ())
+    defaults = {} if slots else {name: vars(cls)[name] for name in names if name in vars(cls)}
+    if "__init__" not in vars(cls):
+        if slots:
+            scope = {f"set_{slot}": getattr(cls, slot).__set__ for slot in slots}
+            body = [f"set_{slot}(self, {slot if slot in fields else None})" for slot in slots]
+        else:
+            scope, body = {"store": _store}, [f"store(self, {name!r}, {name})" for name in names]
+        if "__post_init__" in vars(cls):
+            scope["post"] = cls.__post_init__
+            body.append("post(self)")
+        exec(f"def __init__(self, {', '.join(names)}):\n    " + "\n    ".join(body), scope)
+        init = cls.__init__ = scope["__init__"]
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        init.__defaults__ = tuple(defaults.values()) or None
+        init.__annotations__ = {**fields, "return": None}
+    if cls.__doc__ is None:
+        params = (f"{name}: {kind!r}" + (f" = {defaults[name]!r}" if name in defaults else "")
+                  for name, kind in fields.items())
+        cls.__doc__ = f"{cls.__name__}({', '.join(params)})"
+    _KEYS[cls] = attrgetter(*names) if names else _no_children
+    cls.__match_args__, cls.__dataclass_fields__ = names, _Fields()
+    cls.__repr__, cls.__eq__, cls.__hash__ = _repr, _eq, _hash
+    cls.__setattr__, cls.__delattr__, cls.__replace__ = _setattr, _delattr, _replace
+    if slots:
+        cls.__reduce__ = _reduce
+    return cls
+
+
 def _term(name: str, base: type, *children: tuple[str, str], check=None) -> type:
-    """Make the term class ``name`` under ``base`` and record its child fields,
-    given as ``(field, type)`` pairs in path order, in ``CHILD_FIELDS``.
+    """Make the frozen term class ``name`` under ``base`` and record its child
+    fields, given as ``(field, type)`` pairs in path order, in ``CHILD_FIELDS``.
 
     A class with a ``check`` is a leaf with one ``name`` field, which ``check``
     validates on construction.  The class is slotted: one slot per field and
-    one for ``_variables``, which its ``__init__`` sets to ``None``.  That
-    ``__init__`` is the one function made from source, so that it takes its
-    fields by name as well as by position (``dataclasses.replace`` passes
-    names) and fills each slot straight through the slot's descriptor.
-    ``dataclass`` then only records the fields: with ``init``, ``repr`` and
-    ``eq`` off it compiles nothing, and ``dataclasses.fields`` and
-    ``replace`` work as on any dataclass.
+    one for ``_variables``, which its ``__init__`` sets to ``None``.  Like
+    every class ``_frozen`` makes, it records its dataclass fields only when
+    they are first asked for, so ``dataclasses.fields`` and ``replace`` work on
+    it, and making it compiles only its ``__init__``.
     """
     fields = (*children, ("name", "str")) if check else children
-    names = tuple(field for field, _ in fields)
-    cls = type(name, (base,), {
-        "__slots__": (*names, "_variables"), "__match_args__": names,
-        "__annotations__": dict(fields),
-        "__repr__": _repr, "__eq__": _eq, "__hash__": _hash, "__reduce__": _reduce,
-        "__setattr__": _setattr, "__delattr__": _delattr,
-    })
-    scope = {f"set_{slot}": getattr(cls, slot).__set__ for slot in (*names, "_variables")}
-    scope["check"] = check
-    exec(f"def __init__(self, {', '.join(names)}):\n"
-         + ("    check(name)\n" if check else "")
-         + "".join(f"    set_{field}(self, {field})\n" for field in names)
-         + "    set__variables(self, None)\n", scope)
-    init = cls.__init__ = scope["__init__"]
-    init.__qualname__ = f"{name}.__init__"
-    init.__annotations__ = {**cls.__annotations__, "return": None}
+    namespace = {"__slots__": (*(field for field, _ in fields), "_variables"),
+                 "__annotations__": dict(fields)}
+    if check:
+        namespace["__post_init__"] = check
+    cls = _frozen(type(name, (base,), namespace))
     CHILD_FIELDS[cls] = tuple(field for field, _ in children)
-    _KEYS[cls] = attrgetter(*names) if names else _no_children
-    return dataclass(cls, init=False, repr=False, eq=False)
+    return cls
 
 
 Atom = _term("Atom", Formula, check=_lowercase("atom"))
@@ -272,7 +338,6 @@ def substitute(term, x: str, psi: Formula):
 # Every stored variable set, so that equal sets are one object.
 _NO_NAMES: frozenset[str] = frozenset()
 _INTERNED: dict[frozenset[str], frozenset[str]] = {}
-_store = object.__setattr__  # term classes refuse plain assignment; this writes the slot
 
 
 def _scan(term, x):

@@ -14,11 +14,10 @@ refuted by the one-world probe documented in DISCREPANCIES.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .hierarchy import (
     ClassifyResult,
     Decomposition,
+    Pair,
     XFree,
     _classify_or_reason,
     decomposition_to_json,
@@ -34,6 +33,7 @@ from .syntax import (
     Star,
     Test,
     Top,
+    _frozen,
     is_x_free,
     negate,
 )
@@ -46,7 +46,7 @@ class NotInClass(ValueError):
     """The formula is outside both hierarchies (and not x-free)."""
 
 
-@dataclass(frozen=True)
+@_frozen
 class Solution:
     formula: Formula
     schema: str  # "lambda1" | "lambda2" | "lambda3" | "lambda4" | "xfree"
@@ -113,10 +113,9 @@ def _literal_sigma(d: Decomposition) -> Formula:
     # The diamond schemas exactly as conventionally written, over the Sigma
     # form's own components (the negations of the stored Pi components):
     # tests carry ~phi of the written form, disjuncts are the written psi_j.
-    written = replace(
-        d,
-        kind="Pi",
-        pairs=tuple(replace(p, phi=negate(p.phi), psi=negate(p.psi)) for p in d.pairs),
+    written = Decomposition(
+        "Pi", d.x, tuple(Pair(negate(p.phi), negate(p.psi), p.alpha) for p in d.pairs),
+        d.leading_modality,
     )
     disjuncts = [
         Diamond(tested_chain(written, 1, j), written.pairs[j - 1].psi)

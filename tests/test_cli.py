@@ -440,15 +440,15 @@ def test_module_entry_points_run_the_command(module, tmp_path):
     assert json.loads(run.stdout)["status"] == "classified"  # exactly one document
 
 
-# Prints the pdlfix modules a fresh interpreter loaded, after running the
-# command given as arguments (none: only ``import pdlfix``).
+# Prints the modules a fresh interpreter loaded, after running the command
+# given as arguments (none: only ``import pdlfix``).
 _LOADED = """import json, sys
 import pdlfix
 code = 0
 if sys.argv[1:]:
     from pdlfix.cli import main
     code = main(sys.argv[1:])
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("pdlfix"))), file=sys.stderr)
+print(json.dumps(sorted(sys.modules)), file=sys.stderr)
 sys.exit(code)
 """
 _CLASSIFY_MODULES = {"pdlfix", "pdlfix.cli", "pdlfix.syntax", "pdlfix.textio",
@@ -471,14 +471,45 @@ def test_a_cold_run_loads_only_the_modules_its_command_uses(argv, loaded, tmp_pa
     assert main(["solve", "--certify", str(tmp_path / "cert.json"), "--var", "X",
                  "p & [a](q | (r & X))"]) == 0
     capsys.readouterr()
-    src = Path(__file__).resolve().parent.parent / "src"
-    run = subprocess.run([sys.executable, "-c", _LOADED, *argv], cwd=tmp_path,
-                         capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    run = _fresh_interpreter(["-c", _LOADED, *argv], tmp_path)
     assert run.returncode == 0, run.stderr
     if argv:
         json.loads(run.stdout)  # exactly one document
-    assert set(json.loads(run.stderr.splitlines()[-1])) == loaded
+    modules = set(json.loads(run.stderr.splitlines()[-1]))
+    assert {m for m in modules if m.startswith("pdlfix")} == loaded
+    # The frozen classes record their dataclass fields only when asked, so no
+    # command pays for importing dataclasses and the inspect module it loads.
+    assert not modules & {"dataclasses", "inspect"}
+
+
+def _fresh_interpreter(args, cwd):
+    """Run a child interpreter on ``src`` with ``-S``, so that ``site``
+    imports nothing that pdlfix would otherwise be charged for."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run([sys.executable, "-S", *args], cwd=cwd, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+
+
+def test_dataclass_surface_works_when_first_asked_after_import(tmp_path):
+    script = """import sys
+import pdlfix.certify
+from pdlfix.certify import RewriteStep
+from pdlfix.syntax import Atom, Or
+assert "dataclasses" not in sys.modules
+if sys.version_info >= (3, 13):
+    import copy
+    assert copy.replace(Atom("p"), name="q") == Atom("q")
+import dataclasses
+assert [f.name for f in dataclasses.fields(Atom)] == ["name"]
+step = RewriteStep("E1", "LR", (0,), {"phi": Atom("p")})
+moved = dataclasses.replace(step, path=(1, 0))
+assert moved == RewriteStep("E1", "LR", (1, 0), {"phi": Atom("p")}), moved
+assert dataclasses.is_dataclass(Or) and dataclasses.fields(Or(Atom("p"), Atom("q")))
+print("ok")
+"""
+    run = _fresh_interpreter(["-c", script], tmp_path)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "ok\n"
 
 
 CHECK_RANDOM = ["check", "--var", "X", "--equation", "p", "--candidate", "p", "--random", "3"]
