@@ -8,8 +8,10 @@ so the checker never has to re-infer a match.
 
 The generator computes each step's rule, direction and path from the
 decomposition alone (``_derivation``; a Sigma certificate takes the diamond
-dual of each rule at the same path), binds it by matching, and applies it
-with ``apply_rule``, the function the checker replays with.
+dual of each rule at the same path), and binds and rewrites it by one match.
+The checker matches each step's source pattern under the stored bindings,
+without building it.  Both hold the formula in a path cursor (``_Cursor``),
+so a step costs its change in depth, not a walk from the root.
 
 Two auxiliary step kinds ``AA``/``AO`` rebracket associative chains
 (``(a & b) & c  <->  a & (b & c)`` and the disjunctive dual).  They are not
@@ -38,6 +40,7 @@ from .syntax import (
     children,
     negate,
     rebuild,
+    same_term,
     substitute,
     subterms,
 )
@@ -165,17 +168,17 @@ def _match(pattern, subject, bindings: dict) -> bool:
         if not isinstance(subject, sort):
             return False
         value = negate(subject) if cls is FNeg else subject
-        seen = bindings.get(pattern.name)
-        if seen is None:
-            bindings[pattern.name] = value
-            return True
-        return seen == value
+        seen = bindings.setdefault(pattern.name, value)
+        return seen is value or seen == value
     if cls is not type(subject):
         return False
     kids = children(pattern)
     if not kids:
         return pattern == subject
-    return all(_match(p, s, bindings) for p, s in zip(kids, children(subject)))
+    for kid, part in zip(kids, children(subject)):
+        if not _match(kid, part, bindings):
+            return False
+    return True
 
 
 def _instantiate(pattern, bindings: dict):
@@ -210,26 +213,43 @@ _METAVARIABLES = {rule_id: frozenset(rule_metavariables(rule)) for rule_id, rule
 # ---------------------------------------------------------------------------
 # positions
 
+class _Cursor:
+    """A term held as a focus and the nodes above it, root first, with the
+    child index taken below each (Huet's zipper).  ``move`` goes from the
+    focus to another path through the two paths' common prefix, so a step
+    costs its change in depth.  Going up rebuilds a node only when the child
+    below it is no longer the one it holds."""
+
+    __slots__ = ("focus", "above", "path")
+
+    def __init__(self, term):
+        self.focus, self.above, self.path = term, [], []
+
+    def move(self, path: tuple[int, ...]):
+        """Focus the subterm at ``path`` (from the root) and return it."""
+        above, here, focus = self.above, self.path, self.focus
+        keep = 0
+        while keep < len(here) and keep < len(path) and here[keep] == path[keep]:
+            keep += 1
+        while len(here) > keep:
+            node, idx = above.pop(), here.pop()
+            kids = children(node)
+            focus = node if kids[idx] is focus else type(node)(*kids[:idx], focus, *kids[idx + 1:])
+        for depth in range(keep, len(path)):
+            idx = path[depth]
+            kids = children(focus)
+            if not 0 <= idx < len(kids):
+                self.focus = focus
+                raise BadPathError(f"no child {idx} at depth {depth} of {type(focus).__name__}")
+            above.append(focus)
+            here.append(idx)
+            focus = kids[idx]
+        self.focus = focus
+        return focus
+
+
 def subterm_at(term, path: tuple[int, ...]):
-    node = term
-    for depth, idx in enumerate(path):
-        kids = children(node)
-        if not 0 <= idx < len(kids):
-            raise BadPathError(f"no child {idx} at depth {depth} of {type(node).__name__}")
-        node = kids[idx]
-    return node
-
-
-def replace_at(term, path: tuple[int, ...], new):
-    if not path:
-        return new
-    kids = children(term)
-    idx = path[0]
-    if not 0 <= idx < len(kids):
-        raise BadPathError(f"no child {idx} of {type(term).__name__}")
-    updated = list(kids)
-    updated[idx] = replace_at(kids[idx], path[1:], new)
-    return rebuild(term, updated)
+    return _Cursor(term).move(path)
 
 
 # ---------------------------------------------------------------------------
@@ -264,44 +284,59 @@ def _directed(rule: RewriteRule, direction: str):
 def match_rule(phi: Formula, rule_id: str, direction: str, path: tuple[int, ...]) -> dict | None:
     """Most general match of the directed pattern at ``path``, or None."""
     src, _ = _directed(RULES[rule_id], direction)
-    subject = subterm_at(phi, path)
     bindings: dict = {}
-    if _match(src, subject, bindings):
-        return bindings
-    return None
+    return bindings if _match(src, subterm_at(phi, path), bindings) else None
 
 
 def _clip(text: str, limit: int = 120) -> str:
     return text if len(text) <= limit else text[: limit - 3] + "..."
 
 
-def apply_rule(phi: Formula, step: RewriteStep) -> Formula:
-    """Replay one step under its stored bindings; exact or an error.  A
-    binding for a name that is not a metavariable of the rule is an error."""
+def _replay(cursor: _Cursor, step: RewriteStep) -> None:
+    """Replay ``step`` at the cursor under its stored bindings.  A match
+    under a copy of them that binds nothing new is an equal bound pattern;
+    otherwise building that pattern reports a missing binding or the mismatch."""
     names = _METAVARIABLES[step.rule]
     if not step.bindings.keys() <= names:
         raise MismatchError(f"{step.rule} has no metavariable {min(step.bindings.keys() - names)!r}")
     src, dst = _directed(RULES[step.rule], step.direction)
-    subject = subterm_at(phi, step.path)
-    expected = _instantiate(src, step.bindings)
-    if expected != subject:
-        want, found = (_clip(text) for text in print_terms([expected, subject]))
+    subject = cursor.move(step.path)
+    bindings = dict(step.bindings)
+    if not _match(src, subject, bindings) or len(bindings) > len(step.bindings):
+        want, found = (_clip(text) for text in print_terms([_instantiate(src, step.bindings), subject]))
         raise MismatchError(
             f"{step.rule} {step.direction} does not apply at {list(step.path)}: "
             f"bound pattern differs from the subterm: expected {want}, found {found}"
         )
-    return replace_at(phi, step.path, _instantiate(dst, step.bindings))
+    cursor.focus = _instantiate(dst, bindings)
+
+
+def _rewrite(cursor: _Cursor, rule_id: str, direction: str, path: tuple[int, ...], group: int):
+    """Match at ``path`` and rewrite the cursor's term there; the step."""
+    src, dst = _directed(RULES[rule_id], direction)
+    bindings: dict = {}
+    if not _match(src, cursor.move(path), bindings):
+        raise MismatchError(
+            f"{rule_id} {direction} does not match at {list(path)} in {print_formula(cursor.move(()))}"
+        )
+    step = RewriteStep(rule=rule_id, direction=direction, path=path, bindings=bindings, group=group)
+    cursor.focus = _instantiate(dst, bindings)
+    return step
+
+
+def apply_rule(phi: Formula, step: RewriteStep) -> Formula:
+    """Replay one step under its stored bindings; exact or an error.  A
+    binding for a name that is not a metavariable of the rule is an error."""
+    cursor = _Cursor(phi)
+    _replay(cursor, step)
+    return cursor.move(())
 
 
 def rewrite_at(phi: Formula, rule_id: str, direction: str, path: tuple[int, ...], group: int = 0):
     """Match at ``path`` and apply, returning ``(result, step)``."""
-    bindings = match_rule(phi, rule_id, direction, path)
-    if bindings is None:
-        raise MismatchError(
-            f"{rule_id} {direction} does not match at {list(path)} in {print_formula(phi)}"
-        )
-    step = RewriteStep(rule=rule_id, direction=direction, path=path, bindings=bindings, group=group)
-    return apply_rule(phi, step), step
+    cursor = _Cursor(phi)
+    step = _rewrite(cursor, rule_id, direction, path, group)
+    return cursor.move(()), step
 
 
 @_frozen
@@ -316,20 +351,17 @@ class CheckReport:
 def check_certificate(cert: Certificate) -> CheckReport:
     """Pure replay: every step must apply exactly and the result must equal
     the target syntactically."""
-    state = cert.source
+    cursor = _Cursor(cert.source)
     for i, step in enumerate(cert.steps):
         try:
-            state = apply_rule(state, step)
+            _replay(cursor, step)
         except CertifyError as exc:
             return CheckReport(ok=False, steps_applied=i, failed_step=i, reason=str(exc), final=None)
-    if state != cert.target:
-        return CheckReport(
-            ok=False,
-            steps_applied=len(cert.steps),
-            failed_step=None,
-            reason="replay finished but the final formula differs from the target",
-            final=state,
-        )
+    state = cursor.move(())
+    if not same_term(state, cert.target):
+        return CheckReport(ok=False, steps_applied=len(cert.steps), failed_step=None,
+                           reason="replay finished but the final formula differs from the target",
+                           final=state)
     return CheckReport(ok=True, steps_applied=len(cert.steps), failed_step=None, reason=None, final=state)
 
 
@@ -408,8 +440,8 @@ def generate_certificate(sol: Solution, padding: tuple[PaddingRecord, ...] = ())
     has no removal rule, so such layers stay in the target (see DISCREPANCIES.md).
 
     The steps come from ``_derivation`` (diamond duals for a Sigma solution,
-    which must use the duality strategy), each applied once by ``apply_rule``;
-    a step that does not match, or an end other than the target, raises
+    which must use the duality strategy), each matched once at its path; a
+    step that does not match, or an end other than the target, raises
     ``GenerationError``.
     """
     from .hierarchy import PaddingRecord, _layers
@@ -425,21 +457,19 @@ def generate_certificate(sol: Solution, padding: tuple[PaddingRecord, ...] = ())
     drops = frozenset(pad.index for pad in padding if pad.phi_padded)
     shape = _layers(d, tuple(PaddingRecord(index, phi_padded=True) for index in drops))
     target = substitute(shape, d.x, sol.formula)
-    state = sol.formula
-    steps = []
+    cursor = _Cursor(sol.formula)
     try:
-        for rule_id, direction, path, group in _derivation(d, drops):
-            state, step = rewrite_at(state, _DUAL_RULE[rule_id] if sigma else rule_id,
-                                     direction, path, group)
-            steps.append(step)
+        steps = tuple(_rewrite(cursor, _DUAL_RULE[rule_id] if sigma else rule_id, direction, path, group)
+                      for rule_id, direction, path, group in _derivation(d, drops))
     except CertifyError as exc:
         raise GenerationError(f"scripted derivation failed: {exc}") from exc
-    if state != target:
+    state = cursor.move(())
+    if not same_term(state, target):
         raise GenerationError(
             "scripted derivation ended at "
             f"{print_formula(state)} instead of {print_formula(target)}"
         )
-    return Certificate(source=sol.formula, target=target, steps=tuple(steps))
+    return Certificate(source=sol.formula, target=target, steps=steps)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,10 @@ The 14 term classes come from one table: each is one ``_term`` call, which
 makes the class and writes its row of ``CHILD_FIELDS``, the child field names
 in path order.  ``children``, ``rebuild`` and ``subterms`` read that table,
 and every structural walk of a term goes through them: negation,
-substitution and the variable scans here, rule matching and positioned
-rewriting in ``certify``, name collection in the CLI.  Each class is slotted
-and frozen, with one shared ``repr``, ``==``, ``hash`` and pickling.
+substitution, the variable scans and ``same_term`` here, rule matching and
+positioned rewriting in ``certify``, name collection in the CLI.  Each class
+is slotted and frozen, with one shared ``repr``, ``==``, ``hash`` and
+pickling.
 
 ``_frozen`` makes every frozen value class of the package: the term classes
 here and the records of ``hierarchy``, ``synthesis``, ``certify`` and
@@ -55,6 +56,7 @@ __all__ = [
     "children",
     "rebuild",
     "subterms",
+    "same_term",
     "negate",
     "substitute",
     "variables",
@@ -281,6 +283,26 @@ def subterms(term):
         node = stack.pop()
         yield node
         stack.extend(reversed(children(node)))
+
+
+def same_term(s, t) -> bool:
+    """Whether ``s`` and ``t`` are equal terms, by an explicit-stack walk, so
+    that no depth is too deep for it.  ``==`` gives the same answer by
+    recursion.  A pair of identical objects is equal without being entered."""
+    stack = [(s, t)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        if type(a) is not type(b):
+            return False
+        kids = children(a)
+        if not kids:
+            if a != b:
+                return False
+            continue
+        stack.extend(zip(kids, children(b)))
+    return True
 
 
 _DUALS = {Atom: NegAtom, NegAtom: Atom, Top: Bot, Bot: Top, Or: And, And: Or,

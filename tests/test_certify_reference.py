@@ -1,0 +1,217 @@
+"""Certificate generation and replay against a reference fold.
+
+The reference below is written from the definitions certificates were first
+checked with: every step walks from the root to its path, rewrites by
+rebuilding the whole spine recursively, and replays by instantiating the
+bound source pattern and comparing it with the subterm.  It shares no code
+with ``certify``'s own rewriting; it takes only the rule table and the
+scripted derivation from there.  Generated certificates must be equal to
+the reference's, and the checker's report on every certificate, and on
+every step of it tampered with in four ways, must be equal to the
+reference's, reason text included.
+"""
+
+import random
+from dataclasses import replace
+
+from pdlfix.certify import (
+    RULES,
+    BadPathError,
+    Certificate,
+    CertifyError,
+    CheckReport,
+    FMeta,
+    FNeg,
+    MismatchError,
+    PMeta,
+    RewriteStep,
+    _derivation,
+    _DUAL_RULE,
+    _METAVARIABLES,
+    check_certificate,
+    generate_certificate,
+)
+from pdlfix.generators import derive_seed, random_decomposition
+from pdlfix.hierarchy import PaddingRecord, _layers, classify, to_nested_form
+from pdlfix.synthesis import solve
+from pdlfix.syntax import And, Formula, Program, Seq, children, negate, rebuild, substitute
+from pdlfix.textio import parse_formula, parse_program, print_formula, print_terms
+
+SORTS = {FMeta: Formula, PMeta: Program, FNeg: Formula}
+
+
+def ref_subterm_at(term, path):
+    node = term
+    for depth, idx in enumerate(path):
+        kids = children(node)
+        if not 0 <= idx < len(kids):
+            raise BadPathError(f"no child {idx} at depth {depth} of {type(node).__name__}")
+        node = kids[idx]
+    return node
+
+
+def ref_replace_at(term, path, new):
+    if not path:
+        return new
+    kids = list(children(term))
+    kids[path[0]] = ref_replace_at(kids[path[0]], path[1:], new)
+    return rebuild(term, kids)
+
+
+def ref_match(pattern, subject, bindings):
+    sort = SORTS.get(type(pattern))
+    if sort is not None:
+        if not isinstance(subject, sort):
+            return False
+        value = negate(subject) if type(pattern) is FNeg else subject
+        if pattern.name not in bindings:
+            bindings[pattern.name] = value
+            return True
+        return bindings[pattern.name] == value
+    if type(pattern) is not type(subject):
+        return False
+    kids = children(pattern)
+    if not kids:
+        return pattern == subject
+    return all(ref_match(p, s, bindings) for p, s in zip(kids, children(subject)))
+
+
+def ref_instantiate(pattern, bindings):
+    if type(pattern) in SORTS:
+        if pattern.name not in bindings:
+            raise MismatchError(f"missing binding for metavariable {pattern.name!r}")
+        value = bindings[pattern.name]
+        return negate(value) if type(pattern) is FNeg else value
+    return rebuild(pattern, [ref_instantiate(kid, bindings) for kid in children(pattern)])
+
+
+def ref_directed(step):
+    rule = RULES[step.rule]
+    return (rule.lhs, rule.rhs) if step.direction == "LR" else (rule.rhs, rule.lhs)
+
+
+def clip(text):
+    return text if len(text) <= 120 else text[:117] + "..."
+
+
+def ref_apply(state, step):
+    extra = step.bindings.keys() - _METAVARIABLES[step.rule]
+    if extra:
+        raise MismatchError(f"{step.rule} has no metavariable {min(extra)!r}")
+    src, dst = ref_directed(step)
+    subject = ref_subterm_at(state, step.path)
+    expected = ref_instantiate(src, step.bindings)
+    if expected != subject:
+        want, found = (clip(text) for text in print_terms([expected, subject]))
+        raise MismatchError(
+            f"{step.rule} {step.direction} does not apply at {list(step.path)}: "
+            f"bound pattern differs from the subterm: expected {want}, found {found}")
+    return ref_replace_at(state, step.path, ref_instantiate(dst, step.bindings))
+
+
+def ref_check(cert, states, at=None, tampered=None):
+    """The reference report on ``cert`` with step ``at`` replaced by
+    ``tampered``; ``states[i]`` is the untampered state before step ``i``."""
+    start = 0 if at is None else at
+    state = states[start]
+    steps = list(cert.steps)
+    if at is not None:
+        steps[at] = tampered
+    for i in range(start, len(steps)):
+        try:
+            state = ref_apply(state, steps[i])
+        except CertifyError as exc:
+            return CheckReport(ok=False, steps_applied=i, failed_step=i, reason=str(exc), final=None)
+    if state != cert.target:
+        return CheckReport(ok=False, steps_applied=len(steps), failed_step=None,
+                           reason="replay finished but the final formula differs from the target",
+                           final=state)
+    return CheckReport(ok=True, steps_applied=len(steps), failed_step=None, reason=None, final=state)
+
+
+def ref_generate(sol, padding):
+    """The certificate and the state before each of its steps, then the end."""
+    d = sol.decomposition
+    sigma = d.kind == "Sigma"
+    drops = frozenset(pad.index for pad in padding if pad.phi_padded)
+    shape = _layers(d, tuple(PaddingRecord(index, phi_padded=True) for index in drops))
+    target = substitute(shape, d.x, sol.formula)
+    states, steps = [sol.formula], []
+    for rule_id, direction, path, group in _derivation(d, drops):
+        rule_id = _DUAL_RULE[rule_id] if sigma else rule_id
+        bindings = {}
+        src = RULES[rule_id].lhs if direction == "LR" else RULES[rule_id].rhs
+        assert ref_match(src, ref_subterm_at(states[-1], path), bindings)
+        step = RewriteStep(rule=rule_id, direction=direction, path=path, bindings=bindings,
+                           group=group)
+        states.append(ref_apply(states[-1], step))
+        steps.append(step)
+    assert states[-1] == target
+    return Certificate(source=sol.formula, target=target, steps=tuple(steps)), states
+
+
+def tamperings(step):
+    """The step with, in turn: its first binding doubled (as acceptance
+    criterion 8 does), a path one level too deep, a binding its rule does not
+    have, and its last binding dropped."""
+    name = sorted(step.bindings)[0]
+    value = step.bindings[name]
+    doubled = And(value, value) if isinstance(value, Formula) else Seq(value, value)
+    yield replace(step, bindings={**step.bindings, name: doubled})
+    yield replace(step, path=step.path + (9,))
+    yield replace(step, bindings={**step.bindings, "zzz": parse_formula("p")})
+    last = sorted(step.bindings)[-1]
+    yield replace(step, bindings={key: bound for key, bound in step.bindings.items() if key != last})
+
+
+def inputs():
+    """Equations with their unknown: the worked example, two padded
+    inputs, and the nested forms of 320 seeded decompositions of both kinds, with and
+    without a leading modality.  Tampering with every step costs the square
+    of a certificate's length, so each block of four cases draws at most one
+    or two pairs, and every eighth block up to three."""
+    for text in ("p & [a](q | (r & X))", "p | X", "(q & X) | p"):
+        phi = parse_formula(text)
+        yield phi, "X"
+    for trial in range(320):
+        kind, leading = [("Pi", False), ("Pi", True), ("Sigma", False), ("Sigma", True)][trial % 4]
+        rng = random.Random(derive_seed(19, trial))
+        bound = (1, 2, 1, 2, 1, 2, 1, 3)[trial // 4 % 8]
+        d = random_decomposition(rng, kind=kind, leading=leading, max_pairs=bound)
+        yield to_nested_form(d), d.x
+
+
+def test_certificates_and_reports_equal_the_reference_fold():
+    shapes = set()
+    for phi, x in inputs():
+        sol = solve(phi, x)
+        padding = classify(phi, x).padding
+        shapes.add((sol.decomposition.kind, sol.decomposition.n))
+        cert = generate_certificate(sol, padding=padding)
+        ref, states = ref_generate(sol, padding)
+        assert cert == ref, print_formula(phi)
+        assert check_certificate(cert) == ref_check(ref, states)
+        for i, step in enumerate(cert.steps):
+            for bad in tamperings(step):
+                broken = Certificate(cert.source, cert.target,
+                                     cert.steps[:i] + (bad,) + cert.steps[i + 1:])
+                report = check_certificate(broken)
+                assert report == ref_check(ref, states, i, bad), (print_formula(phi), i, bad)
+                assert not report.ok and report.failed_step == i
+    assert shapes == {(kind, n) for kind in ("Pi", "Sigma") for n in (1, 2, 3)}
+
+
+def test_a_missing_binding_is_reported_before_a_mismatch():
+    # A step that lacks a binding fails for it, also when a binding it does
+    # have mismatches, before or after the missing one in the pattern.
+    phi = parse_formula("[(a ; b)*]p")
+
+    def reason(**bindings):
+        step = RewriteStep("E4", "LR", (), bindings=bindings)
+        return check_certificate(Certificate(phi, phi, (step,))).reason
+
+    assert reason(phi=parse_formula("p & p")) == "missing binding for metavariable 'alpha'"
+    assert reason(alpha=parse_program("a ; c")) == "missing binding for metavariable 'phi'"
+    assert reason(alpha=parse_program("a ; c"), phi=parse_formula("p")) == (
+        "E4 LR does not apply at []: bound pattern differs from the subterm: "
+        "expected [(a ; c)*]p, found [(a ; b)*]p")

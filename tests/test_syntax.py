@@ -35,6 +35,7 @@ from pdlfix.syntax import (
     negate,
     program_variables,
     rebuild,
+    same_term,
     substitute,
     subterms,
     variables,
@@ -158,6 +159,33 @@ def test_equal_modulo_assoc_program_chains():
     right = parse_formula("[(a;b);c]p")
     assert equal_modulo_assoc(left, right)
     assert left != right
+
+
+def deep_term(leaf, depth=5000):
+    """A term ``depth`` levels tall: boxes and tests alternate down a spine,
+    each beside a small left child, around ``leaf``."""
+    term = leaf
+    for level in range(depth):
+        term = Box(Seq(AtomicProg("a"), Test(Atom("p"))), term) if level % 2 else Or(Atom("q"), term)
+    return term
+
+
+def test_same_term_compares_terms_deeper_than_the_recursion_limit():
+    left, right = deep_term(Atom("r")), deep_term(Atom("r"))
+    assert left is not right
+    with pytest.raises(RecursionError):
+        left == right
+    assert same_term(left, right)
+    assert same_term(left, left)
+    assert not same_term(left, deep_term(Atom("s")))
+    assert not same_term(left, deep_term(NegAtom("r")))
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(formulas, formulas)
+def test_same_term_agrees_with_equality(phi, psi):
+    assert same_term(phi, psi) == (phi == psi)
+    assert same_term(phi, negate(negate(phi)))
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
