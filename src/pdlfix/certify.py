@@ -571,11 +571,11 @@ def certificate_from_json(doc: dict) -> Certificate:
     """Read a certificate document.  Its ``steps`` must be a JSON array, a
     step's ``path`` a list of JSON integers and its ``group`` a JSON integer
     (a bool is neither).  One parse memo serves the document: each distinct
-    binding text, and each distinct text between a matched pair of
-    parentheses inside any of them or inside ``from`` and ``to``, is parsed
-    once, and a group the memo already holds is not even tokenized (see
-    ``textio``).  Equal subterms are therefore one object, and replay's
-    comparisons end at the first identical pair."""
+    binding text, and each distinct text of a group, between parentheses or
+    between brackets, inside any of them or inside ``from`` and ``to``, is
+    parsed once, and a group the memo already holds is not even tokenized
+    (see ``textio``).  Equal bindings and equal groups are therefore one
+    object, and replay's comparisons end at the first identical pair."""
     parsed: dict[tuple[bool, str], object] = {}
     try:
         steps = tuple(

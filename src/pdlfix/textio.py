@@ -31,26 +31,36 @@ token, reported by its first character.  Input nested beyond the interpreter's
 recursion limit is a ``ParseError`` as well, and so is a name that its term
 class rejects (``p²``, ``É``), reported at that name.
 
-A paren is always a token of its own.  One pass over the parens of a text
-pairs each ``(`` with its ``)``, leniently: an unmatched ``(`` or ``)`` stays a
-plain token, and the read fails where the grammar meets it.  The text between
-a matched pair, with its sort (formula or program; the formula of a
-``(...)?`` test is a formula), keys a memo of parsed terms.  This holds for any
-input, printed or hand-written: what a group parses to depends on nothing but
-the text between its parentheses.  The memo lives for one
-``parse_formula``/``parse_program`` call, or for one certificate document
-(``certify.certificate_from_json``), where it also holds every whole binding
-text, so equal subterms of the whole document are one object.
+Parens and brackets are marks, each always a token of its own.  A group is
+an opener (``(``, ``[`` or ``<``) and the closer of its kind that closes it.
+The text between them, with its sort, keys a memo of parsed terms: a bracket
+group holds a program, a paren group a formula or a program (the formula of a
+``(...)?`` test is a formula), so ``[a ; b]`` and ``(a ; b)*`` share one
+``Seq``.  What a group parses to depends on nothing but that text, printed or
+hand-written.  The memo lives for one ``parse_formula``/``parse_program``
+call, or for one certificate document (``certify.certificate_from_json``),
+where it also holds every whole binding text.  So two groups or bindings of
+one text and sort are one object; a term outside every group, such as the
+``[b]~p`` of ``[b]~p | q``, is built anew where it occurs.
 
 One reader reads every text.  A parser tokenizes one region, the whole text
 or the inside of one group, into two parallel lists, kinds and texts, which
-its recursive descent reads by index; every matched group inside the region
-is just its two paren tokens.  At a group the parser looks the group's text
-up in the memo, in the sort the grammar needs there, and takes the term it
-holds; on a miss it builds a parser for that group, reads it and stores the
-term.  So each group is read once and by its own parser, and the inside of a
-group the memo holds is never tokenized: in a certificate document that is
-most of every binding text.
+its recursive descent reads by index; every group inside the region is just
+its two mark tokens.  A group's closer is found when the parser meets its
+opener, as the first later mark that brings the depth back, so the marks
+inside a group the memo holds are never paired.  At a group the parser looks
+its text up in the memo, in the sort the grammar needs there, and takes the
+term it holds; on a miss it builds a parser for that group, reads it and
+stores the term.  So each group is read once and by its own parser, and the
+inside of a group the memo holds is never tokenized: in a certificate
+document that is most of every binding text.
+
+Every error is the one a read that groups only the parens gives, pairing
+them leniently: an unmatched ``(`` or ``)`` stays a plain token, and the read
+fails where the grammar meets it.  A text whose marks do not balance is read
+that way at once.  A read that grouped brackets too is done again that way
+when it fails, and as soon as it meets groups of different kinds that
+cross, as in ``([a)]p``, which no text that parses has.
 
 Token offsets are not kept.  When a read fails, the text is scanned once for
 its first unknown token, which is the error if there is one, as it is for a
@@ -75,7 +85,7 @@ subterm shared by several terms is printed once (``print_terms``).
 from __future__ import annotations
 
 import re
-from itertools import islice
+from itertools import accumulate, islice
 from sys import getrecursionlimit
 
 from .syntax import (
@@ -109,7 +119,15 @@ __all__ = [
 ]
 
 _TOKEN = re.compile(r"\w+|\S")
-_PAREN = re.compile(r"[()]")
+# In ASCII text, the start of a word led by a digit or '_', or a character
+# that is neither part of a word, nor space, nor a known punctuation mark.
+_UNKNOWN = re.compile(r"\b[\d_]|[^\w\s&|~;*?()\[\]<>]")
+# A mark is a paren or a bracket; these tables delete every other character
+# of ASCII text, and the brackets.
+_NOT_MARKS = {code: None for code in range(128) if chr(code) not in "()[]<>"}
+_NOT_PARENS = str.maketrans("", "", "[]<>")
+_DEPTH = {"(": 1, "[": 1, "<": 1, ")": -1, "]": -1, ">": -1}
+_CLOSERS = {"(": ")", "[": "]", "<": ">"}
 # The memo entry that holds term heights, by node id (see ``_height``).
 _HEIGHTS = ("heights",)
 _ALIASES = {"∪": "u", "⊤": "true", "⊥": "false", "¬": "~"}
@@ -141,45 +159,84 @@ def _word_kind(token: str) -> str | None:
 
 
 class _Read:
-    """What the parsers of one text share: the text, the memo, the paren
-    pairing and the last group the memo held.
+    """What the parsers of one text share: the text, the memo, the pairing
+    of its marks and the last group the memo held.
 
-    ``parens`` lists the offset of every paren in order, between a virtual
-    '(' at -1 and a virtual ')' at the end of the text, so that the whole
-    text is the group of paren 0.  ``partner[i]`` is the index of the ')'
-    that closes the '(' at index i, and None for every other paren.
+    Marks are numbered from 1 in text order, between a virtual opener 0 at
+    offset -1 and a virtual closer at the end of the text, so that the whole
+    text is the group of mark 0.  ``marks[i]`` is the offset of mark i and
+    ``partner[i]`` the closer of opener i, both filled in as parsers meet
+    them (``close``).  ``chars`` holds the marks in order, and ``depths`` the
+    depth after each of them; with ``nested`` false, or when they do not
+    balance, the parens alone are marks.
     """
 
-    __slots__ = ("text", "memo", "parens", "partner", "hit")
+    __slots__ = ("text", "memo", "marks", "partner", "hit", "chars", "depths")
 
-    def __init__(self, text: str, memo: dict):
+    def __init__(self, text: str, memo: dict, nested: bool = True):
         self.text = text
         self.memo = memo
-        self.hit = None  # the offset of the last '(' whose group the memo held
-        parens = [-1]
-        parens += map(re.Match.start, _PAREN.finditer(text))
-        parens.append(len(text))
-        partner = [None] * len(parens)
-        partner[0] = len(parens) - 1
-        opened = []
-        for index in range(1, len(parens) - 1):
-            if text[parens[index]] == "(":
-                opened.append(index)
-            elif opened:
-                partner[opened.pop()] = index
-        self.parens, self.partner = parens, partner
+        self.hit = None  # the offset of the last opener whose group the memo held
+        if type(text) is not str:
+            _TOKEN.findall(text)  # fails as the tokenizer does
+        chars = text.translate(_NOT_MARKS)
+        if not chars.isascii():
+            chars = "".join(filter(_DEPTH.__contains__, chars))
+        depths = list(accumulate(map(_DEPTH.__getitem__, chars), initial=0))
+        if not nested or depths[-1] or min(depths):
+            chars = chars.translate(_NOT_PARENS)
+            depths = list(accumulate(map(_DEPTH.__getitem__, chars), initial=0))
+        self.chars, self.depths = chars, depths
+        self.marks = marks = [None] * (len(chars) + 2)
+        marks[0], marks[-1] = -1, len(text)
+        self.partner = partner = marks[:]
+        partner[0] = len(marks) - 1
+
+    def close(self, index: int, stop: int) -> int | None:
+        """The closer of mark ``index``, which follows a mark whose offset is
+        known, in the group that mark ``stop`` closes; None for a plain mark,
+        and ``_Crossed`` if the closer is of another kind.  Its offset is
+        found by counting the closers of its kind from the opener, or back
+        from ``stop`` if fewer lie that way."""
+        chars, depths, text = self.chars, self.depths, self.text
+        mark = chars[index - 1]
+        start = offset = self.marks[index] = text.index(mark, self.marks[index - 1] + 1)
+        if mark not in _CLOSERS:
+            return None
+        try:
+            close = depths.index(depths[index - 1], index, stop)
+        except ValueError:  # a '(' that no ')' closes
+            return None
+        end = chars[close - 1]
+        if end != _CLOSERS[mark]:
+            raise _Crossed
+        ahead, behind = chars.count(end, index, close - 1), chars.count(end, close, stop - 1)
+        if ahead <= behind:
+            for _ in range(ahead + 1):
+                offset = text.index(end, offset + 1)
+        else:
+            offset = self.marks[stop]
+            for _ in range(behind + 1):
+                offset = text.rindex(end, start, offset)
+        self.marks[close] = offset
+        self.partner[index] = close
+        return close
+
+
+class _Crossed(Exception):
+    """Raised where a group's closer is not of its opener's kind."""
 
 
 class _Parser:
     """Recursive descent over the tokens of one region of a text: the inside
-    of the group that opens at paren ``opened`` (0 for the whole text).
+    of the group that opens at mark ``opened`` (0 for the whole text).
 
     ``kinds`` and ``texts`` are parallel lists.  A kind is ``'lower'``,
     ``'upper'``, a punctuation character, or None for an unknown token; the
-    sentinel after the last token is ``'end'`` for the whole text and ``')'``
-    for a group.  Every matched group inside the region is its two paren
-    tokens, and ``groups`` maps the index of each such '(' token to the
-    index of its paren.  ``inner`` is the parser of the group being read.
+    sentinel after the last token is ``'end'`` for the whole text and the
+    closing mark for a group.  Every group inside the region is its two mark
+    tokens, and ``groups`` maps the index of each opener token to the index
+    of its mark.  ``inner`` is the parser of the group being read.
     """
 
     __slots__ = ("read", "opened", "kinds", "texts", "groups", "pos", "inner")
@@ -189,43 +246,44 @@ class _Parser:
         self.opened = opened
         self.pos = 0
         self.inner = None
-        text, parens, partner = read.text, read.parens, read.partner
+        text, marks = read.text, read.marks
         findall = _TOKEN.findall
         texts, groups = [], {}
-        index, stop = opened + 1, partner[opened]
-        at = parens[opened] + 1
+        index, stop = opened + 1, read.partner[opened]
+        at = marks[opened] + 1
         while index < stop:
-            close = partner[index]
-            if close is None:  # an unmatched paren is a token like any other
+            close = read.close(index, stop)
+            if close is None:  # a plain mark is a token like any other
                 index += 1
                 continue
-            texts += findall(text, at, parens[index])
+            texts += findall(text, at, marks[index])
             groups[len(texts)] = index
-            texts += "()"
-            at = parens[close] + 1
+            texts += text[marks[index]], text[marks[close]]
+            at = marks[close] + 1
             index = close + 1
-        texts += findall(text, at, parens[stop])
+        texts += findall(text, at, marks[stop])
         kinds = [_KINDS.get(token) or _word_kind(token) for token in texts]
         if not text.isascii():
             texts = [_ALIASES.get(token, token) for token in texts]
-        kinds.append(")" if opened else "end")
-        texts.append(")" if opened else "")
+        closer = text[marks[stop]] if opened else ""
+        kinds.append(closer or "end")
+        texts.append(closer)
         self.kinds, self.texts, self.groups = kinds, texts, groups
 
     def error(self, message: str, index: int) -> ParseError:
         """``message`` at token ``index``; the sentinel stands at the end of
         the region.  Token offsets are not kept, so the stretch of the region
         after the last group before that token is scanned for it."""
-        text, parens, partner = self.read.text, self.read.parens, self.read.partner
-        at, first = parens[self.opened] + 1, 0
-        for token, paren in self.groups.items():
+        text, marks, partner = self.read.text, self.read.marks, self.read.partner
+        at, first = marks[self.opened] + 1, 0
+        for token, mark in self.groups.items():
             if token > index:
                 break
             if token == index:
-                at, first = parens[paren], token
+                at, first = marks[mark], token
             else:
-                at, first = parens[partner[paren]], token + 1
-        end = parens[partner[self.opened]]
+                at, first = marks[partner[mark]], token + 1
+        end = marks[partner[self.opened]]
         match = next(islice(_TOKEN.finditer(text, at, end), index - first, None), None)
         return ParseError(message, *_line_column(text, end if match is None else match.start()))
 
@@ -239,6 +297,24 @@ class _Parser:
         if self.kinds[self.pos] != kind:
             self.fail(expected)
         self.pos += 1
+
+    def group(self, opened: int, is_program: bool):
+        """The program or formula that the group opening at mark ``opened``
+        spells: the memo's, or read by a parser of its own and stored."""
+        read = self.read
+        marks = read.marks
+        key = (is_program, read.text[marks[opened] + 1:marks[read.partner[opened]]])
+        term = read.memo.get(key)
+        if term is None:
+            self.inner = reader = _Parser(read, opened)
+            term = reader.program() if is_program else reader.formula()
+            if reader.pos + 1 != len(reader.kinds):
+                reader.fail(repr(reader.texts[-1]))
+            self.inner = None
+            read.memo[key] = term
+        else:
+            read.hit = marks[opened]
+        return term
 
     # formulas
 
@@ -257,18 +333,22 @@ class _Parser:
         return left
 
     def unary(self) -> Formula:
-        kind = self.kinds[self.pos]
-        if kind == "[":
-            self.pos += 1
-            prog = self.program()
-            self.expect("]", "']'")
-            return Box(prog, self.unary())
-        if kind == "<":
-            self.pos += 1
-            prog = self.program()
-            self.expect(">", "'>'")
-            return Diamond(prog, self.unary())
-        return self.primary()
+        # A group is read here, not in ``primary``, to save a frame a level.
+        pos = self.pos
+        kind = self.kinds[pos]
+        opened = self.groups.get(pos)
+        if opened is not None:
+            term = self.group(opened, kind != "(")
+            self.pos = pos + 2
+            if kind == "(":
+                return term
+        elif kind == "[" or kind == "<":  # a bracket in a text whose marks do not nest
+            self.pos = pos + 1
+            term = self.program()
+            self.expect(_CLOSERS[kind], repr(_CLOSERS[kind]))
+        else:
+            return self.primary()
+        return (Box if kind == "[" else Diamond)(term, self.unary())
 
     def primary(self) -> Formula:
         pos = self.pos
@@ -287,27 +367,10 @@ class _Parser:
             self.pos = pos + 1
             return Var(self.texts[pos])
         if kind == "(":
-            opened = self.groups.get(pos)
-            if opened is None:
-                # An unmatched '(' makes the read fail by itself.
-                self.pos = pos + 1
-                self.formula()
-                self.fail("')'")
-            read = self.read
-            parens = read.parens
-            key = (False, read.text[parens[opened] + 1:parens[read.partner[opened]]])
-            inner = read.memo.get(key)
-            if inner is None:
-                self.inner = reader = _Parser(read, opened)
-                inner = reader.formula()
-                if reader.pos + 1 != len(reader.kinds):
-                    reader.fail("')'")
-                self.inner = None
-                read.memo[key] = inner
-            else:
-                read.hit = parens[opened]
-            self.pos = pos + 2
-            return inner
+            # An unmatched '(' makes the read fail by itself.
+            self.pos = pos + 1
+            self.formula()
+            self.fail("')'")
         if kind == "~":
             self.pos = pos + 1
             self.expect("lower", "an atom after '~'")
@@ -335,7 +398,18 @@ class _Parser:
         return left
 
     def starred(self) -> Program:
-        prog = self.prog_primary()
+        pos = self.pos
+        opened = self.groups.get(pos)
+        if opened is not None and self.kinds[pos] == "(":
+            # A '?' after the matching ')' makes the group a test's formula.
+            if self.kinds[pos + 2] == "?":
+                prog = Test(self.group(opened, False))
+                pos += 1
+            else:
+                prog = self.group(opened, True)
+            self.pos = pos + 2
+        else:
+            prog = self.prog_primary()
         if self.kinds[self.pos] == "*":
             return self.stars(prog)
         return prog
@@ -367,29 +441,7 @@ class _Parser:
                 self.fail("a program", pos)
             return AtomicProg(name)
         if kind == "(":
-            opened = self.groups.get(pos)
-            if opened is None:
-                self.fail("a matching ')'")
-            # A '?' after the matching ')' makes the group a test's formula.
-            is_test = self.kinds[pos + 2] == "?"
-            read = self.read
-            parens = read.parens
-            key = (not is_test, read.text[parens[opened] + 1:parens[read.partner[opened]]])
-            inner = read.memo.get(key)
-            if inner is None:
-                self.inner = reader = _Parser(read, opened)
-                inner = reader.formula() if is_test else reader.program()
-                if reader.pos + 1 != len(reader.kinds):
-                    reader.fail("')'")
-                self.inner = None
-                read.memo[key] = inner
-            else:
-                read.hit = parens[opened]
-            if is_test:
-                self.pos = pos + 3
-                return Test(inner)
-            self.pos = pos + 2
-            return inner
+            self.fail("a matching ')'")
         if kind == "~":
             self.pos = pos + 1
             self.expect("lower", "an atom after '~'")
@@ -408,21 +460,28 @@ class _Parser:
 def _parse(text: str, is_program: bool, memo: dict):
     """The formula or program that ``text`` spells, through ``memo``: a dict
     from ``(is_program, text)`` to the term parsed from that text.  Every
-    parenthesized group is looked up and stored under the text between its
-    parentheses, so texts parsed through one memo share their subterms."""
+    group is looked up and stored under the text between its marks, so texts
+    parsed through one memo share their subterms."""
     key = (is_program, text)
     found = memo.get(key)
     if found is not None:
         return found
-    read = _Read(text, memo)
-    parser = _Parser(read, 0)
-    try:
-        result = parser.program() if is_program else parser.formula()
-        end = parser.pos
-        if parser.kinds[end] != "end":
-            raise parser.error(f"unexpected trailing input {parser.texts[end]!r}", end)
-    except (RecursionError, ValueError) as exc:
-        raise _failure(parser, exc) from None
+    for nested in (True, False):
+        read = _Read(text, memo, nested)
+        try:
+            parser = _Parser(read, 0)
+            result = parser.program() if is_program else parser.formula()
+            end = parser.pos
+            if parser.kinds[end] != "end":
+                raise parser.error(f"unexpected trailing input {parser.texts[end]!r}", end)
+            break
+        except _Crossed:
+            continue
+        except (RecursionError, ValueError) as exc:
+            # The error is the one a read grouping only parens gives, so a
+            # failed read that grouped brackets too is done again that way.
+            if not nested or type(exc) is not RecursionError and not read.chars.strip("()"):
+                raise _failure(parser, exc) from None
     # A memoized group is not parsed again, so the recursion limit no longer
     # bounds the height of the term: bound it here as the recursion would.
     # Every node owns a token of the text, so a text no longer than the limit
@@ -441,10 +500,14 @@ def _failure(parser: _Parser, exc: Exception) -> ParseError:
     with ``exc``: the first unknown token anywhere in the text, or else the
     error where the read stopped, in the innermost group being read."""
     text = parser.read.text
-    for match in _TOKEN.finditer(text):
-        token = match.group()
-        if not (_KINDS.get(token) or _word_kind(token)):
-            return ParseError(f"unknown token {token[0]!r}", *_line_column(text, match.start()))
+    if text.isascii():
+        unknown = _UNKNOWN.search(text)
+    else:
+        unknown = next((match for match in _TOKEN.finditer(text)
+                        if not (_KINDS.get(match.group()) or _word_kind(match.group()))), None)
+    if unknown is not None:
+        return ParseError(f"unknown token {unknown.group()[0]!r}",
+                          *_line_column(text, unknown.start()))
     if type(exc) is ParseError:
         return exc
     while parser.inner is not None:

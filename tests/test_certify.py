@@ -32,7 +32,7 @@ from pdlfix.generators import derive_seed, random_decomposition
 from pdlfix.hierarchy import classify, to_nested_form
 from pdlfix.semantics import ModelGenParams, equivalent_on, random_model
 from pdlfix.synthesis import solve, solve_pi, solve_sigma
-from pdlfix.syntax import And, Atom, Or, Var, substitute, subterms
+from pdlfix.syntax import And, Atom, Box, Diamond, Or, Var, substitute, subterms
 from pdlfix.textio import parse_formula, parse_program, print_formula
 
 EXAMPLE = "p & [a](q | (r & X))"
@@ -419,6 +419,23 @@ def test_a_binding_inside_the_source_reads_back_as_that_subterm():
                 assert any(node is step.bindings[name] for node in subterms(back.source)), text
                 found += 1
     assert found >= 2
+
+
+def test_equal_bracketed_programs_in_one_document_are_one_object():
+    # Each [...] and <...> is a group of the document's parse memo, so a
+    # program that several bindings spell between brackets is read once.
+    across = 0
+    for cert in seeded_certificates():
+        back = certificate_from_json(certificate_to_json(cert))
+        first = {}
+        for i, step in enumerate(back.steps):
+            for term in step.bindings.values():
+                for node in subterms(term):
+                    if type(node) is Box or type(node) is Diamond:
+                        held, where = first.setdefault(node.prog, (node.prog, i))
+                        assert held is node.prog, (i, node.prog)
+                        across += where != i
+    assert across > 5000
 
 
 def test_tampered_group_shared_with_another_step_fails_at_that_step():

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -696,6 +697,32 @@ def _malformed_certificate(draw, doc):
     return doc
 
 
+class _CrossedDocument(dict):
+    """A certificate document in one of whose binding texts a ']' and a ')'
+    have changed places, so that two groups of different kinds cross."""
+
+
+def _swap_closers(doc, step, name, bracket, paren):
+    """``doc`` with the ``bracket``-th ']' and the ``paren``-th ')' of one
+    binding text swapped."""
+    doc = json.loads(json.dumps(doc))
+    text = list(doc["steps"][step]["bindings"][name])
+    i = [k for k, c in enumerate(text) if c == "]"][bracket]
+    j = [k for k, c in enumerate(text) if c == ")"][paren]
+    text[i], text[j] = text[j], text[i]
+    doc["steps"][step]["bindings"][name] = "".join(text)
+    return _CrossedDocument(doc)
+
+
+@st.composite
+def _crossed_certificate(draw, doc):
+    step, name, text = draw(st.sampled_from([
+        (i, name, text) for i, item in enumerate(doc["steps"])
+        for name, text in item["bindings"].items() if "]" in text and ")" in text]))
+    return _swap_closers(doc, step, name, draw(st.integers(0, text.count("]") - 1)),
+                    draw(st.integers(0, text.count(")") - 1)))
+
+
 def test_exit_code_contract_holds_for_drawn_certificates(tmp_path, capsys):
     cert = tmp_path / "cert.json"
     assert main(["solve", "--var", "X", "--certify", str(cert), "p & [a](q | (r & X))"]) == 0
@@ -703,9 +730,11 @@ def test_exit_code_contract_holds_for_drawn_certificates(tmp_path, capsys):
     good = json.loads(cert.read_text())
 
     @settings(max_examples=150, derandomize=True, deadline=None)
-    @given(_malformed_certificate(good), st.booleans())
+    @given(st.one_of(_malformed_certificate(good), _crossed_certificate(good)), st.booleans())
     @example(dict(good, steps={}), True)  # found by the property: read as no steps, exit 1
     @example(dict(good, steps=""), False)
+    # "[true?]p & [true? ; a ; (~q]?)r": the box's group ends at a ')'.
+    @example(_swap_closers(good, 0, "phi", 1, 0), True)
     def contract(doc, json_mode):
         cert.write_text(json.dumps(doc))
         code = main(["verify-cert", str(cert), *(["--json"] if json_mode else [])])
@@ -715,8 +744,11 @@ def test_exit_code_contract_holds_for_drawn_certificates(tmp_path, capsys):
         if json_mode:
             report = json.loads(captured.out)  # exactly one document
             assert report["status"] == "error"
-            assert report["message"].startswith("malformed certificate document")
+            message = report["message"]
         else:
-            assert captured.out.startswith("error: malformed certificate document")
+            message = captured.out.removeprefix("error: ").rstrip("\n")
+        assert message.startswith("malformed certificate document")
+        if type(doc) is _CrossedDocument:
+            assert re.search(r"\(line \d+, column \d+\)$", message), message
 
     contract()

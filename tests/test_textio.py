@@ -1,3 +1,5 @@
+import hashlib
+import random
 from sys import getrecursionlimit
 
 import hypothesis.strategies as st
@@ -11,6 +13,7 @@ from pdlfix.syntax import (
     AtomicProg,
     Box,
     Choice,
+    Diamond,
     Or,
     Seq,
     Star,
@@ -282,7 +285,7 @@ def test_a_group_the_memo_holds_is_tokenized_as_its_two_parens(monkeypatch):
     program, formula = memo[(True, "a ; b")], memo[(False, "p & q")]
     text = "<(a ; b)>(p & q) | (p & q)"
     parser = _Parser(_Read(text, memo), 0)
-    assert parser.texts == ["<", "(", ")", ">", "(", ")", "|", "(", ")", ""]
+    assert parser.texts == ["<", ">", "(", ")", "|", "(", ")", ""]
     # Reading the text builds no parser for a group the memo holds.
     regions = []
     build = _Parser.__init__
@@ -293,11 +296,59 @@ def test_a_group_the_memo_holds_is_tokenized_as_its_two_parens(monkeypatch):
 
     monkeypatch.setattr(_Parser, "__init__", counted)
     phi = _parse(text, False, memo)
-    assert regions == [0]  # the whole text only
+    # The whole text, and the bracket group around "(a ; b)", a text the memo
+    # does not hold; the paren groups inside both are held.
+    assert regions == [0, 1]
     assert phi.left.prog is program
     assert phi.left.body is formula and phi.right is formula
     monkeypatch.undo()
     assert phi == parse_formula(text)
+
+
+def test_a_bracket_group_the_memo_holds_builds_no_parser(monkeypatch):
+    # The text between brackets is a program group, keyed as a parenthesized
+    # program is: "[a ; b]" and "(a ; b)*" share one Seq.
+    memo = {}
+    first = _parse("[a ; b]p & <(p & q)?>q", False, memo)
+    regions = []
+    build = _Parser.__init__
+
+    def counted(self, read, opened):
+        regions.append(opened)
+        build(self, read, opened)
+
+    monkeypatch.setattr(_Parser, "__init__", counted)
+    phi = _parse("[a ; b]q | <(p & q)?>p", False, memo)
+    assert regions == [0]  # the whole text only
+    monkeypatch.undo()
+    assert type(phi.right) is Diamond
+    assert phi.left.prog is first.left.prog and phi.right.prog is first.right.prog
+    assert _parse("[(a ; b)*]p", False, memo).prog.body is first.left.prog
+    assert phi == parse_formula("[a ; b]q | <(p & q)?>p")
+
+
+_PIECES = ("(", ")", "[", "]", "<", ">", "p", "q", "a", "b", ";", "u", "&", "|", "~", "?", "*",
+           "X", "true", "false", " ")
+
+
+def test_seeded_parses_are_pinned():
+    # A differential digest of the reader, to keep when it is replaced: for
+    # 30,000 seeded texts of 1-14 pieces, the formula and the program each
+    # reads as, printed, or the type, message, line and column of its error.
+    # About 4% of the parses succeed; most errors come from brackets that do
+    # not nest, some from brackets of different kinds that close each other.
+    rng = random.Random(20)
+    lines = []
+    for _ in range(30000):
+        text = "".join(rng.choices(_PIECES, k=rng.randint(1, 14)))
+        lines.append(text)
+        for parse, show in ((parse_formula, print_formula), (parse_program, print_program)):
+            try:
+                lines.append(show(parse(text)))
+            except ParseError as err:
+                lines.append(f"{type(err).__name__} {err} {err.line} {err.column}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "00c3d2a6ff082a327643d25c6c296e0803357cc9c93cd5f0e3a27d4bf933f4b3"
 
 
 def nested(levels):
