@@ -33,34 +33,32 @@ class rejects (``p²``, ``É``), reported at that name.
 
 Parens and brackets are marks, each always a token of its own.  A group is
 an opener (``(``, ``[`` or ``<``) and the closer of its kind that closes it.
-The text between them, with its sort, keys a memo of parsed terms: a bracket
-group holds a program, a paren group a formula or a program (the formula of a
-``(...)?`` test is a formula), so ``[a ; b]`` and ``(a ; b)*`` share one
-``Seq``.  What a group parses to depends on nothing but that text, printed or
-hand-written.  The memo lives for one ``parse_formula``/``parse_program``
-call, or for one certificate document (``certify.certificate_from_json``),
-where it also holds every whole binding text.  So two groups or bindings of
-one text and sort are one object; a term outside every group, such as the
-``[b]~p`` of ``[b]~p | q``, is built anew where it occurs.
+The text between them, with its sort (a bracket group holds a program; the
+formula of a ``(...)?`` test is a formula), keys a memo of parsed terms, so
+``[a ; b]`` and ``(a ; b)*`` share one ``Seq``: what a group parses to
+depends on nothing but that text, printed or hand-written.  The memo lives
+for one ``parse_formula``/``parse_program`` call, or for one certificate
+document (``certify.certificate_from_json``), where it also holds every whole
+binding text.  A term outside every group, such as the ``[b]~p`` of
+``[b]~p | q``, is built anew where it occurs.
 
 One reader reads every text.  A parser tokenizes one region, the whole text
 or the inside of one group, into two parallel lists, kinds and texts, which
 its recursive descent reads by index; every group inside the region is just
-its two mark tokens.  A group's closer is found when the parser meets its
-opener, as the first later mark that brings the depth back, so the marks
-inside a group the memo holds are never paired.  At a group the parser looks
-its text up in the memo, in the sort the grammar needs there, and takes the
-term it holds; on a miss it builds a parser for that group, reads it and
-stores the term.  So each group is read once and by its own parser, and the
-inside of a group the memo holds is never tokenized: in a certificate
-document that is most of every binding text.
+its two mark tokens, and its closer is found only then, as the first later
+mark that brings the depth back.  At a group the parser looks its text up in
+the memo, in the sort the grammar needs there, and takes the term it holds;
+on a miss it builds a parser for that group, reads it and stores the term.
+So each group is read once and by its own parser, and the inside of a group
+the memo holds is never paired or tokenized: in a certificate document that
+is most of every binding text.
 
 Every error is the one a read that groups only the parens gives, pairing
 them leniently: an unmatched ``(`` or ``)`` stays a plain token, and the read
 fails where the grammar meets it.  A text whose marks do not balance is read
-that way at once.  A read that grouped brackets too is done again that way
-when it fails, and as soon as it meets groups of different kinds that
-cross, as in ``([a)]p``, which no text that parses has.
+that way at once; a read that grouped brackets is read that way again, from
+the memo as it was, when it fails, builds a term too tall (below) or meets
+groups of different kinds that cross, as in ``([a)]p``.
 
 Token offsets are not kept.  When a read fails, the text is scanned once for
 its first unknown token, which is the error if there is one, as it is for a
@@ -75,7 +73,9 @@ longer than the recursion limit, the height of the term is measured: a term
 taller than the limit is ``input nested too deeply`` as well, reported at the
 last group taken.  Every node owns at least one token, and so one character,
 of the text, so a shorter text cannot build such a term, however many of its
-groups the memo held.
+groups the memo held.  The bound is on nodes, not frames: a text that holds a
+deep group twice, once deep inside other groups, can read where a read of
+every token would run out of frames.
 
 The printer dispatches on the type of each node.  Within one call it keeps
 the text of every composite node it printed, per precedence level, so a
@@ -119,11 +119,7 @@ __all__ = [
 ]
 
 _TOKEN = re.compile(r"\w+|\S")
-# In ASCII text, the start of a word led by a digit or '_', or a character
-# that is neither part of a word, nor space, nor a known punctuation mark.
-_UNKNOWN = re.compile(r"\b[\d_]|[^\w\s&|~;*?()\[\]<>]")
-# A mark is a paren or a bracket; these tables delete every other character
-# of ASCII text, and the brackets.
+# Tables that delete from ASCII text all but the marks, and the brackets.
 _NOT_MARKS = {code: None for code in range(128) if chr(code) not in "()[]<>"}
 _NOT_PARENS = str.maketrans("", "", "[]<>")
 _DEPTH = {"(": 1, "[": 1, "<": 1, ")": -1, "]": -1, ">": -1}
@@ -168,10 +164,11 @@ class _Read:
     ``partner[i]`` the closer of opener i, both filled in as parsers meet
     them (``close``).  ``chars`` holds the marks in order, and ``depths`` the
     depth after each of them; with ``nested`` false, or when they do not
-    balance, the parens alone are marks.
+    balance, the parens alone are marks.  The attribute ``nested`` says
+    whether brackets are marks.
     """
 
-    __slots__ = ("text", "memo", "marks", "partner", "hit", "chars", "depths")
+    __slots__ = ("text", "memo", "marks", "partner", "hit", "chars", "depths", "nested")
 
     def __init__(self, text: str, memo: dict, nested: bool = True):
         self.text = text
@@ -187,6 +184,7 @@ class _Read:
             chars = chars.translate(_NOT_PARENS)
             depths = list(accumulate(map(_DEPTH.__getitem__, chars), initial=0))
         self.chars, self.depths = chars, depths
+        self.nested = bool(chars.strip("()"))
         self.marks = marks = [None] * (len(chars) + 2)
         marks[0], marks[-1] = -1, len(text)
         self.partner = partner = marks[:]
@@ -196,11 +194,10 @@ class _Read:
         """The closer of mark ``index``, which follows a mark whose offset is
         known, in the group that mark ``stop`` closes; None for a plain mark,
         and ``_Crossed`` if the closer is of another kind.  Its offset is
-        found by counting the closers of its kind from the opener, or back
-        from ``stop`` if fewer lie that way."""
+        found by counting the closers of its kind from the opener."""
         chars, depths, text = self.chars, self.depths, self.text
         mark = chars[index - 1]
-        start = offset = self.marks[index] = text.index(mark, self.marks[index - 1] + 1)
+        offset = self.marks[index] = text.index(mark, self.marks[index - 1] + 1)
         if mark not in _CLOSERS:
             return None
         try:
@@ -210,21 +207,16 @@ class _Read:
         end = chars[close - 1]
         if end != _CLOSERS[mark]:
             raise _Crossed
-        ahead, behind = chars.count(end, index, close - 1), chars.count(end, close, stop - 1)
-        if ahead <= behind:
-            for _ in range(ahead + 1):
-                offset = text.index(end, offset + 1)
-        else:
-            offset = self.marks[stop]
-            for _ in range(behind + 1):
-                offset = text.rindex(end, start, offset)
+        for _ in range(chars.count(end, index, close - 1) + 1):
+            offset = text.index(end, offset + 1)
         self.marks[close] = offset
         self.partner[index] = close
         return close
 
 
-class _Crossed(Exception):
-    """Raised where a group's closer is not of its opener's kind."""
+class _Crossed(ValueError):
+    """Raised where a group's closer is not of its opener's kind, so that
+    the read is done again grouping only the parens."""
 
 
 class _Parser:
@@ -466,33 +458,36 @@ def _parse(text: str, is_program: bool, memo: dict):
     found = memo.get(key)
     if found is not None:
         return found
+    start = len(memo)
     for nested in (True, False):
-        read = _Read(text, memo, nested)
         try:
+            read = _Read(text, memo, nested)
             parser = _Parser(read, 0)
             result = parser.program() if is_program else parser.formula()
             end = parser.pos
             if parser.kinds[end] != "end":
                 raise parser.error(f"unexpected trailing input {parser.texts[end]!r}", end)
-            break
-        except _Crossed:
-            continue
+            # A memoized group is not parsed again, so the recursion limit no
+            # longer bounds the height of the term: bound it here as the
+            # recursion would.  Every node owns a token of the text, so a text
+            # no longer than the limit needs no count, however many of its
+            # groups the memo held.
+            limit = getrecursionlimit()
+            if read.hit is not None and len(text) > limit:
+                if _height(result, memo.setdefault(_HEIGHTS, {})) > limit:
+                    raise ParseError("input nested too deeply", *_line_column(text, read.hit))
+            memo[key] = result
+            return result
         except (RecursionError, ValueError) as exc:
-            # The error is the one a read grouping only parens gives, so a
-            # failed read that grouped brackets too is done again that way.
-            if not nested or type(exc) is not RecursionError and not read.chars.strip("()"):
+            # Every error is the one a read grouping only the parens gives,
+            # so a read that grouped brackets too is done again that way,
+            # from the memo as it was before.
+            if read.nested:
+                for stored in list(islice(memo, start, None)):
+                    del memo[stored]
+            memo.pop(_HEIGHTS, None)  # its ids may outlive the rejected nodes
+            if not read.nested:
                 raise _failure(parser, exc) from None
-    # A memoized group is not parsed again, so the recursion limit no longer
-    # bounds the height of the term: bound it here as the recursion would.
-    # Every node owns a token of the text, so a text no longer than the limit
-    # needs no count, however many of its groups the memo held.
-    limit = getrecursionlimit()
-    if read.hit is not None and len(text) > limit:
-        if _height(result, memo.setdefault(_HEIGHTS, {})) > limit:
-            del memo[_HEIGHTS]  # its ids may outlive the rejected term's nodes
-            raise ParseError("input nested too deeply", *_line_column(text, read.hit))
-    memo[key] = result
-    return result
 
 
 def _failure(parser: _Parser, exc: Exception) -> ParseError:
@@ -500,14 +495,10 @@ def _failure(parser: _Parser, exc: Exception) -> ParseError:
     with ``exc``: the first unknown token anywhere in the text, or else the
     error where the read stopped, in the innermost group being read."""
     text = parser.read.text
-    if text.isascii():
-        unknown = _UNKNOWN.search(text)
-    else:
-        unknown = next((match for match in _TOKEN.finditer(text)
-                        if not (_KINDS.get(match.group()) or _word_kind(match.group()))), None)
-    if unknown is not None:
-        return ParseError(f"unknown token {unknown.group()[0]!r}",
-                          *_line_column(text, unknown.start()))
+    for match in _TOKEN.finditer(text):
+        token = match.group()
+        if not (_KINDS.get(token) or _word_kind(token)):
+            return ParseError(f"unknown token {token[0]!r}", *_line_column(text, match.start()))
     if type(exc) is ParseError:
         return exc
     while parser.inner is not None:

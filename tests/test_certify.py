@@ -546,6 +546,21 @@ def test_a_redone_read_forgets_the_groups_the_first_read_stored():
         f"malformed certificate document: input nested too deeply (line 1, column {column})"
 
 
+
+def test_a_read_too_tall_after_a_held_bracket_group_is_placed_as_a_paren_read_places_it():
+    # The text above with a box after it: "[a]" is held since "g" was read,
+    # so it is the last group that a read grouping brackets takes.  That read
+    # fails the height bound and is done again grouping only the parens, so
+    # the error stays at "(g", the last group the memo held in that read.
+    k = getrecursionlimit() // 5
+    g = "[a]" * (3 * k) + "X"
+    edited = "<c>([b]" + "[a]" * (2 * k) + "(" + g + ")) & (a) & [a]p"
+    with pytest.raises(ValueError) as err:
+        certificate_from_json(document({"alpha": "(a)*"}, {"phi": g}, {"psi": edited}))
+    column = edited.index("(" + g) + 1
+    assert str(err.value) == \
+        f"malformed certificate document: input nested too deeply (line 1, column {column})"
+
 def test_malformed_certificate_rejected():
     with pytest.raises(ValueError, match="malformed"):
         certificate_from_json({"from": "p"})

@@ -697,21 +697,16 @@ def _malformed_certificate(draw, doc):
     return doc
 
 
-class _CrossedDocument(dict):
-    """A certificate document in one of whose binding texts a ']' and a ')'
-    have changed places, so that two groups of different kinds cross."""
-
-
 def _swap_closers(doc, step, name, bracket, paren):
     """``doc`` with the ``bracket``-th ']' and the ``paren``-th ')' of one
-    binding text swapped."""
+    binding text swapped, so that two groups of different kinds cross."""
     doc = json.loads(json.dumps(doc))
     text = list(doc["steps"][step]["bindings"][name])
     i = [k for k, c in enumerate(text) if c == "]"][bracket]
     j = [k for k, c in enumerate(text) if c == ")"][paren]
     text[i], text[j] = text[j], text[i]
     doc["steps"][step]["bindings"][name] = "".join(text)
-    return _CrossedDocument(doc)
+    return doc
 
 
 @st.composite
@@ -720,7 +715,7 @@ def _crossed_certificate(draw, doc):
         (i, name, text) for i, item in enumerate(doc["steps"])
         for name, text in item["bindings"].items() if "]" in text and ")" in text]))
     return _swap_closers(doc, step, name, draw(st.integers(0, text.count("]") - 1)),
-                    draw(st.integers(0, text.count(")") - 1)))
+                         draw(st.integers(0, text.count(")") - 1)))
 
 
 def test_exit_code_contract_holds_for_drawn_certificates(tmp_path, capsys):
@@ -729,13 +724,8 @@ def test_exit_code_contract_holds_for_drawn_certificates(tmp_path, capsys):
     capsys.readouterr()
     good = json.loads(cert.read_text())
 
-    @settings(max_examples=150, derandomize=True, deadline=None)
-    @given(st.one_of(_malformed_certificate(good), _crossed_certificate(good)), st.booleans())
-    @example(dict(good, steps={}), True)  # found by the property: read as no steps, exit 1
-    @example(dict(good, steps=""), False)
-    # "[true?]p & [true? ; a ; (~q]?)r": the box's group ends at a ')'.
-    @example(_swap_closers(good, 0, "phi", 1, 0), True)
-    def contract(doc, json_mode):
+    def rejected(doc, json_mode):
+        """The message of the error, exit 2, that verify-cert gives for ``doc``."""
         cert.write_text(json.dumps(doc))
         code = main(["verify-cert", str(cert), *(["--json"] if json_mode else [])])
         captured = capsys.readouterr()
@@ -744,11 +734,25 @@ def test_exit_code_contract_holds_for_drawn_certificates(tmp_path, capsys):
         if json_mode:
             report = json.loads(captured.out)  # exactly one document
             assert report["status"] == "error"
-            message = report["message"]
-        else:
-            message = captured.out.removeprefix("error: ").rstrip("\n")
-        assert message.startswith("malformed certificate document")
-        if type(doc) is _CrossedDocument:
-            assert re.search(r"\(line \d+, column \d+\)$", message), message
+            return report["message"]
+        assert captured.out.startswith("error: ")
+        return captured.out.removeprefix("error: ").rstrip("\n")
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(_malformed_certificate(good), st.booleans())
+    @example(dict(good, steps={}), True)  # found by the property: read as no steps, exit 1
+    @example(dict(good, steps=""), False)
+    def contract(doc, json_mode):
+        assert rejected(doc, json_mode).startswith("malformed certificate document")
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(_crossed_certificate(good), st.booleans())
+    # "[true?]p & [true? ; a ; (~q]?)r": the box's group ends at a ')'.
+    @example(_swap_closers(good, 0, "phi", 1, 0), True)
+    def crossed(doc, json_mode):
+        message = rejected(doc, json_mode)
+        assert re.fullmatch(r"malformed certificate document: .* \(line \d+, column \d+\)",
+                            message), message
 
     contract()
+    crossed()
