@@ -3,8 +3,10 @@ machine-checkable certificates from a solution ``lambda`` to ``phi(lambda)``.
 
 A certificate is a replayable list of steps; each step names a rule, a
 direction, a path from the root (program and formula children share one
-index scheme, ``syntax.CHILD_FIELDS``) and the full metavariable bindings,
-so the checker never has to re-infer a match.
+index scheme, ``syntax.CHILD_FIELDS``) and the full metavariable bindings.
+The reader re-infers each match to take the bindings it finds instead of
+parsing their texts (``certificate_from_json``); replay does not: it checks
+each step under the bindings the certificate holds.
 
 The generator computes each step's rule, direction and path from the
 decomposition alone (``_derivation``; a Sigma certificate takes the diamond
@@ -44,7 +46,7 @@ from .syntax import (
     substitute,
     subterms,
 )
-from .textio import _parse, print_formula, print_terms
+from .textio import _TOKEN, _Printer, _parse, print_formula, print_terms
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without loading typing on a cold run
 if TYPE_CHECKING:  # reading and replaying a certificate loads neither module
@@ -570,36 +572,69 @@ def certificate_to_json(cert: Certificate) -> dict:
 def certificate_from_json(doc: dict) -> Certificate:
     """Read a certificate document.  Its ``steps`` must be a JSON array, a
     step's ``path`` a list of JSON integers and its ``group`` a JSON integer
-    (a bool is neither).  One parse memo serves the document: each distinct
-    binding text, and each distinct text of a group, between parentheses or
-    between brackets, inside any of them or inside ``from`` and ``to``, is
-    parsed once, and a group the memo already holds is not even tokenized
-    (see ``textio``).  Equal bindings and equal groups are therefore one
-    object, and replay's comparisons end at the first identical pair."""
-    parsed: dict[tuple[bool, str], object] = {}
+    (a bool is neither).
+
+    Every binding is a subterm of the formula at its step, or E7's negation
+    of one, so the reader holds ``from`` in a cursor and matches each step's
+    rule at its path, as generation did (``_taken``).  A binding text that is
+    the canonical text of the term the match binds, or has the same tokens,
+    takes that term: parsing the text would give an equal one.  From the
+    first step whose match fails or whose texts differ on, every text is
+    parsed instead.  Errors come in document order: the steps' fields and
+    bindings, then ``from``, then ``to``."""
     try:
-        steps = tuple(
-            RewriteStep(
-                rule=item["rule"],
-                direction=item["direction"],
-                path=_path(item["path"]),
-                bindings={
-                    name: _parse(text, name in _PROGRAM_METAVARS, parsed)
-                    for name, text in item.get("bindings", {}).items()
-                },
-                group=_group(item.get("group", 0)),
-            )
-            for item in _steps(doc["steps"])
-        )
-        return Certificate(
-            source=_parse(doc["from"], False, parsed),
-            target=_parse(doc["to"], False, parsed),
-            steps=steps,
-        )
+        items = _steps(doc["steps"])
+        cursor = unread = None
+        try:
+            source = _parse(doc["from"], False)
+            cursor = _Cursor(source)
+        except (KeyError, TypeError, ValueError) as exc:
+            unread = exc  # raised once the steps are read
+        # Its memo is keyed by id, so every term it prints must live until
+        # the read ends: each is a binding of a step kept in ``steps``, and
+        # once a step is not taken the printer is not used again.
+        printer, steps = _Printer(), []
+        for item in items:
+            rule, direction, path = item["rule"], item["direction"], _path(item["path"])
+            texts = item.get("bindings", {}).items()
+            bindings = None if cursor is None else _taken(cursor, printer, rule, direction, path, texts)
+            if bindings is None:
+                cursor = None
+                bindings = {name: _parse(text, name in _PROGRAM_METAVARS) for name, text in texts}
+            steps.append(RewriteStep(rule=rule, direction=direction, path=path, bindings=bindings,
+                                     group=_group(item.get("group", 0))))
+        if unread is not None:
+            raise unread
+        return Certificate(source=source, target=_parse(doc["to"], False), steps=tuple(steps))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, CertifyError):
             raise
         raise ValueError(f"malformed certificate document: {exc}") from exc
+
+
+def _taken(cursor: _Cursor, printer: _Printer, rule, direction, path, texts) -> dict | None:
+    """The bindings of the step's match at ``path``, each spelled by its text
+    in ``texts`` (name and text pairs), with the cursor moved past the step;
+    or None if the step names no rule or no subterm, its rule does not match
+    there, or a text does not spell what the match binds."""
+    if type(rule) is not str or rule not in RULES or direction not in ("LR", "RL"):
+        return None
+    src, dst = _directed(RULES[rule], direction)
+    found: dict = {}
+    try:
+        if not _match(src, cursor.move(path), found) or len(found) != len(texts):
+            return None
+        for name, text in texts:
+            value = found.get(name)
+            if value is None:
+                return None
+            printed = printer.program(value) if name in _PROGRAM_METAVARS else printer.formula(value)
+            if text != printed and (type(text) is not str or _TOKEN.findall(text) != _TOKEN.findall(printed)):
+                return None
+        cursor.focus = _instantiate(dst, found)
+    except (BadPathError, RecursionError):
+        return None
+    return {name: found[name] for name, _ in texts}
 
 
 def _steps(value) -> list:

@@ -23,59 +23,24 @@ reserved.  Unicode aliases (``∪`` ``⊤`` ``⊥`` ``¬``) are accepted on inpu
 never emitted.  Printing produces canonical ASCII with minimal parentheses;
 ``parse(print(t)) == t`` holds for every term.
 
-One compiled regular expression splits text into tokens: a run of word
-characters (those ``str.isalnum`` accepts, and ``_``) or any other single
+One compiled regular expression splits the whole text into tokens: a run of
+word characters (those ``str.isalnum`` accepts, and ``_``) or any other single
 non-space character.  An identifier starts with a letter (``str.isalpha``), so
 a word led by a digit, ``_`` or a numeric sign such as ``²`` is an unknown
-token, reported by its first character.  Input nested beyond the interpreter's
-recursion limit is a ``ParseError`` as well, and so is a name that its term
-class rejects (``p²``, ``É``), reported at that name.
+token, reported by its first character before anything is parsed.  The tokens
+are two parallel lists, kinds and texts, which one recursive descent reads by
+index; each text is read on its own, and nothing is kept between reads.  Only
+the parens are paired, once per text, with a stack and leniently: an
+unmatched ``(`` or ``)`` stays a plain token, and the read fails where the
+grammar meets it.  The pairing serves one lookahead: a ``(`` where a program
+starts is a test's formula when a ``?`` follows its ``)``.
 
-Parens and brackets are marks, each always a token of its own.  A group is
-an opener (``(``, ``[`` or ``<``) and the closer of its kind that closes it.
-The text between them, with its sort (a bracket group holds a program; the
-formula of a ``(...)?`` test is a formula), keys a memo of parsed terms, so
-``[a ; b]`` and ``(a ; b)*`` share one ``Seq``: what a group parses to
-depends on nothing but that text, printed or hand-written.  The memo lives
-for one ``parse_formula``/``parse_program`` call, or for one certificate
-document (``certify.certificate_from_json``), where it also holds every whole
-binding text.  A term outside every group, such as the ``[b]~p`` of
-``[b]~p | q``, is built anew where it occurs.
-
-One reader reads every text.  A parser tokenizes one region, the whole text
-or the inside of one group, into two parallel lists, kinds and texts, which
-its recursive descent reads by index; every group inside the region is just
-its two mark tokens, and its closer is found only then, as the first later
-mark that brings the depth back.  At a group the parser looks its text up in
-the memo, in the sort the grammar needs there, and takes the term it holds;
-on a miss it builds a parser for that group, reads it and stores the term.
-So each group is read once and by its own parser, and the inside of a group
-the memo holds is never paired or tokenized: in a certificate document that
-is most of every binding text.
-
-Every error is the one a read that groups only the parens gives, pairing
-them leniently: an unmatched ``(`` or ``)`` stays a plain token, and the read
-fails where the grammar meets it.  A text whose marks do not balance is read
-that way at once; a read that grouped brackets is read that way again, from
-the memo as it was, when it fails, builds a term too tall (below) or meets
-groups of different kinds that cross, as in ``([a)]p``.
-
-Token offsets are not kept.  When a read fails, the text is scanned once for
-its first unknown token, which is the error if there is one, as it is for a
-read that tokenizes every token first.  Otherwise the error is where the read
-stopped, in the innermost group being read; only then is that group's text
+Source offsets are not kept: only when a ``ParseError`` is raised is the text
 scanned again for the offset of the offending token, which becomes a line and
-a column.
-
-A group the memo holds is not parsed again, so recursion no longer bounds how
-tall a term can grow.  When the parser took a held group and the text is
-longer than the recursion limit, the height of the term is measured: a term
-taller than the limit is ``input nested too deeply`` as well, reported at the
-last group taken.  Every node owns at least one token, and so one character,
-of the text, so a shorter text cannot build such a term, however many of its
-groups the memo held.  The bound is on nodes, not frames: a text that holds a
-deep group twice, once deep inside other groups, can read where a read of
-every token would run out of frames.
+a column.  Input nested beyond the interpreter's recursion limit is a
+``ParseError`` as well, placed where the read gave up (which depends on the
+frames below the call), and so is a name that its term class rejects
+(``p²``, ``É``), reported at that name.
 
 The printer dispatches on the type of each node.  Within one call it keeps
 the text of every composite node it printed, per precedence level, so a
@@ -85,8 +50,7 @@ subterm shared by several terms is printed once (``print_terms``).
 from __future__ import annotations
 
 import re
-from itertools import accumulate, islice
-from sys import getrecursionlimit
+from itertools import islice
 
 from .syntax import (
     And,
@@ -106,7 +70,6 @@ from .syntax import (
     Test,
     Top,
     Var,
-    children,
 )
 
 __all__ = [
@@ -119,13 +82,6 @@ __all__ = [
 ]
 
 _TOKEN = re.compile(r"\w+|\S")
-# Tables that delete from ASCII text all but the marks, and the brackets.
-_NOT_MARKS = {code: None for code in range(128) if chr(code) not in "()[]<>"}
-_NOT_PARENS = str.maketrans("", "", "[]<>")
-_DEPTH = {"(": 1, "[": 1, "<": 1, ")": -1, "]": -1, ">": -1}
-_CLOSERS = {"(": ")", "[": "]", "<": ">"}
-# The memo entry that holds term heights, by node id (see ``_height``).
-_HEIGHTS = ("heights",)
 _ALIASES = {"∪": "u", "⊤": "true", "⊥": "false", "¬": "~"}
 # The kind of every token that is not an identifier.
 _KINDS = {ch: ch for ch in "&|~;*?()[]<>"}
@@ -141,10 +97,6 @@ class ParseError(ValueError):
         self.column = column
 
 
-def _line_column(text: str, offset: int) -> tuple[int, int]:
-    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
-
-
 def _word_kind(token: str) -> str | None:
     """``'lower'`` or ``'upper'`` for an identifier, None for a word that
     does not start with a letter."""
@@ -154,130 +106,45 @@ def _word_kind(token: str) -> str | None:
     return None
 
 
-class _Read:
-    """What the parsers of one text share: the text, the memo, the pairing
-    of its marks and the last group the memo held.
-
-    Marks are numbered from 1 in text order, between a virtual opener 0 at
-    offset -1 and a virtual closer at the end of the text, so that the whole
-    text is the group of mark 0.  ``marks[i]`` is the offset of mark i and
-    ``partner[i]`` the closer of opener i, both filled in as parsers meet
-    them (``close``).  ``chars`` holds the marks in order, and ``depths`` the
-    depth after each of them; with ``nested`` false, or when they do not
-    balance, the parens alone are marks.  The attribute ``nested`` says
-    whether brackets are marks.
-    """
-
-    __slots__ = ("text", "memo", "marks", "partner", "hit", "chars", "depths", "nested")
-
-    def __init__(self, text: str, memo: dict, nested: bool = True):
-        self.text = text
-        self.memo = memo
-        self.hit = None  # the offset of the last opener whose group the memo held
-        if type(text) is not str:
-            _TOKEN.findall(text)  # fails as the tokenizer does
-        chars = text.translate(_NOT_MARKS)
-        if not chars.isascii():
-            chars = "".join(filter(_DEPTH.__contains__, chars))
-        depths = list(accumulate(map(_DEPTH.__getitem__, chars), initial=0))
-        if not nested or depths[-1] or min(depths):
-            chars = chars.translate(_NOT_PARENS)
-            depths = list(accumulate(map(_DEPTH.__getitem__, chars), initial=0))
-        self.chars, self.depths = chars, depths
-        self.nested = bool(chars.strip("()"))
-        self.marks = marks = [None] * (len(chars) + 2)
-        marks[0], marks[-1] = -1, len(text)
-        self.partner = partner = marks[:]
-        partner[0] = len(marks) - 1
-
-    def close(self, index: int, stop: int) -> int | None:
-        """The closer of mark ``index``, which follows a mark whose offset is
-        known, in the group that mark ``stop`` closes; None for a plain mark,
-        and ``_Crossed`` if the closer is of another kind.  Its offset is
-        found by counting the closers of its kind from the opener."""
-        chars, depths, text = self.chars, self.depths, self.text
-        mark = chars[index - 1]
-        offset = self.marks[index] = text.index(mark, self.marks[index - 1] + 1)
-        if mark not in _CLOSERS:
-            return None
-        try:
-            close = depths.index(depths[index - 1], index, stop)
-        except ValueError:  # a '(' that no ')' closes
-            return None
-        end = chars[close - 1]
-        if end != _CLOSERS[mark]:
-            raise _Crossed
-        for _ in range(chars.count(end, index, close - 1) + 1):
-            offset = text.index(end, offset + 1)
-        self.marks[close] = offset
-        self.partner[index] = close
-        return close
-
-
-class _Crossed(ValueError):
-    """Raised where a group's closer is not of its opener's kind, so that
-    the read is done again grouping only the parens."""
-
-
 class _Parser:
-    """Recursive descent over the tokens of one region of a text: the inside
-    of the group that opens at mark ``opened`` (0 for the whole text).
+    """Recursive descent over the parallel lists ``kinds`` and ``texts``.
 
-    ``kinds`` and ``texts`` are parallel lists.  A kind is ``'lower'``,
-    ``'upper'``, a punctuation character, or None for an unknown token; the
-    sentinel after the last token is ``'end'`` for the whole text and the
-    closing mark for a group.  Every group inside the region is its two mark
-    tokens, and ``groups`` maps the index of each opener token to the index
-    of its mark.  ``inner`` is the parser of the group being read.
+    A kind is ``'lower'``, ``'upper'``, a punctuation character, or ``'end'``
+    for the sentinel after the last token.  ``closer`` maps the index of each
+    ``(`` that a ``)`` closes to the index of that ``)``.
     """
 
-    __slots__ = ("read", "opened", "kinds", "texts", "groups", "pos", "inner")
+    __slots__ = ("text", "kinds", "texts", "closer", "pos")
 
-    def __init__(self, read: _Read, opened: int):
-        self.read = read
-        self.opened = opened
+    def __init__(self, text: str):
+        self.text = text
         self.pos = 0
-        self.inner = None
-        text, marks = read.text, read.marks
-        findall = _TOKEN.findall
-        texts, groups = [], {}
-        index, stop = opened + 1, read.partner[opened]
-        at = marks[opened] + 1
-        while index < stop:
-            close = read.close(index, stop)
-            if close is None:  # a plain mark is a token like any other
-                index += 1
-                continue
-            texts += findall(text, at, marks[index])
-            groups[len(texts)] = index
-            texts += text[marks[index]], text[marks[close]]
-            at = marks[close] + 1
-            index = close + 1
-        texts += findall(text, at, marks[stop])
+        texts = _TOKEN.findall(text)
         kinds = [_KINDS.get(token) or _word_kind(token) for token in texts]
+        if None in kinds:
+            index = kinds.index(None)
+            raise self.error(f"unknown token {texts[index][0]!r}", index)
         if not text.isascii():
             texts = [_ALIASES.get(token, token) for token in texts]
-        closer = text[marks[stop]] if opened else ""
-        kinds.append(closer or "end")
-        texts.append(closer)
-        self.kinds, self.texts, self.groups = kinds, texts, groups
+        kinds.append("end")
+        texts.append("")
+        self.kinds, self.texts = kinds, texts
+        self.closer = closer = {}
+        if "(" in text:
+            opened = []
+            for index, kind in enumerate(kinds):
+                if kind == "(":
+                    opened.append(index)
+                elif kind == ")" and opened:
+                    closer[opened.pop()] = index
 
     def error(self, message: str, index: int) -> ParseError:
         """``message`` at token ``index``; the sentinel stands at the end of
-        the region.  Token offsets are not kept, so the stretch of the region
-        after the last group before that token is scanned for it."""
-        text, marks, partner = self.read.text, self.read.marks, self.read.partner
-        at, first = marks[self.opened] + 1, 0
-        for token, mark in self.groups.items():
-            if token > index:
-                break
-            if token == index:
-                at, first = marks[mark], token
-            else:
-                at, first = marks[partner[mark]], token + 1
-        end = marks[partner[self.opened]]
-        match = next(islice(_TOKEN.finditer(text, at, end), index - first, None), None)
-        return ParseError(message, *_line_column(text, end if match is None else match.start()))
+        the text."""
+        text = self.text
+        match = next(islice(_TOKEN.finditer(text), index, None), None)
+        offset = len(text) if match is None else match.start()
+        return ParseError(message, text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset))
 
     def fail(self, expected: str, index: int | None = None):
         if index is None:
@@ -289,24 +156,6 @@ class _Parser:
         if self.kinds[self.pos] != kind:
             self.fail(expected)
         self.pos += 1
-
-    def group(self, opened: int, is_program: bool):
-        """The program or formula that the group opening at mark ``opened``
-        spells: the memo's, or read by a parser of its own and stored."""
-        read = self.read
-        marks = read.marks
-        key = (is_program, read.text[marks[opened] + 1:marks[read.partner[opened]]])
-        term = read.memo.get(key)
-        if term is None:
-            self.inner = reader = _Parser(read, opened)
-            term = reader.program() if is_program else reader.formula()
-            if reader.pos + 1 != len(reader.kinds):
-                reader.fail(repr(reader.texts[-1]))
-            self.inner = None
-            read.memo[key] = term
-        else:
-            read.hit = marks[opened]
-        return term
 
     # formulas
 
@@ -325,22 +174,18 @@ class _Parser:
         return left
 
     def unary(self) -> Formula:
-        # A group is read here, not in ``primary``, to save a frame a level.
-        pos = self.pos
-        kind = self.kinds[pos]
-        opened = self.groups.get(pos)
-        if opened is not None:
-            term = self.group(opened, kind != "(")
-            self.pos = pos + 2
-            if kind == "(":
-                return term
-        elif kind == "[" or kind == "<":  # a bracket in a text whose marks do not nest
-            self.pos = pos + 1
-            term = self.program()
-            self.expect(_CLOSERS[kind], repr(_CLOSERS[kind]))
-        else:
-            return self.primary()
-        return (Box if kind == "[" else Diamond)(term, self.unary())
+        kind = self.kinds[self.pos]
+        if kind == "[":
+            self.pos += 1
+            prog = self.program()
+            self.expect("]", "']'")
+            return Box(prog, self.unary())
+        if kind == "<":
+            self.pos += 1
+            prog = self.program()
+            self.expect(">", "'>'")
+            return Diamond(prog, self.unary())
+        return self.primary()
 
     def primary(self) -> Formula:
         pos = self.pos
@@ -359,10 +204,10 @@ class _Parser:
             self.pos = pos + 1
             return Var(self.texts[pos])
         if kind == "(":
-            # An unmatched '(' makes the read fail by itself.
             self.pos = pos + 1
-            self.formula()
-            self.fail("')'")
+            term = self.formula()
+            self.expect(")", "')'")
+            return term
         if kind == "~":
             self.pos = pos + 1
             self.expect("lower", "an atom after '~'")
@@ -390,18 +235,7 @@ class _Parser:
         return left
 
     def starred(self) -> Program:
-        pos = self.pos
-        opened = self.groups.get(pos)
-        if opened is not None and self.kinds[pos] == "(":
-            # A '?' after the matching ')' makes the group a test's formula.
-            if self.kinds[pos + 2] == "?":
-                prog = Test(self.group(opened, False))
-                pos += 1
-            else:
-                prog = self.group(opened, True)
-            self.pos = pos + 2
-        else:
-            prog = self.prog_primary()
+        prog = self.prog_primary()
         if self.kinds[self.pos] == "*":
             return self.stars(prog)
         return prog
@@ -433,7 +267,18 @@ class _Parser:
                 self.fail("a program", pos)
             return AtomicProg(name)
         if kind == "(":
-            self.fail("a matching ')'")
+            close = self.closer.get(pos)
+            if close is None:
+                self.fail("a matching ')'")
+            self.pos = pos + 1
+            if self.kinds[close + 1] == "?":
+                prog = Test(self.formula())
+                self.expect(")", "')'")
+                self.pos += 1
+            else:
+                prog = self.program()
+                self.expect(")", "')'")
+            return prog
         if kind == "~":
             self.pos = pos + 1
             self.expect("lower", "an atom after '~'")
@@ -449,97 +294,33 @@ class _Parser:
         self.fail("a program")
 
 
-def _parse(text: str, is_program: bool, memo: dict):
-    """The formula or program that ``text`` spells, through ``memo``: a dict
-    from ``(is_program, text)`` to the term parsed from that text.  Every
-    group is looked up and stored under the text between its marks, so texts
-    parsed through one memo share their subterms."""
-    key = (is_program, text)
-    found = memo.get(key)
-    if found is not None:
-        return found
-    start = len(memo)
-    for nested in (True, False):
-        try:
-            read = _Read(text, memo, nested)
-            parser = _Parser(read, 0)
-            result = parser.program() if is_program else parser.formula()
-            end = parser.pos
-            if parser.kinds[end] != "end":
-                raise parser.error(f"unexpected trailing input {parser.texts[end]!r}", end)
-            # A memoized group is not parsed again, so the recursion limit no
-            # longer bounds the height of the term: bound it here as the
-            # recursion would.  Every node owns a token of the text, so a text
-            # no longer than the limit needs no count, however many of its
-            # groups the memo held.
-            limit = getrecursionlimit()
-            if read.hit is not None and len(text) > limit:
-                if _height(result, memo.setdefault(_HEIGHTS, {})) > limit:
-                    raise ParseError("input nested too deeply", *_line_column(text, read.hit))
-            memo[key] = result
-            return result
-        except (RecursionError, ValueError) as exc:
-            # Every error is the one a read grouping only the parens gives,
-            # so a read that grouped brackets too is done again that way,
-            # from the memo as it was before.
-            if read.nested:
-                for stored in list(islice(memo, start, None)):
-                    del memo[stored]
-            memo.pop(_HEIGHTS, None)  # its ids may outlive the rejected nodes
-            if not read.nested:
-                raise _failure(parser, exc) from None
-
-
-def _failure(parser: _Parser, exc: Exception) -> ParseError:
-    """The error of a read that ``parser``, reading the whole text, gave up
-    with ``exc``: the first unknown token anywhere in the text, or else the
-    error where the read stopped, in the innermost group being read."""
-    text = parser.read.text
-    for match in _TOKEN.finditer(text):
-        token = match.group()
-        if not (_KINDS.get(token) or _word_kind(token)):
-            return ParseError(f"unknown token {token[0]!r}", *_line_column(text, match.start()))
-    if type(exc) is ParseError:
-        return exc
-    while parser.inner is not None:
-        parser = parser.inner
-    if type(exc) is RecursionError:
-        return parser.error("input nested too deeply", parser.pos)
-    # A name its term class rejects; only '?' tokens follow it.
-    index = parser.pos - 1
-    while parser.kinds[index] not in ("lower", "upper"):
-        index -= 1
-    return parser.error(str(exc), index)
-
-
-def _height(term, heights: dict) -> int:
-    """Nodes on the longest path down ``term``.  ``heights`` maps the id of
-    each node measured through one memo to its height; the memo keeps those
-    nodes alive."""
-    known = heights.get
-    stack = [term]
-    while stack:
-        node = stack[-1]
-        tallest = 0  # -1 once a child waits on the stack
-        for kid in children(node):
-            height = known(id(kid))
-            if height is None:
-                stack.append(kid)
-                tallest = -1
-            elif height > tallest >= 0:
-                tallest = height
-        if tallest >= 0:
-            heights[id(node)] = tallest + 1
-            stack.pop()
-    return heights[id(term)]
+def _parse(text: str, is_program: bool):
+    """The formula or program that ``text`` spells."""
+    parser = _Parser(text)
+    try:
+        result = parser.program() if is_program else parser.formula()
+    except RecursionError:
+        raise parser.error("input nested too deeply", parser.pos) from None
+    except ParseError:
+        raise
+    except ValueError as exc:
+        # A name its term class rejects; only '?' tokens follow it.
+        index = parser.pos - 1
+        while parser.kinds[index] not in ("lower", "upper"):
+            index -= 1
+        raise parser.error(str(exc), index) from None
+    end = parser.pos
+    if parser.kinds[end] != "end":
+        raise parser.error(f"unexpected trailing input {parser.texts[end]!r}", end)
+    return result
 
 
 def parse_formula(text: str) -> Formula:
-    return _parse(text, False, {})
+    return _parse(text, False)
 
 
 def parse_program(text: str) -> Program:
-    return _parse(text, True, {})
+    return _parse(text, True)
 
 
 # Precedence levels used by the printer.  Higher binds tighter.

@@ -354,7 +354,7 @@ def test_certificate_text_is_pinned_and_round_trips():
         assert check_certificate(back).ok
 
 
-def test_equal_binding_texts_read_back_as_one_object():
+def test_equal_binding_texts_read_back_as_equal_terms():
     for _key, cert in pinned_certificates():
         doc = certificate_to_json(cert)
         back = certificate_from_json(doc)
@@ -364,7 +364,7 @@ def test_equal_binding_texts_read_back_as_one_object():
             for name, text in item["bindings"].items():
                 key = (name in ("alpha", "beta"), text)
                 if key in seen:
-                    assert step.bindings[name] is seen[key]
+                    assert step.bindings[name] == seen[key]
                     shared += 1
                 seen[key] = step.bindings[name]
         assert shared > 0
@@ -373,6 +373,34 @@ def test_equal_binding_texts_read_back_as_one_object():
         assert again.source is not back.source
         first = {id(node) for term in terms_of(back) for node in subterms(term)}
         assert not any(id(node) in first for term in terms_of(again) for node in subterms(term))
+
+
+def test_each_binding_of_a_canonical_document_is_what_its_steps_match_finds(monkeypatch):
+    # Only "from" and "to" are parsed.  Every binding is a node of the formula
+    # at its step, the one the match there finds, or for E7 read right to
+    # left the negation of the test's formula.
+    from pdlfix import certify
+    from pdlfix.syntax import negate
+
+    for cert in seeded_certificates():
+        doc = certificate_to_json(cert)
+        parsed, subjects = [], []
+        parse, move = certify._parse, certify._Cursor.move
+        monkeypatch.setattr(certify, "_parse", lambda text, *rest: parsed.append(text) or parse(text, *rest))
+        monkeypatch.setattr(certify._Cursor, "move", lambda self, path: subjects.append(move(self, path))
+                            or subjects[-1])
+        back = certificate_from_json(doc)
+        monkeypatch.undo()
+        assert back == cert
+        assert parsed == [doc["from"], doc["to"]]
+        assert len(subjects) == len(back.steps)
+        for subject, step in zip(subjects, back.steps):
+            nodes = {id(node) for node in subterms(subject)}
+            for name, value in step.bindings.items():
+                if (step.rule, step.direction, name) == ("E7", "RL", "phi"):
+                    assert subject.prog.cond == negate(value)
+                else:
+                    assert id(value) in nodes, (step, name)
 
 
 def terms_of(cert):
@@ -421,9 +449,9 @@ def test_a_binding_inside_the_source_reads_back_as_that_subterm():
     assert found >= 2
 
 
-def test_equal_bracketed_programs_in_one_document_are_one_object():
-    # Each [...] and <...> is a group of the document's parse memo, so a
-    # program that several bindings spell between brackets is read once.
+def test_equal_bracketed_programs_in_one_document_read_back_equal():
+    # A program that several bindings spell between brackets reads back as
+    # one term each time.
     across = 0
     for cert in seeded_certificates():
         back = certificate_from_json(certificate_to_json(cert))
@@ -433,7 +461,7 @@ def test_equal_bracketed_programs_in_one_document_are_one_object():
                 for node in subterms(term):
                     if type(node) is Box or type(node) is Diamond:
                         held, where = first.setdefault(node.prog, (node.prog, i))
-                        assert held is node.prog, (i, node.prog)
+                        assert held == node.prog, (i, node.prog)
                         across += where != i
     assert across > 5000
 
@@ -456,6 +484,77 @@ def test_tampered_group_shared_with_another_step_fails_at_that_step():
             assert report.failed_step == i, (i, name)
             edited += 1
     assert edited >= 3
+
+
+DEEP = r"^malformed certificate document: input nested too deeply \(line \d+, column \d+\)$"
+
+
+def respelled(doc, spell):
+    """``doc`` with ``spell`` applied to ``from``, ``to`` and every binding."""
+    doc = json.loads(json.dumps(doc))
+    doc["from"], doc["to"] = spell(doc["from"]), spell(doc["to"])
+    for item in doc["steps"]:
+        item["bindings"] = {name: spell(text) for name, text in item["bindings"].items()}
+    return doc
+
+
+@pytest.mark.parametrize("spell, parsed", [
+    # The same tokens as the canonical text: taken from the match.
+    (lambda text: text.replace(" ; ", ";").replace(" & ", "&").replace("[", "[ "), False),
+    # Other tokens: parsed, to an equal term.
+    (lambda text: text.replace(" u ", " ∪ "), True),
+    (lambda text: f"({text})", True),
+], ids=["whitespace", "union-sign", "parens"])
+def test_a_respelled_document_reads_back_equal_and_verifies(monkeypatch, spell, parsed):
+    from pdlfix import certify
+
+    phi = parse_formula("p & [a u b](q | (r & X))")
+    union = generate_certificate(solve(phi, "X"), padding=classify(phi, "X").padding)
+    for cert in [union, *(cert for _key, cert in pinned_certificates())]:
+        original = certificate_to_json(cert)
+        doc = respelled(original, spell)
+        texts = []
+        parse = certify._parse
+        monkeypatch.setattr(certify, "_parse", lambda text, *rest: texts.append(text) or parse(text, *rest))
+        back = certificate_from_json(doc)
+        monkeypatch.undo()
+        assert back == cert
+        assert check_certificate(back).ok
+        assert (len(texts) > 2) == (parsed and doc != original)
+
+
+def test_a_malformed_binding_is_reported_before_a_malformed_from():
+    doc = certificate_to_json(example_certificate()[2])
+    doc["from"] = "p &"
+    with pytest.raises(ValueError, match=r"found 'end of input' \(line 1, column 4\)$"):
+        certificate_from_json(doc)
+    doc["steps"][2]["bindings"]["phi"] = "q $"
+    with pytest.raises(ValueError) as err:
+        certificate_from_json(doc)
+    assert str(err.value) == "malformed certificate document: unknown token '$' (line 1, column 3)"
+
+
+def test_a_step_with_a_bad_path_reads_and_fails_replay_there():
+    cert = example_certificate()[2]
+    doc = certificate_to_json(cert)
+    doc["steps"][2]["path"].append(9)
+    back = certificate_from_json(doc)
+    assert [step.bindings for step in back.steps] == [step.bindings for step in cert.steps]
+    report = check_certificate(back)
+    assert not report.ok and report.failed_step == 2
+
+
+def test_a_binding_too_deep_to_print_is_parsed_and_fails_as_too_deep():
+    # 500 unfoldings of [a*]p build a formula deeper than the printer can
+    # recurse, and E5 read right to left binds all of it.  Its text is read
+    # by the parser instead, which gives up on it too.
+    n = 500
+    steps = [{"rule": "E4", "direction": "LR", "path": [1, 1] * i,
+              "bindings": {"alpha": "a", "phi": "p"}} for i in range(n)]
+    deep = "p & [a](" * (n - 1) + "p & [a][a*]p" + ")" * (n - 1)
+    steps.append({"rule": "E5", "direction": "RL", "path": [], "bindings": {"phi": deep}})
+    with pytest.raises(ValueError, match=DEEP):
+        certificate_from_json({"from": "[a*]p", "to": "p", "steps": steps})
 
 
 def document(*bindings, source="p", target="p"):
@@ -501,7 +600,7 @@ def test_an_edited_text_fails_as_a_full_read_does(first, edited, message):
     assert str(err.value) == f"malformed certificate document: {message}"
 
 
-@pytest.mark.parametrize("value", [3, None, 2.5, True])
+@pytest.mark.parametrize("value", [3, None, 2.5, True, ["p"], {"p": "q"}])
 def test_a_binding_that_is_not_a_string_fails_as_the_tokenizer_does(value):
     # The message is the one ``re`` gives, which differs between Pythons.
     with pytest.raises(TypeError) as plain:
@@ -513,17 +612,14 @@ def test_a_binding_that_is_not_a_string_fails_as_the_tokenizer_does(value):
 
 def test_groups_left_out_cannot_stack_past_the_recursion_limit():
     # Each binding is the one before it in a group under limit/5 boxes, so
-    # it is read with that group left out: fewer tokens than the limit, but
-    # a term that grows by limit/5 each time.
+    # the term grows by limit/5 with each: seven are too deep to read.
     k = getrecursionlimit() // 5
     texts, inner = [], "X"
     for _ in range(7):
         inner = "[a]" * k + "\n <b>(" + inner + ")"
         texts.append(inner)
-    with pytest.raises(ValueError) as err:
+    with pytest.raises(ValueError, match=DEEP):
         certificate_from_json(document(*({"phi": text} for text in texts)))
-    assert str(err.value) == \
-        "malformed certificate document: input nested too deeply (line 2, column 5)"
     # Four levels stay within the limit and read whole.
     back = certificate_from_json(document(*({"phi": text} for text in texts[:4])))
     node, height = back.steps[3].bindings["phi"], 1
@@ -533,33 +629,25 @@ def test_groups_left_out_cannot_stack_past_the_recursion_limit():
 
 
 def test_a_redone_read_forgets_the_groups_the_first_read_stored():
-    # The first read of the last text stores the group "([b]...)" before it
-    # fails on "(a)", held only as a program.  The full read must parse that
-    # group again, and so report the last group it jumped, "(g)" inside it.
+    # Texts built against a memo shared by one document's texts: "g" read
+    # alone, then inside a deeper text that also holds "(a)" as a program.
+    # Each text is read on its own, and the deep one is too deep.
     k = getrecursionlimit() // 5
     g = "[a]" * (3 * k) + "X"
     edited = "<c>([b]" + "[a]" * (2 * k) + "(" + g + ")) & (a)"
-    with pytest.raises(ValueError) as err:
+    with pytest.raises(ValueError, match=DEEP):
         certificate_from_json(document({"alpha": "(a)*"}, {"phi": g}, {"psi": edited}))
-    column = edited.index("(" + g) + 1
-    assert str(err.value) == \
-        f"malformed certificate document: input nested too deeply (line 1, column {column})"
-
 
 
 def test_a_read_too_tall_after_a_held_bracket_group_is_placed_as_a_paren_read_places_it():
-    # The text above with a box after it: "[a]" is held since "g" was read,
-    # so it is the last group that a read grouping brackets takes.  That read
-    # fails the height bound and is done again grouping only the parens, so
-    # the error stays at "(g", the last group the memo held in that read.
+    # The text above with a box after it, which repeats a box of "g": it is
+    # too deep as well.
     k = getrecursionlimit() // 5
     g = "[a]" * (3 * k) + "X"
     edited = "<c>([b]" + "[a]" * (2 * k) + "(" + g + ")) & (a) & [a]p"
-    with pytest.raises(ValueError) as err:
+    with pytest.raises(ValueError, match=DEEP):
         certificate_from_json(document({"alpha": "(a)*"}, {"phi": g}, {"psi": edited}))
-    column = edited.index("(" + g) + 1
-    assert str(err.value) == \
-        f"malformed certificate document: input nested too deeply (line 1, column {column})"
+
 
 def test_malformed_certificate_rejected():
     with pytest.raises(ValueError, match="malformed"):

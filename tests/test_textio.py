@@ -1,5 +1,9 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from sys import getrecursionlimit
 
 import hypothesis.strategies as st
@@ -24,9 +28,6 @@ from pdlfix.syntax import (
 )
 from pdlfix.textio import (
     ParseError,
-    _Parser,
-    _Read,
-    _parse,
     parse_formula,
     parse_program,
     print_formula,
@@ -254,14 +255,14 @@ def test_aliases_underscores_and_whitespace_parse():
 
 def test_one_group_text_keeps_its_sort_in_each_position():
     # The text between the parentheses is "p" each time: a formula, a test's
-    # formula and a program.  Within one parse, one sort gives one object.
+    # formula and a program.
     phi = parse_formula("(p) & [(p)?][(p)](p)")
     first, box = phi.left, phi.right
     test, inner = box.prog, box.body
     assert type(first) is Atom and first == Atom("p")
-    assert type(test) is Test and test.cond is first
+    assert type(test) is Test and test.cond == first
     assert type(inner.prog) is AtomicProg and inner.prog == AtomicProg("p")
-    assert inner.body is first
+    assert inner.body == first
     assert parse_program("(p)? ; (p)") == Seq(Test(Atom("p")), AtomicProg("p"))
 
 
@@ -278,53 +279,19 @@ def test_spelling_of_a_group_does_not_change_its_term(text, canonical):
     assert print_formula(term) == canonical
 
 
-def test_a_group_the_memo_holds_is_tokenized_as_its_two_parens(monkeypatch):
-    # A program group and a formula group, each held by the memo.
-    memo = {}
-    _parse("[(a ; b)*](p & q)", False, memo)
-    program, formula = memo[(True, "a ; b")], memo[(False, "p & q")]
-    text = "<(a ; b)>(p & q) | (p & q)"
-    parser = _Parser(_Read(text, memo), 0)
-    assert parser.texts == ["<", ">", "(", ")", "|", "(", ")", ""]
-    # Reading the text builds no parser for a group the memo holds.
-    regions = []
-    build = _Parser.__init__
-
-    def counted(self, read, opened):
-        regions.append(opened)
-        build(self, read, opened)
-
-    monkeypatch.setattr(_Parser, "__init__", counted)
-    phi = _parse(text, False, memo)
-    # The whole text, and the bracket group around "(a ; b)", a text the memo
-    # does not hold; the paren groups inside both are held.
-    assert regions == [0, 1]
-    assert phi.left.prog is program
-    assert phi.left.body is formula and phi.right is formula
-    monkeypatch.undo()
-    assert phi == parse_formula(text)
-
-
-def test_a_bracket_group_the_memo_holds_builds_no_parser(monkeypatch):
-    # The text between brackets is a program group, keyed as a parenthesized
-    # program is: "[a ; b]" and "(a ; b)*" share one Seq.
-    memo = {}
-    first = _parse("[a ; b]p & <(p & q)?>q", False, memo)
-    regions = []
-    build = _Parser.__init__
-
-    def counted(self, read, opened):
-        regions.append(opened)
-        build(self, read, opened)
-
-    monkeypatch.setattr(_Parser, "__init__", counted)
-    phi = _parse("[a ; b]q | <(p & q)?>p", False, memo)
-    assert regions == [0]  # the whole text only
-    monkeypatch.undo()
-    assert type(phi.right) is Diamond
-    assert phi.left.prog is first.left.prog and phi.right.prog is first.right.prog
-    assert _parse("[(a ; b)*]p", False, memo).prog.body is first.left.prog
-    assert phi == parse_formula("[a ; b]q | <(p & q)?>p")
+def test_a_group_reads_as_one_term_in_every_text_that_spells_it():
+    # What a group reads as depends on nothing but its text and its sort:
+    # "[a ; b]", "<(a ; b)>" and "(a ; b)*" hold one program, and "(p & q)"
+    # one formula after a box, a diamond or a disjunction.
+    seq, conj = parse_program("a ; b"), parse_formula("p & q")
+    phi = parse_formula("<(a ; b)>(p & q) | (p & q)")
+    assert phi.left.prog == seq and phi.left.body == conj and phi.right == conj
+    first = parse_formula("[a ; b]p & <(p & q)?>q")
+    assert first.left.prog == seq and first.right.prog == Test(conj)
+    second = parse_formula("[a ; b]q | <(p & q)?>p")
+    assert type(second.right) is Diamond
+    assert second.left.prog == first.left.prog and second.right.prog == first.right.prog
+    assert parse_formula("[(a ; b)*]p").prog == Star(seq)
 
 
 _PIECES = ("(", ")", "[", "]", "<", ">", "p", "q", "a", "b", ";", "u", "&", "|", "~", "?", "*",
@@ -361,9 +328,8 @@ def test_150_levels_of_nesting_still_parse():
 
 
 def test_memoized_groups_cannot_stack_past_the_recursion_limit():
-    # Each group holds the one before it under 300 boxes.  The memo parses
-    # each group once, so only a height check stops the term from growing
-    # taller than any parse that recursed through it could build.
+    # Each group holds the one before it under 300 boxes.  Two of them read;
+    # four are taller than the recursion limit lets a read go.
     group, groups = "X", []
     for _ in range(4):
         group = "(" + "[a]" * 300 + group + ")"
@@ -372,9 +338,25 @@ def test_memoized_groups_cannot_stack_past_the_recursion_limit():
     inner = two.right
     for _ in range(300):
         inner = inner.body
-    assert inner is two.left
+    assert inner == two.left
     with pytest.raises(ParseError, match=r"^input nested too deeply \(line 1, column \d+\)$"):
         parse_formula(" & ".join(groups))
+
+
+def test_a_text_near_the_limit_fails_as_a_read_of_every_token_does():
+    # The second box repeats the first.  A reader that took a repeated group
+    # whole, without reading it again, parsed this text; a read of every token
+    # runs out of frames in the second run of stars.  Where it gives up
+    # depends on the frames below the call, so the text is read at the top
+    # level of a fresh interpreter.
+    text = "[a" + "*" * 800 + "]p & " + "(" * 60 + "[a" + "*" * 800 + "]p" + ")" * 60
+    code = ("from pdlfix.textio import parse_formula\n"
+            f"try:\n    parse_formula({text!r})\nexcept ValueError as err:\n    print(err)\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path), timeout=60)
+    assert run.stdout == "input nested too deeply (line 1, column 1618)\n", run.stderr
 
 
 @pytest.mark.parametrize("parse", [parse_formula, parse_program])
