@@ -28,6 +28,7 @@ from pdlfix.syntax import (
 )
 from pdlfix.textio import (
     ParseError,
+    _Parser,
     parse_formula,
     parse_program,
     print_formula,
@@ -281,14 +282,32 @@ def test_spelling_of_a_group_does_not_change_its_term(text, canonical):
 
 def test_a_group_reads_as_one_term_in_every_text_that_spells_it():
     # What a group reads as depends on nothing but its text and its sort:
-    # "[a ; b]", "<(a ; b)>" and "(a ; b)*" hold one program, and "(p & q)"
-    # one formula after a box, a diamond or a disjunction.
+    # "(a ; b)" holds one program, and "(p & q)" one formula after a box, a
+    # diamond or a disjunction.
     seq, conj = parse_program("a ; b"), parse_formula("p & q")
     phi = parse_formula("<(a ; b)>(p & q) | (p & q)")
     assert phi.left.prog == seq and phi.left.body == conj and phi.right == conj
+    assert parse_formula("[(a ; b)*](p & q)") == Box(Star(seq), conj)
+
+
+def test_a_bracket_group_reads_as_its_paren_group_in_one_parser(monkeypatch):
+    # The text between brackets reads as the parenthesized program does:
+    # "[a ; b]" and "(a ; b)*" hold one Seq.  The whole text is read by one
+    # parser; no group builds a parser of its own.
+    seq, conj = parse_program("a ; b"), parse_formula("p & q")
+    built = []
+    build = _Parser.__init__
+
+    def counted(self, text):
+        built.append(text)
+        build(self, text)
+
+    monkeypatch.setattr(_Parser, "__init__", counted)
     first = parse_formula("[a ; b]p & <(p & q)?>q")
-    assert first.left.prog == seq and first.right.prog == Test(conj)
     second = parse_formula("[a ; b]q | <(p & q)?>p")
+    assert built == ["[a ; b]p & <(p & q)?>q", "[a ; b]q | <(p & q)?>p"]
+    monkeypatch.undo()
+    assert first.left.prog == seq and first.right.prog == Test(conj)
     assert type(second.right) is Diamond
     assert second.left.prog == first.left.prog and second.right.prog == first.right.prog
     assert parse_formula("[(a ; b)*]p").prog == Star(seq)
