@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -756,3 +757,43 @@ def test_exit_code_contract_holds_for_drawn_certificates(tmp_path, capsys):
 
     contract()
     crossed()
+
+
+def test_seeded_cli_outputs_are_pinned(tmp_path, capsys, monkeypatch):
+    # A differential digest of the commands, to keep when their code is
+    # rewritten: exit code and stdout (wall times masked) of each run, with
+    # and without --json, and the bytes of every certificate written.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("PDLFIX_SEED", raising=False)
+    digest = hashlib.sha256()
+
+    def record(*argv):
+        for mode in ((), ("--json",)):
+            code = main([*argv, *mode])
+            out = capsys.readouterr().out
+            out = re.sub(r'"wallTime": [-+.0-9e]+', '"wallTime": 0', out)
+            out = re.sub(r"\([-+.0-9e]+s\)", "(0s)", out)
+            digest.update(f"{argv} {mode} {code}\n{out}\n".encode())
+
+    for phi in ("p & [a](q | (r & X))", "(q & X) | p", "[X?]p"):
+        record("classify", "--var", "X", phi)
+    for name, phi in (("worked", "p & [a](q | (r & X))"), ("or", "p | X"),
+                      ("sigma", "<a>(p & (q | X))")):
+        record("solve", "--var", "X", "--certify", f"{name}.json", phi)
+        digest.update(Path(f"{name}.json").read_bytes())
+    text = Path("worked.json").read_text()
+    # No spaces around ';' and '&', and a space after every '[' (in JSON too).
+    Path("respelled.json").write_text(text.replace(" ; ", ";").replace(" & ", "&").replace("[", "[ "))
+    tampered = json.loads(text)
+    tampered["steps"][3]["bindings"]["phi"] = "false"
+    for name, edited in (("tampered", tampered), ("malformed", dict(tampered, steps={}))):
+        Path(f"{name}.json").write_text(json.dumps(edited))
+    Path("garbled.json").write_text("not json")
+    for name in ("worked", "or", "sigma", "respelled", "tampered", "malformed", "garbled"):
+        record("verify-cert", f"{name}.json")
+    record("check", "--var", "X", "--equation", "p & (q | X)", "--candidate", "<p?*><p?>q",
+           "--random", "50")
+    record("check", "--var", "X", "--equation", "[b](p | <a>X)", "--candidate", "p",
+           "--random", "20", "--worlds", "2", "--seed", "4")
+    record("fuzz", "--scope", "both", "--trials", "8")
+    assert digest.hexdigest() == "5eb82ecdb2bf2e295eaf3536619ca02bdf16175b34461f0d748965da92b91069"
