@@ -290,7 +290,13 @@ def match_rule(phi: Formula, rule_id: str, direction: str, path: tuple[int, ...]
     return bindings if _match(src, subterm_at(phi, path), bindings) else None
 
 
-def _clip(text: str, limit: int = 120) -> str:
+def _shown(term, limit: int = 120) -> str:
+    """The text of ``term`` clipped to ``limit`` characters, or a note that
+    it is too deep to print: a message about a term must not fail on it."""
+    try:
+        text = print_terms([term])[0]
+    except RecursionError:
+        return "a term too deep to print"
     return text if len(text) <= limit else text[: limit - 3] + "..."
 
 
@@ -305,7 +311,7 @@ def _replay(cursor: _Cursor, step: RewriteStep) -> None:
     subject = cursor.move(step.path)
     bindings = dict(step.bindings)
     if not _match(src, subject, bindings) or len(bindings) > len(step.bindings):
-        want, found = (_clip(text) for text in print_terms([_instantiate(src, step.bindings), subject]))
+        want, found = _shown(_instantiate(src, step.bindings)), _shown(subject)
         raise MismatchError(
             f"{step.rule} {step.direction} does not apply at {list(step.path)}: "
             f"bound pattern differs from the subterm: expected {want}, found {found}"

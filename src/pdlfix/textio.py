@@ -14,8 +14,7 @@ Grammar (right-associative binary operators throughout)::
     seq      ::= starred (';' seq)?
     starred  ::= prim '*'*
     prim     ::= test | lower-ident | '(' program ')'
-    test     ::= lower-ident '?' | '~' lower-ident '?' | 'true?' | 'false?'
-               | '(' formula ')?'
+    test     ::= primary '?'
 
 Lowercase identifiers are atoms or atomic programs depending on position,
 uppercase identifiers are variables.  ``u``, ``true`` and ``false`` are
@@ -43,8 +42,9 @@ frames below the call), and so is a name that its term class rejects
 (``p²``, ``É``), reported at that name.
 
 The printer dispatches on the type of each node.  Within one call it keeps
-the text of every composite node it printed, per precedence level, so a
-subterm shared by several terms is printed once (``print_terms``).
+the bare text of every composite node it printed, one entry per node, and a
+parent adds the parentheses a child needs in its slot, so a subterm shared by
+several terms or slots is printed once (``print_terms``).
 """
 
 from __future__ import annotations
@@ -251,21 +251,6 @@ class _Parser:
     def prog_primary(self) -> Program:
         pos = self.pos
         kind = self.kinds[pos]
-        if kind == "lower":
-            self.pos = pos + 1
-            name = self.texts[pos]
-            if self.kinds[pos + 1] == "?":
-                self.pos = pos + 2
-                if name == "true":
-                    return Test(Top())
-                if name == "false":
-                    return Test(Bot())
-                if name == "u":
-                    self.fail("a program ('u' is reserved)", pos)
-                return Test(Atom(name))
-            if name in RESERVED_NAMES:
-                self.fail("a program", pos)
-            return AtomicProg(name)
         if kind == "(":
             close = self.closer.get(pos)
             if close is None:
@@ -279,19 +264,25 @@ class _Parser:
                 prog = self.program()
                 self.expect(")", "')'")
             return prog
-        if kind == "~":
-            self.pos = pos + 1
-            self.expect("lower", "an atom after '~'")
-            name = self.texts[pos + 1]
+        if kind not in ("lower", "upper", "~"):
+            self.fail("a program")
+        name = self.texts[pos]
+        if kind == "lower" and self.kinds[pos + 1] != "?":
             if name in RESERVED_NAMES:
-                self.fail("an atom after '~'", pos + 1)
-            self.expect("?", "'?' after a test shorthand")
-            return Test(NegAtom(name))
-        if kind == "upper":
+                self.fail("a program", pos)
             self.pos = pos + 1
-            self.expect("?", "'?' after a variable test")
-            return Test(Var(self.texts[pos]))
-        self.fail("a program")
+            return AtomicProg(name)
+        # A test shorthand: a primary, then a '?' looked for before the name is checked.
+        if name == "u":
+            self.fail("a program ('u' is reserved)", pos)
+        if kind == "upper" and self.kinds[pos + 1] != "?":
+            self.fail("'?' after a variable test", pos + 1)
+        if (kind == "~" and self.kinds[pos + 1] == "lower" and self.kinds[pos + 2] != "?"
+                and self.texts[pos + 1] not in RESERVED_NAMES):
+            self.fail("'?' after a test shorthand", pos + 2)
+        cond = self.primary()
+        self.pos += 1  # the '?', seen above
+        return Test(cond)
 
 
 def _parse(text: str, is_program: bool):
@@ -304,11 +295,8 @@ def _parse(text: str, is_program: bool):
     except ParseError:
         raise
     except ValueError as exc:
-        # A name its term class rejects; only '?' tokens follow it.
-        index = parser.pos - 1
-        while parser.kinds[index] not in ("lower", "upper"):
-            index -= 1
-        raise parser.error(str(exc), index) from None
+        # A name its term class rejects: the last token read.
+        raise parser.error(str(exc), parser.pos - 1) from None
     end = parser.pos
     if parser.kinds[end] != "end":
         raise parser.error(f"unexpected trailing input {parser.texts[end]!r}", end)
@@ -323,14 +311,18 @@ def parse_program(text: str) -> Program:
     return _parse(text, True)
 
 
-# Precedence levels used by the printer.  Higher binds tighter.
-_F_OR, _F_AND, _F_UNARY = 1, 2, 3
-_P_CHOICE, _P_SEQ, _P_STAR, _P_PRIM = 1, 2, 3, 4
+# How tightly each node binds; a child that binds less tightly than its slot
+# is parenthesized there.  '~' is a prefix like a box, and a test's condition
+# sits in slot 4, before a postfix '?'.  The other leaves bind tightest.
+_BINDS = {Or: 1, Choice: 1, And: 2, Seq: 2, Box: 3, Diamond: 3, NegAtom: 3, Star: 3, Test: 4}
 
 
 class _Printer:
-    """Canonical text, dispatched on ``type(node)``, with one memo of the
-    composite nodes printed so far, keyed by ``(id(node), level)``.
+    """Canonical text, dispatched on ``type(node)``, with one memo of the bare
+    text of every composite node printed so far, keyed by ``id(node)``.  The
+    parent names the slot each child is printed in, and the child's text is
+    parenthesized there when it binds less tightly (``_BINDS``), so a node
+    shared by several terms or slots is printed and stored once.
 
     The memo must not outlive the terms it printed, or a freed node's id could
     be reused: make one printer per call.
@@ -339,75 +331,52 @@ class _Printer:
     __slots__ = ("memo",)
 
     def __init__(self):
-        self.memo: dict[tuple[int, int], str] = {}
+        self.memo: dict[int, str] = {}
 
-    def formula(self, phi: Formula, level: int = _F_OR) -> str:
+    def formula(self, phi: Formula, slot: int = 1) -> str:
         kind = type(phi)
         if kind is Atom or kind is Var:
             return phi.name
         if kind is NegAtom:
-            return f"~{phi.name}"
+            text = f"~{phi.name}"
+            return f"({text})" if _BINDS[kind] < slot else text
         if kind is Top:
             return "true"
         if kind is Bot:
             return "false"
-        key = (id(phi), level)
-        text = self.memo.get(key)
-        if text is not None:
-            return text
-        if kind is And:
-            text = f"{self.formula(phi.left, _F_AND + 1)} & {self.formula(phi.right, _F_AND)}"
-            if level > _F_AND:
-                text = f"({text})"
-        elif kind is Or:
-            text = f"{self.formula(phi.left, _F_OR + 1)} | {self.formula(phi.right, _F_OR)}"
-            if level > _F_OR:
-                text = f"({text})"
-        elif kind is Box:
-            text = f"[{self.program(phi.prog)}]{self.formula(phi.body, _F_UNARY)}"
-        elif kind is Diamond:
-            text = f"<{self.program(phi.prog)}>{self.formula(phi.body, _F_UNARY)}"
-        else:
-            raise TypeError(f"not a formula: {phi!r}")
-        self.memo[key] = text
-        return text
+        text = self.memo.get(id(phi))
+        if text is None:
+            if kind is And:
+                text = f"{self.formula(phi.left, 3)} & {self.formula(phi.right, 2)}"
+            elif kind is Or:
+                text = f"{self.formula(phi.left, 2)} | {self.formula(phi.right)}"
+            elif kind is Box:
+                text = f"[{self.program(phi.prog)}]{self.formula(phi.body, 3)}"
+            elif kind is Diamond:
+                text = f"<{self.program(phi.prog)}>{self.formula(phi.body, 3)}"
+            else:
+                raise TypeError(f"not a formula: {phi!r}")
+            self.memo[id(phi)] = text
+        return f"({text})" if _BINDS[kind] < slot else text
 
-    def program(self, alpha: Program, level: int = _P_CHOICE) -> str:
+    def program(self, alpha: Program, slot: int = 1) -> str:
         kind = type(alpha)
         if kind is AtomicProg:
             return alpha.name
-        key = (id(alpha), level)
-        text = self.memo.get(key)
-        if text is not None:
-            return text
-        if kind is Test:
-            text = self.test(alpha.cond)
-        elif kind is Seq:
-            text = f"{self.program(alpha.first, _P_SEQ + 1)} ; {self.program(alpha.second, _P_SEQ)}"
-            if level > _P_SEQ:
-                text = f"({text})"
-        elif kind is Choice:
-            text = f"{self.program(alpha.left, _P_CHOICE + 1)} u {self.program(alpha.right, _P_CHOICE)}"
-            if level > _P_CHOICE:
-                text = f"({text})"
-        elif kind is Star:
-            text = f"{self.program(alpha.body, _P_STAR)}*"
-        else:
-            raise TypeError(f"not a program: {alpha!r}")
-        self.memo[key] = text
-        return text
-
-    def test(self, cond: Formula) -> str:
-        kind = type(cond)
-        if kind is Atom or kind is Var:
-            return f"{cond.name}?"
-        if kind is NegAtom:
-            return f"(~{cond.name})?"
-        if kind is Top:
-            return "true?"
-        if kind is Bot:
-            return "false?"
-        return f"({self.formula(cond, _F_OR)})?"
+        text = self.memo.get(id(alpha))
+        if text is None:
+            if kind is Test:
+                text = f"{self.formula(alpha.cond, 4)}?"
+            elif kind is Seq:
+                text = f"{self.program(alpha.first, 3)} ; {self.program(alpha.second, 2)}"
+            elif kind is Choice:
+                text = f"{self.program(alpha.left, 2)} u {self.program(alpha.right)}"
+            elif kind is Star:
+                text = f"{self.program(alpha.body, 3)}*"
+            else:
+                raise TypeError(f"not a program: {alpha!r}")
+            self.memo[id(alpha)] = text
+        return f"({text})" if _BINDS[kind] < slot else text
 
 
 def print_formula(phi: Formula) -> str:

@@ -68,3 +68,13 @@ formulas = _sized(_formula, 40, True)
 programs = _sized(_program, 40, True)
 variable_free_formulas = _sized(_formula, 50, False)
 variable_free_programs = _sized(_program, 40, False)
+
+
+def forged_deep_certificate(n: int = 500) -> dict:
+    """A certificate document: ``n`` unfoldings of ``[a*]p``, then an E5 step
+    read right to left that binds ``phi`` to ``p`` at the root, where the whole
+    formula is, too deep to print."""
+    steps = [{"rule": "E4", "direction": "LR", "path": [1, 1] * i,
+              "bindings": {"alpha": "a", "phi": "p"}} for i in range(n)]
+    steps.append({"rule": "E5", "direction": "RL", "path": [], "bindings": {"phi": "p"}})
+    return {"from": "[a*]p", "to": "p", "steps": steps}

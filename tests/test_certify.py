@@ -6,6 +6,7 @@ from dataclasses import replace
 from sys import getrecursionlimit
 
 import pytest
+from conftest import forged_deep_certificate
 
 from pdlfix.certify import (
     BadPathError,
@@ -555,6 +556,13 @@ def test_a_binding_too_deep_to_print_is_parsed_and_fails_as_too_deep():
     steps.append({"rule": "E5", "direction": "RL", "path": [], "bindings": {"phi": deep}})
     with pytest.raises(ValueError, match=DEEP):
         certificate_from_json({"from": "[a*]p", "to": "p", "steps": steps})
+
+
+def test_a_mismatch_on_a_subterm_too_deep_to_print_fails_at_that_step():
+    report = check_certificate(certificate_from_json(forged_deep_certificate()))
+    assert (report.ok, report.steps_applied, report.failed_step) == (False, 500, 500)
+    assert report.reason.startswith("E5 RL does not apply at []: bound pattern differs"), report.reason
+    assert report.reason.endswith("expected p, found a term too deep to print")
 
 
 def document(*bindings, source="p", target="p"):

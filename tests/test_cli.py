@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import forged_deep_certificate
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -328,6 +329,17 @@ def test_verify_cert_malformed_exits_2(tmp_path, capsys):
     assert code == 2
     assert doc["status"] == "error"
     assert doc["message"].startswith("malformed certificate document")
+
+
+def test_verify_cert_rejects_a_deep_forged_certificate_at_its_step(tmp_path, capsys):
+    # The last step does not apply to the formula, too deep to print: a
+    # mismatch to report, not an internal error.
+    cert_path = tmp_path / "forged.json"
+    cert_path.write_text(json.dumps(forged_deep_certificate()))
+    code, report = run_json(capsys, "verify-cert", str(cert_path))
+    assert code == 1
+    assert (report["ok"], report["failedStep"]) == (False, 500)
+    assert report["reason"].startswith("E5 RL does not apply at []")
 
 
 @pytest.mark.parametrize("edit", [

@@ -11,6 +11,7 @@ import pytest
 from conftest import formulas, programs
 from hypothesis import given, settings
 
+from pdlfix import textio
 from pdlfix.syntax import (
     And,
     Atom,
@@ -19,12 +20,15 @@ from pdlfix.syntax import (
     Choice,
     Diamond,
     Or,
+    Program,
     Seq,
     Star,
     Test,
     Top,
     Var,
+    children,
     negate,
+    subterms,
 )
 from pdlfix.textio import (
     ParseError,
@@ -33,6 +37,7 @@ from pdlfix.textio import (
     parse_program,
     print_formula,
     print_program,
+    print_terms,
 )
 
 
@@ -311,6 +316,69 @@ def test_a_bracket_group_reads_as_its_paren_group_in_one_parser(monkeypatch):
     assert type(second.right) is Diamond
     assert second.left.prog == first.left.prog and second.right.prog == first.right.prog
     assert parse_formula("[(a ; b)*]p").prog == Star(seq)
+
+
+# Every program-position shorthand error, pinned: the shorthands are read
+# through the formula parser, and the pinned digest rarely draws these.
+@pytest.mark.parametrize("text, expected", [
+    ("[u?]p", "expected a program ('u' is reserved), found 'u' (line 1, column 2)"),
+    ("[~u?]p", "expected an atom after '~', found 'u' (line 1, column 3)"),
+    ("[~p]q", "expected '?' after a test shorthand, found ']' (line 1, column 4)"),
+    ("[~true?]p", "expected an atom after '~', found 'true' (line 1, column 3)"),
+    ("[X]p", "expected '?' after a variable test, found ']' (line 1, column 3)"),
+    ("[É]p", "expected '?' after a variable test, found ']' (line 1, column 3)"),
+    ("[É?]p", "variable name must be an uppercase identifier: 'É' (line 1, column 2)"),
+    ("[true]p", "expected a program, found 'true' (line 1, column 2)"),
+    ("[u]p", "expected a program, found 'u' (line 1, column 2)"),
+    ("[(p)]q", "[p]q"),  # a program group, not a test
+    ("[p?", "expected ']', found 'end of input' (line 1, column 4)"),
+    ("<X>q", "expected '?' after a variable test, found '>' (line 1, column 3)"),
+    # A missing '?' is found before a name the atom class rejects.
+    ("[~é]p", "expected '?' after a test shorthand, found ']' (line 1, column 4)"),
+    ("[~é?]p", "atom name must be a lowercase identifier (not a keyword): 'é' (line 1, column 3)"),
+    ("[~true]p", "expected an atom after '~', found 'true' (line 1, column 3)"),
+])
+def test_program_position_shorthands_fail_where_they_did(text, expected):
+    try:
+        got = print_formula(parse_formula(text))
+    except ParseError as err:
+        got = str(err)
+        assert f"(line {err.line}, column {err.column})" in got
+    assert got == expected
+
+
+def test_a_node_in_many_slots_is_printed_and_stored_once(monkeypatch):
+    # One And, Or, Seq and Choice node each sit at the top level, on either
+    # side of every binary operator, in a box body, a star body and a test.
+    p, q, a, b = Atom("p"), Atom("q"), AtomicProg("a"), AtomicProg("b")
+    shared, terms = [And(p, q), Or(p, q), Seq(a, b), Choice(a, b)], []
+    for phi in shared[:2]:
+        terms += [phi, Box(a, phi), Box(Test(phi), q), Box(Star(Test(phi)), q)]
+        terms += [op(phi, q) for op in (And, Or)] + [op(q, phi) for op in (And, Or)]
+    for alpha in shared[2:]:
+        terms += [alpha, Star(alpha), Box(alpha, p), Box(Star(alpha), p)]
+        terms += [op(alpha, b) for op in (Seq, Choice)] + [op(b, alpha) for op in (Seq, Choice)]
+    printers = []
+    build = textio._Printer.__init__
+
+    def kept(self):
+        printers.append(self)
+        build(self)
+
+    monkeypatch.setattr(textio._Printer, "__init__", kept)
+    texts = print_terms(terms)
+    monkeypatch.undo()
+    fresh = [print_program(t) if isinstance(t, Program) else print_formula(t) for t in terms]
+    assert texts == fresh
+    composite = {id(node) for term in terms for node in subterms(term) if children(node)}
+    assert len(printers) == 1
+    printer = printers[0]
+    memo = printer.memo
+    assert len(memo) == len(composite) and memo.keys() == composite
+    # A node printed again is looked up, not rebuilt: its text is the stored string.
+    stored = [memo[id(node)] for node in shared]
+    again = [printer.formula(node) for node in shared[:2]] + [printer.program(node) for node in shared[2:]]
+    assert all(text is twice for text, twice in zip(stored, again))
 
 
 _PIECES = ("(", ")", "[", "]", "<", ">", "p", "q", "a", "b", ";", "u", "&", "|", "~", "?", "*",
