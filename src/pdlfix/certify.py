@@ -4,16 +4,20 @@ machine-checkable certificates from a solution ``lambda`` to ``phi(lambda)``.
 A certificate is a replayable list of steps; each step names a rule, a
 direction, a path from the root (program and formula children share one
 index scheme, ``syntax.CHILD_FIELDS``) and the full metavariable bindings.
-The reader re-infers each match to take the bindings it finds instead of
-parsing their texts (``certificate_from_json``); replay does not: it checks
-each step under the bindings the certificate holds.
+The reader re-infers each match to take the bindings it finds, and the
+formula its steps end at, instead of parsing their texts
+(``certificate_from_json``); replay does not: it checks each step against
+the bindings the certificate holds.
 
-The generator computes each step's rule, direction and path from the
-decomposition alone (``_derivation``; a Sigma certificate takes the diamond
-dual of each rule at the same path), and binds and rewrites it by one match.
-The checker matches each step's source pattern under the stored bindings,
-without building it.  Both hold the formula in a path cursor (``_Cursor``),
-so a step costs its change in depth, not a walk from the root.
+Each rule is compiled once per direction, on first use, into a ``match``
+and a ``make`` function (``_compile``), and every match and rewrite goes
+through them.  The generator computes each step's rule, direction and path
+from the decomposition alone (``_derivation``; a Sigma certificate takes the
+diamond dual of each rule at the same path), and binds and rewrites it by
+one match.  The checker matches each step's source pattern, requires that
+the match binds exactly the stored terms, and builds the other side from
+them.  Both hold the formula in a path cursor (``_Cursor``), so a step costs
+its change in depth, not a walk from the root.
 
 Two auxiliary step kinds ``AA``/``AO`` rebracket associative chains
 (``(a & b) & c  <->  a & (b & c)`` and the disjunctive dual).  They are not
@@ -28,6 +32,7 @@ from __future__ import annotations
 from itertools import chain
 
 from .syntax import (
+    CHILD_FIELDS,
     And,
     Box,
     Diamond,
@@ -163,26 +168,6 @@ _PROGRAM_METAVARS = frozenset(
 _META_SORTS = {FMeta: Formula, PMeta: Program, FNeg: Formula}
 
 
-def _match(pattern, subject, bindings: dict) -> bool:
-    cls = type(pattern)
-    sort = _META_SORTS.get(cls)
-    if sort is not None:
-        if not isinstance(subject, sort):
-            return False
-        value = negate(subject) if cls is FNeg else subject
-        seen = bindings.setdefault(pattern.name, value)
-        return seen is value or seen == value
-    if cls is not type(subject):
-        return False
-    kids = children(pattern)
-    if not kids:
-        return pattern == subject
-    for kid, part in zip(kids, children(subject)):
-        if not _match(kid, part, bindings):
-            return False
-    return True
-
-
 def _instantiate(pattern, bindings: dict):
     cls = type(pattern)
     if cls in _META_SORTS:
@@ -210,6 +195,77 @@ def rule_metavariables(rule: RewriteRule) -> dict[str, bool]:
 
 # The metavariable names of each rule: a step may bind only these.
 _METAVARIABLES = {rule_id: frozenset(rule_metavariables(rule)) for rule_id, rule in RULES.items()}
+
+
+def _compile(src, dst):
+    """The ``match`` and ``make`` functions of the directed rule from ``src``
+    to ``dst``, made from source once, as ``syntax._frozen`` makes
+    ``__init__``.
+
+    ``match(subject)`` tests ``src`` node by node in pre-order: the class at
+    each pattern node, ``==`` at a leaf (E5's and E10's ``true``), the sort
+    at each metavariable, and ``is`` or else ``==`` against the first
+    occurrence of a repeated one.  It returns the bindings in first-use
+    order, an ``FNeg`` binding the negation of its subterm, or None.
+    ``make(bindings)`` builds ``dst`` over them.
+    """
+    scope = {"negate": negate, "Formula": Formula, "Program": Program}
+    lines, first = [], {}
+
+    def const(value) -> str:
+        name = value.__name__ if type(value) is type else f"c{len(scope)}"
+        scope[name] = value
+        return name
+
+    def test(pattern, var: str) -> None:
+        cls = type(pattern)
+        sort = _META_SORTS.get(cls)
+        if sort is not None:
+            lines.append(f"if not isinstance({var}, {sort.__name__}): return None")
+            if cls is FNeg:
+                lines.append(f"{var} = negate({var})")
+            seen = first.setdefault(pattern.name, var)
+            if seen != var:
+                lines.append(f"if not ({seen} is {var} or {seen} == {var}): return None")
+            return
+        lines.append(f"if type({var}) is not {const(cls)}: return None")
+        fields = CHILD_FIELDS[cls]
+        if not fields:
+            lines.append(f"if not {const(pattern)} == {var}: return None")
+        kids = [f"{var}_{index}" for index in range(len(fields))]
+        if kids:
+            lines.append(f"{', '.join(kids)} = {', '.join(f'{var}.{field}' for field in fields)}")
+        for kid, part in zip(children(pattern), kids):
+            test(kid, part)
+
+    def build(pattern) -> str:
+        cls = type(pattern)
+        if cls in _META_SORTS:
+            value = f"b[{pattern.name!r}]"
+            return f"negate({value})" if cls is FNeg else value
+        kids = children(pattern)
+        if not kids:
+            return const(pattern)  # as ``rebuild`` gives a leaf: itself
+        return f"{const(cls)}({', '.join(build(kid) for kid in kids)})"
+
+    test(src, "s")
+    found = ", ".join(f"{name!r}: {var}" for name, var in first.items())
+    body = "\n    ".join(lines)
+    exec(f"def match(s):\n    {body}\n    return {{{found}}}\n"
+         f"def make(b):\n    return {build(dst)}\n", scope)
+    return scope["match"], scope["make"]
+
+
+# The compiled ``(match, make)`` of each directed rule, made on first use: a
+# derivation uses about 6 of the 24.
+_COMPILED: dict = {}
+
+
+def _compiled(rule_id: str, direction: str):
+    pair = _COMPILED.get((rule_id, direction))
+    if pair is None:
+        pair = _COMPILED[rule_id, direction] = _compile(*_directed(RULES[rule_id], direction))
+    return pair
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +341,7 @@ def _directed(rule: RewriteRule, direction: str):
 
 def match_rule(phi: Formula, rule_id: str, direction: str, path: tuple[int, ...]) -> dict | None:
     """Most general match of the directed pattern at ``path``, or None."""
-    src, _ = _directed(RULES[rule_id], direction)
-    bindings: dict = {}
-    return bindings if _match(src, subterm_at(phi, path), bindings) else None
+    return _compiled(rule_id, direction)[0](subterm_at(phi, path))
 
 
 def _shown(term, limit: int = 120) -> str:
@@ -301,34 +355,49 @@ def _shown(term, limit: int = 120) -> str:
 
 
 def _replay(cursor: _Cursor, step: RewriteStep) -> None:
-    """Replay ``step`` at the cursor under its stored bindings.  A match
-    under a copy of them that binds nothing new is an equal bound pattern;
-    otherwise building that pattern reports a missing binding or the mismatch."""
+    """Replay ``step`` at the cursor under its stored bindings.  The step
+    applies when the match there binds exactly the stored names, each to a
+    term the stored one is or equals; then the result is built from the
+    stored terms.  Otherwise building the bound source pattern reports a
+    missing binding or the mismatch."""
+    stored = step.bindings
     names = _METAVARIABLES[step.rule]
-    if not step.bindings.keys() <= names:
-        raise MismatchError(f"{step.rule} has no metavariable {min(step.bindings.keys() - names)!r}")
-    src, dst = _directed(RULES[step.rule], step.direction)
+    if not stored.keys() <= names:
+        raise MismatchError(f"{step.rule} has no metavariable {min(stored.keys() - names)!r}")
+    match, make = _compiled(step.rule, step.direction)
     subject = cursor.move(step.path)
-    bindings = dict(step.bindings)
-    if not _match(src, subject, bindings) or len(bindings) > len(step.bindings):
-        want, found = _shown(_instantiate(src, step.bindings)), _shown(subject)
+    if not _agrees(stored, match(subject)):
+        src, _ = _directed(RULES[step.rule], step.direction)
+        want, found = _shown(_instantiate(src, stored)), _shown(subject)
         raise MismatchError(
             f"{step.rule} {step.direction} does not apply at {list(step.path)}: "
             f"bound pattern differs from the subterm: expected {want}, found {found}"
         )
-    cursor.focus = _instantiate(dst, bindings)
+    cursor.focus = make(stored)
+
+
+def _agrees(stored: dict, found: dict | None) -> bool:
+    """Whether a match found exactly the ``stored`` names, each bound to a
+    term the stored one is or equals."""
+    if found is None or found.keys() != stored.keys():
+        return False
+    for name, value in found.items():
+        seen = stored[name]
+        if not (seen is value or seen == value):
+            return False
+    return True
 
 
 def _rewrite(cursor: _Cursor, rule_id: str, direction: str, path: tuple[int, ...], group: int):
     """Match at ``path`` and rewrite the cursor's term there; the step."""
-    src, dst = _directed(RULES[rule_id], direction)
-    bindings: dict = {}
-    if not _match(src, cursor.move(path), bindings):
+    match, make = _compiled(rule_id, direction)
+    bindings = match(cursor.move(path))
+    if bindings is None:
         raise MismatchError(
             f"{rule_id} {direction} does not match at {list(path)} in {print_formula(cursor.move(()))}"
         )
     step = RewriteStep(rule=rule_id, direction=direction, path=path, bindings=bindings, group=group)
-    cursor.focus = _instantiate(dst, bindings)
+    cursor.focus = make(bindings)
     return step
 
 
@@ -586,8 +655,11 @@ def certificate_from_json(doc: dict) -> Certificate:
     the canonical text of the term the match binds, or has the same tokens,
     takes that term: parsing the text would give an equal one.  From the
     first step whose match fails or whose texts differ on, every text is
-    parsed instead.  Errors come in document order: the steps' fields and
-    bindings, then ``from``, then ``to``."""
+    parsed instead.  If every step was taken, ``to`` is read the same way:
+    the formula the cursor ends at is the target if ``to`` is its canonical
+    text or has the same tokens; otherwise, or if that formula is too deep to
+    print, ``to`` is parsed.  Errors come in document order: the steps'
+    fields and bindings, then ``from``, then ``to``."""
     try:
         items = _steps(doc["steps"])
         cursor = unread = None
@@ -611,7 +683,17 @@ def certificate_from_json(doc: dict) -> Certificate:
                                      group=_group(item.get("group", 0))))
         if unread is not None:
             raise unread
-        return Certificate(source=source, target=_parse(doc["to"], False), steps=tuple(steps))
+        text, target = doc["to"], None
+        if cursor is not None:
+            end = cursor.move(())
+            try:
+                if _spells(text, printer.formula(end)):
+                    target = end
+            except RecursionError:
+                pass
+        if target is None:
+            target = _parse(text, False)
+        return Certificate(source=source, target=target, steps=tuple(steps))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, CertifyError):
             raise
@@ -625,22 +707,27 @@ def _taken(cursor: _Cursor, printer: _Printer, rule, direction, path, texts) -> 
     there, or a text does not spell what the match binds."""
     if type(rule) is not str or rule not in RULES or direction not in ("LR", "RL"):
         return None
-    src, dst = _directed(RULES[rule], direction)
-    found: dict = {}
+    match, make = _compiled(rule, direction)
     try:
-        if not _match(src, cursor.move(path), found) or len(found) != len(texts):
+        found = match(cursor.move(path))
+        if found is None or len(found) != len(texts):
             return None
         for name, text in texts:
             value = found.get(name)
             if value is None:
                 return None
             printed = printer.program(value) if name in _PROGRAM_METAVARS else printer.formula(value)
-            if text != printed and (type(text) is not str or _TOKEN.findall(text) != _TOKEN.findall(printed)):
+            if not _spells(text, printed):
                 return None
-        cursor.focus = _instantiate(dst, found)
+        cursor.focus = make(found)
     except (BadPathError, RecursionError):
         return None
     return {name: found[name] for name, _ in texts}
+
+
+def _spells(text, printed: str) -> bool:
+    """Whether ``text`` is the canonical text ``printed`` or has its tokens."""
+    return text == printed or (type(text) is str and _TOKEN.findall(text) == _TOKEN.findall(printed))
 
 
 def _steps(value) -> list:

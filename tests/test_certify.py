@@ -377,9 +377,10 @@ def test_equal_binding_texts_read_back_as_equal_terms():
 
 
 def test_each_binding_of_a_canonical_document_is_what_its_steps_match_finds(monkeypatch):
-    # Only "from" and "to" are parsed.  Every binding is a node of the formula
-    # at its step, the one the match there finds, or for E7 read right to
-    # left the negation of the test's formula.
+    # Only "from" is parsed.  Every binding is a node of the formula at its
+    # step, the one the match there finds, or for E7 read right to left the
+    # negation of the test's formula.  The target is the formula the steps
+    # end at, which the cursor's last move, to the root, returns.
     from pdlfix import certify
     from pdlfix.syntax import negate
 
@@ -393,8 +394,9 @@ def test_each_binding_of_a_canonical_document_is_what_its_steps_match_finds(monk
         back = certificate_from_json(doc)
         monkeypatch.undo()
         assert back == cert
-        assert parsed == [doc["from"], doc["to"]]
-        assert len(subjects) == len(back.steps)
+        assert parsed == [doc["from"]]
+        assert back.target == parse_formula(doc["to"])
+        assert len(subjects) == len(back.steps) + 1 and subjects[-1] is back.target
         for subject, step in zip(subjects, back.steps):
             nodes = {id(node) for node in subterms(subject)}
             for name, value in step.bindings.items():
@@ -402,6 +404,61 @@ def test_each_binding_of_a_canonical_document_is_what_its_steps_match_finds(monk
                     assert subject.prog.cond == negate(value)
                 else:
                     assert id(value) in nodes, (step, name)
+
+
+def read_counting_parses(monkeypatch, doc):
+    """The certificate ``doc`` reads to, and the texts the read parsed."""
+    from pdlfix import certify
+
+    parsed, parse = [], certify._parse
+    monkeypatch.setattr(certify, "_parse", lambda text, *rest: parsed.append(text) or parse(text, *rest))
+    back = certificate_from_json(doc)
+    monkeypatch.undo()
+    return back, parsed
+
+
+def test_a_target_respelled_with_spaces_is_taken_without_a_parse(monkeypatch):
+    cert = example_certificate()[2]
+    doc = certificate_to_json(cert)
+    doc["to"] = "  " + doc["to"].replace(" ", "  ").replace("[", "[ ") + " "
+    back, parsed = read_counting_parses(monkeypatch, doc)
+    assert parsed == [doc["from"]]
+    assert back == cert and check_certificate(back).ok
+
+
+def test_a_target_naming_another_formula_is_parsed_and_fails_replay(monkeypatch, tmp_path, capsys):
+    from pdlfix.cli import main
+
+    doc = certificate_to_json(example_certificate()[2])
+    doc["to"] = doc["from"]
+    back, parsed = read_counting_parses(monkeypatch, doc)
+    assert parsed == [doc["from"], doc["from"]]
+    report = check_certificate(back)
+    assert (report.ok, report.failed_step) == (False, None)
+    assert report.reason == "replay finished but the final formula differs from the target"
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify-cert", "--json", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out)["ok"] is False
+
+
+def test_a_document_with_a_step_not_taken_parses_its_target(monkeypatch):
+    cert = example_certificate()[2]
+    doc = certificate_to_json(cert)
+    doc["steps"][2]["bindings"] = {name: f"({text})" for name, text in doc["steps"][2]["bindings"].items()}
+    back, parsed = read_counting_parses(monkeypatch, doc)
+    assert parsed[0] == doc["from"] and parsed[-1] == doc["to"]
+    assert back == cert and check_certificate(back).ok
+
+
+def test_a_target_too_deep_to_print_is_parsed(monkeypatch):
+    # Every step is taken, but the formula they end at is too deep for the
+    # printer, so "to" is compared by a parse.
+    doc = forged_deep_certificate()
+    doc["steps"].pop()
+    back, parsed = read_counting_parses(monkeypatch, doc)
+    assert parsed == ["[a*]p", "p"] and back.target == parse_formula("p")
+    assert check_certificate(back).reason == "replay finished but the final formula differs from the target"
 
 
 def terms_of(cert):

@@ -8,9 +8,12 @@ with ``certify``'s own rewriting; it takes only the rule table and the
 scripted derivation from there.  Generated certificates must be equal to
 the reference's, and the checker's report on every certificate, and on
 every step of it tampered with in four ways, must be equal to the
-reference's, reason text included.
+reference's, reason text included.  Each directed rule's compiled ``match``
+and ``make`` must agree with the reference's matcher and instantiation on
+instances of its source pattern and on near misses of them.
 """
 
+import pickle
 import random
 from dataclasses import replace
 
@@ -25,16 +28,38 @@ from pdlfix.certify import (
     MismatchError,
     PMeta,
     RewriteStep,
+    _compiled,
     _derivation,
     _DUAL_RULE,
     _METAVARIABLES,
+    _PROGRAM_METAVARS,
     check_certificate,
     generate_certificate,
+    rule_metavariables,
 )
-from pdlfix.generators import derive_seed, random_decomposition
+from pdlfix.generators import TermGen, derive_seed, random_decomposition
 from pdlfix.hierarchy import PaddingRecord, _layers, classify, to_nested_form
 from pdlfix.synthesis import solve
-from pdlfix.syntax import And, Formula, Program, Seq, children, negate, rebuild, substitute
+from pdlfix.syntax import (
+    And,
+    AtomicProg,
+    Bot,
+    Box,
+    Choice,
+    Diamond,
+    Formula,
+    Or,
+    Program,
+    Seq,
+    Star,
+    Test,
+    Top,
+    children,
+    negate,
+    rebuild,
+    substitute,
+    subterms,
+)
 from pdlfix.textio import parse_formula, parse_program, print_formula, print_terms
 
 SORTS = {FMeta: Formula, PMeta: Program, FNeg: Formula}
@@ -215,3 +240,74 @@ def test_a_missing_binding_is_reported_before_a_mismatch():
     assert reason(alpha=parse_program("a ; c"), phi=parse_formula("p")) == (
         "E4 LR does not apply at []: bound pattern differs from the subterm: "
         "expected [(a ; c)*]p, found [(a ; b)*]p")
+
+
+# Another class of the same sort for each class a rule pattern holds.
+OTHER_CLASS = {
+    Box: lambda node: Diamond(*children(node)),
+    Diamond: lambda node: Box(*children(node)),
+    And: lambda node: Or(*children(node)),
+    Or: lambda node: And(*children(node)),
+    Seq: lambda node: Choice(*children(node)),
+    Star: lambda node: Seq(node.body, node.body),
+    Test: lambda node: Star(node),
+    Top: lambda node: Bot(),
+}
+
+
+def built(pattern, bindings, at, edit):
+    """``pattern`` instantiated by ``bindings``, with the term made for its
+    node number ``at`` (in pre-order, as ``subterms`` lists them) replaced by
+    ``edit`` of it."""
+    count = iter(range(len(list(subterms(pattern)))))
+
+    def walk(node):
+        index = next(count)
+        if type(node) in SORTS:
+            term = ref_instantiate(node, bindings)
+        else:
+            term = rebuild(node, [walk(kid) for kid in children(node)])
+        return edit(term) if index == at else term
+
+    return walk(pattern)
+
+
+def near_misses(pattern, gen):
+    """The edits of the term made for each node of ``pattern``: at a
+    metavariable, a larger term of its sort (unequal to a repeated one's
+    other occurrences), an equal copy, and a term of the other sort; a
+    ``Test(Bot())`` for ``Test(Top())``; and another class at every other
+    node, the root included."""
+    for at, node in enumerate(subterms(pattern)):
+        if type(node) not in SORTS:
+            yield at, OTHER_CLASS[type(node)]
+            continue
+        yield at, lambda term: And(term, term) if isinstance(term, Formula) else Seq(term, term)
+        yield at, lambda term: pickle.loads(pickle.dumps(term))
+        yield at, lambda term: gen.formula(depth=1) if isinstance(term, Program) else AtomicProg("a")
+
+
+def test_each_compiled_rule_matches_and_builds_as_the_reference_does():
+    for rule_id, rule in RULES.items():
+        for direction in ("LR", "RL"):
+            src, dst = (rule.lhs, rule.rhs) if direction == "LR" else (rule.rhs, rule.lhs)
+            match, make = _compiled(rule_id, direction)
+            gen = TermGen(random.Random(f"{rule_id}:{direction}"))
+            outcomes = set()
+            for _ in range(12):
+                bindings = {name: gen.program(depth=2) if name in _PROGRAM_METAVARS else gen.formula(depth=2)
+                            for name in rule_metavariables(rule)}
+                assert make(bindings) == ref_instantiate(dst, bindings)
+                subjects = [ref_instantiate(src, bindings)]
+                subjects += [built(src, bindings, at, edit) for at, edit in near_misses(src, gen)]
+                for subject in subjects:
+                    expected = {}
+                    found = match(subject)
+                    if not ref_match(src, subject, expected):
+                        assert found is None, (rule_id, direction, subject)
+                        outcomes.add(False)
+                        continue
+                    assert found == expected and list(found) == list(expected), (rule_id, direction)
+                    assert make(found) == ref_instantiate(dst, expected)
+                    outcomes.add(True)
+            assert outcomes == {True, False}, (rule_id, direction)
