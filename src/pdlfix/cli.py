@@ -287,7 +287,10 @@ def cmd_verify_cert(args) -> int:
 
     try:
         with open(args.certificate, encoding="utf-8") as handle:
-            doc = json.load(handle)
+            try:
+                doc = json.load(handle)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"malformed certificate file {args.certificate}: {exc}") from exc
         cert = certificate_from_json(doc)
     except (OSError, ValueError) as exc:
         raise _InputError(str(exc)) from exc

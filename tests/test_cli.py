@@ -331,6 +331,17 @@ def test_verify_cert_malformed_exits_2(tmp_path, capsys):
     assert doc["message"].startswith("malformed certificate document")
 
 
+def test_verify_cert_names_a_file_that_is_not_json(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{]")
+    message = (f"malformed certificate file {bad}: "
+               "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)")
+    code, out = run(capsys, "verify-cert", str(bad))
+    assert (code, out) == (2, f"error: {message}\n")
+    code, doc = run_json(capsys, "verify-cert", str(bad))
+    assert (code, doc) == (2, {"status": "error", "message": message})
+
+
 def test_verify_cert_rejects_a_deep_forged_certificate_at_its_step(tmp_path, capsys):
     # The last step does not apply to the formula, too deep to print: a
     # mismatch to report, not an internal error.
@@ -808,4 +819,4 @@ def test_seeded_cli_outputs_are_pinned(tmp_path, capsys, monkeypatch):
     record("check", "--var", "X", "--equation", "[b](p | <a>X)", "--candidate", "p",
            "--random", "20", "--worlds", "2", "--seed", "4")
     record("fuzz", "--scope", "both", "--trials", "8")
-    assert digest.hexdigest() == "5eb82ecdb2bf2e295eaf3536619ca02bdf16175b34461f0d748965da92b91069"
+    assert digest.hexdigest() == "ee5ea0256429e7a611dd4664308536d06df2556d2ebd913f1cd428fdb0ecac7a"
