@@ -232,9 +232,9 @@ def _compile(src, dst):
         fields = CHILD_FIELDS[cls]
         if not fields:
             lines.append(f"if not {const(pattern)} == {var}: return None")
+            return
         kids = [f"{var}_{index}" for index in range(len(fields))]
-        if kids:
-            lines.append(f"{', '.join(kids)} = {', '.join(f'{var}.{field}' for field in fields)}")
+        lines.append(f"{', '.join(kids)} = {', '.join(f'{var}.{field}' for field in fields)}")
         for kid, part in zip(children(pattern), kids):
             test(kid, part)
 
@@ -669,8 +669,8 @@ def certificate_from_json(doc: dict) -> Certificate:
         except (KeyError, TypeError, ValueError) as exc:
             unread = exc  # raised once the steps are read
         # Its memo is keyed by id, so every term it prints must live until
-        # the read ends: each is a binding of a step kept in ``steps``, and
-        # once a step is not taken the printer is not used again.
+        # the read ends: each is a binding of a step kept in ``steps`` or the
+        # target, and once a step is not taken the printer is not used again.
         printer, steps = _Printer(), []
         for item in items:
             rule, direction, path = item["rule"], item["direction"], _path(item["path"])

@@ -16,6 +16,7 @@ instances of its source pattern and on near misses of them.
 import pickle
 import random
 from dataclasses import replace
+from itertools import count
 
 from pdlfix.certify import (
     RULES,
@@ -259,10 +260,10 @@ def built(pattern, bindings, at, edit):
     """``pattern`` instantiated by ``bindings``, with the term made for its
     node number ``at`` (in pre-order, as ``subterms`` lists them) replaced by
     ``edit`` of it."""
-    count = iter(range(len(list(subterms(pattern)))))
+    indexes = count()
 
     def walk(node):
-        index = next(count)
+        index = next(indexes)
         if type(node) in SORTS:
             term = ref_instantiate(node, bindings)
         else:
