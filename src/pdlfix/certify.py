@@ -264,7 +264,7 @@ _COMPILED: dict = {}
 def _compiled(rule_id: str, direction: str):
     pair = _COMPILED.get((rule_id, direction))
     if pair is None:
-        pair = _COMPILED[rule_id, direction] = _compile(*_directed(RULES[rule_id], direction))
+        pair = _COMPILED[rule_id, direction] = _compile(*_directed(rule_id, direction))
     return pair
 
 
@@ -322,10 +322,7 @@ class RewriteStep:
     group: int = 0
 
     def __post_init__(self) -> None:
-        if self.rule not in RULES:
-            raise ValueError(f"unknown rule id {self.rule!r}")
-        if self.direction not in ("LR", "RL"):
-            raise ValueError(f"direction must be LR or RL: {self.direction!r}")
+        _directed(self.rule, self.direction)  # refuses an unknown rule or direction
 
 
 @_frozen
@@ -335,7 +332,14 @@ class Certificate:
     steps: tuple[RewriteStep, ...]
 
 
-def _directed(rule: RewriteRule, direction: str):
+def _directed(rule_id: str, direction: str):
+    """The source and target patterns of ``rule_id`` read in ``direction``;
+    a ``ValueError`` for an unknown rule or direction."""
+    if rule_id not in RULES:
+        raise ValueError(f"unknown rule id {rule_id!r}")
+    if direction not in ("LR", "RL"):
+        raise ValueError(f"direction must be LR or RL: {direction!r}")
+    rule = RULES[rule_id]
     return (rule.lhs, rule.rhs) if direction == "LR" else (rule.rhs, rule.lhs)
 
 
@@ -367,7 +371,7 @@ def _replay(cursor: _Cursor, step: RewriteStep) -> None:
     match, make = _compiled(step.rule, step.direction)
     subject = cursor.move(step.path)
     if not _agrees(stored, match(subject)):
-        src, _ = _directed(RULES[step.rule], step.direction)
+        src, _ = _directed(step.rule, step.direction)
         want, found = _shown(_instantiate(src, stored)), _shown(subject)
         raise MismatchError(
             f"{step.rule} {step.direction} does not apply at {list(step.path)}: "

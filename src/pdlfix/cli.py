@@ -17,7 +17,7 @@ import json
 import os
 import sys
 
-from .syntax import Atom, AtomicProg, NegAtom, Var, is_x_free, substitute, subterms
+from .syntax import Atom, AtomicProg, NegAtom, Var, is_x_free, substitute, subterms, variables
 from .textio import parse_formula, print_formula
 
 OK, COUNTEREXAMPLE, USAGE_ERROR, INTERNAL_FAILURE = 0, 1, 2, 3
@@ -145,10 +145,10 @@ def cmd_check(args) -> int:
         from .semantics import ModelGenParams, random_model
 
         rng = random.Random(seed)
-        atoms_e, vars_e, progs_e = _collect_names(phi)
-        atoms_c, vars_c, progs_c = _collect_names(candidate)
+        atoms_e, progs_e = _collect_names(phi)
+        atoms_c, progs_c = _collect_names(candidate)
         atoms = tuple(sorted(atoms_e | atoms_c)) or ("p",)
-        var_names = tuple(sorted(vars_e | vars_c))
+        var_names = tuple(sorted(variables(phi) | variables(candidate)))
         progs = tuple(dict.fromkeys(progs_e + progs_c)) or ("a",)
         # Drawn as they are checked: memory does not grow with N.
         models = (
@@ -182,20 +182,17 @@ def cmd_check(args) -> int:
     return OK
 
 
-def _collect_names(phi) -> tuple[set[str], set[str], list[str]]:
-    """Atom names, variable names, and atomic program names of a formula, the
-    programs in order of first occurrence (it fixes the seeded models)."""
+def _collect_names(phi) -> tuple[set[str], list[str]]:
+    """Atom names and atomic program names of a formula, the programs in order
+    of first occurrence (it fixes the seeded models)."""
     atoms: set[str] = set()
-    variables: set[str] = set()
     progs: list[str] = []
     for node in subterms(phi):
         if isinstance(node, (Atom, NegAtom)):
             atoms.add(node.name)
-        elif isinstance(node, Var):
-            variables.add(node.name)
         elif isinstance(node, AtomicProg) and node.name not in progs:
             progs.append(node.name)
-    return atoms, variables, progs
+    return atoms, progs
 
 
 def _fuzz_rules(seed: int, trials: int, models_per_trial: int) -> tuple[int, int, dict | None]:

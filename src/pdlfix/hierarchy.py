@@ -124,7 +124,11 @@ class XFree:
 
 
 class _NoMatch(Exception):
-    """Carries a human-readable reason for the failed layer match."""
+    """Carries a human-readable reason for the failed layer match, as text
+    and formulas, which are printed only when the reason is read."""
+
+    def __str__(self) -> str:
+        return "".join(part if type(part) is str else print_formula(part) for part in self.args)
 
 
 def _split_on_x(left: Formula, right: Formula, x: str, index: int):
@@ -172,9 +176,7 @@ def _match_pi(formula: Formula, x: str, strict: bool, kind: str) -> ClassifyResu
         if isinstance(xi, Var) and xi.name == x:
             break
         if not isinstance(xi, Box):
-            raise _NoMatch(
-                f"layer {index} must bottom out at {x} or a box, found {print_formula(xi)}"
-            )
+            raise _NoMatch(f"layer {index} must bottom out at {x} or a box, found ", xi)
         if not is_x_free(xi.prog, x):
             raise _NoMatch(f"{x} occurs inside the program guarding layer {index + 1}")
         alpha, xi, index = xi.prog, xi.body, index + 1

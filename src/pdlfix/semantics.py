@@ -291,7 +291,8 @@ def random_model(params: ModelGenParams) -> KripkeModel:
     call's little-endian bits, is below ``ceil(p * 2**53)``.  The integer's
     top byte, byte ``8 * j + 3`` (the top byte of ``a``), decides every draw
     but those whose top byte equals the bound's; those are decided on all 53
-    bits.
+    bits.  A model of at most ``_BLOCK_DRAWS`` draws takes one call, and a
+    larger one a call per block of whole rows.
     """
     n = params.world_count
     names = (*params.atom_names, *params.var_names)
@@ -302,37 +303,40 @@ def random_model(params: ModelGenParams) -> KripkeModel:
     # bits, without ``random.Random``'s Python-level ``seed``, which costs a
     # sizeable share of a small model's draw.
     rng = _random.Random(params.seed)
-    full = (1 << n) - 1
-    step = n * max(1, _BLOCK_DRAWS // n)  # draws a block, in whole rows
-    rows: list[int] = []
-    for start in range(0, total, step):
-        k = min(step, total - start)
-        data = rng.getrandbits(64 * k).to_bytes(8 * k, "little")
-        tops = data[3::8]
-        cut = min(max(edges - start, 0), k)  # the block's edge draws
-        flags = _flags(tops[:cut], data, params.edge_probability) + tops[cut:].translate(_HALF)
-        bits = int(flags[::-1], 2)  # draw j of the block is bit j
-        rows += [bits >> i & full for i in range(0, k, n)]
+    p = params.edge_probability
+    if total <= _BLOCK_DRAWS:  # total is a multiple of n, so one block of whole rows
+        rows = _rows(rng, total, edges, p, n)
+    else:
+        step = n * max(1, _BLOCK_DRAWS // n)  # draws a block, in whole rows
+        rows = []
+        for start in range(0, total, step):
+            rows += _rows(rng, min(step, total - start), max(edges - start, 0), p, n)
     rows_left = iter(rows)
     succ = dict(zip(params.prog_names, zip(*[rows_left] * n)))  # n rows a program
     ext = dict(zip(names, rows_left))
     model = object.__new__(KripkeModel)
-    model.__dict__.update(worlds=tuple([f"w{i}" for i in range(n)]), succ=succ, ext=ext)
+    worlds = _WORLDS[:n] if n <= len(_WORLDS) else tuple([f"w{i}" for i in range(n)])
+    model.__dict__.update(worlds=worlds, succ=succ, ext=ext)
     return model
 
 
 # Draws per getrandbits call, in whole rows (at least one): 32 KiB of bits,
 # so a model of any size is drawn in flat memory, and a small one in one call.
 _BLOCK_DRAWS = 4096
+# The names of a random model's first worlds, of which a small model takes a prefix.
+_WORLDS = tuple([f"w{i}" for i in range(64)])
 # The two 32-bit words of the draw at a byte offset.
 _WORDS = Struct("<II").unpack_from
 
 
-def _flags(tops: bytes, data: bytes, p: float) -> bytes:
-    """``b"1"`` or ``b"0"`` for each of the first draws of ``data`` (8 bytes
-    a draw), given their top bytes ``tops``: is it below ``p``?"""
+def _rows(rng, k: int, cut: int, p: float, n: int) -> list[int]:
+    """The rows, ``n`` draws each, of ``rng``'s next ``k`` draws: is each of
+    the first ``cut`` below ``p``, and each other below 0.5?  Draw ``j`` of a
+    row is bit ``j``."""
+    data = rng.getrandbits(64 * k).to_bytes(8 * k, "little")
+    tops = data[3::8]  # the top byte of each draw
     table, bound = _threshold(p)
-    flags = tops.translate(table)
+    flags = tops[:cut].translate(table)
     if 63 in flags:  # b"?": a tie on the top byte, decided on all 53 bits
         flags = bytearray(flags)
         j = flags.find(63)
@@ -340,7 +344,9 @@ def _flags(tops: bytes, data: bytes, p: float) -> bytes:
             a, b = _WORDS(data, 8 * j)
             flags[j] = 49 if (a >> 5 << 26 | b >> 6) < bound else 48
             j = flags.find(63, j + 1)
-    return flags
+    bits = int((flags + tops[cut:].translate(_HALF))[::-1], 2)
+    full = (1 << n) - 1
+    return [bits >> i & full for i in range(0, k, n)]
 
 
 @lru_cache(maxsize=64)

@@ -9,10 +9,9 @@ The 14 term classes come from one table: each is one ``_term`` call, which
 makes the class and writes its row of ``CHILD_FIELDS``, the child field names
 in path order.  ``children``, ``rebuild`` and ``subterms`` read that table,
 and every structural walk of a term goes through them: negation,
-substitution, the variable scans and ``same_term`` here, rule matching and
-positioned rewriting in ``certify``, name collection in the CLI.  Each class
-is slotted and frozen, with one shared ``repr``, ``==``, ``hash`` and
-pickling.
+substitution and ``same_term`` here, rule matching and positioned rewriting
+in ``certify``, name collection in the CLI.  Each class is slotted and
+frozen, with one shared ``repr``, ``==``, ``hash`` and pickling.
 
 ``_frozen`` makes every frozen value class of the package: the term classes
 here and the records of ``hierarchy``, ``synthesis``, ``certify`` and
@@ -22,12 +21,13 @@ here and the records of ``hierarchy``, ``synthesis``, ``certify`` and
 dataclass fields on the first request for them, made by a caller that has
 loaded ``dataclasses`` already.
 
-Terms are frozen, so a term's variable set never changes.  It is computed at
-most once per object: a variable scan (``variables``, or an ``is_x_free``
-that does not meet the unknown) stores the names it saw on the term it
-started from, and every later walk that meets that object uses the stored set
-instead of descending into it.  The set has a slot of its own, not a field,
-so it is not part of ``==``, ``hash``, ``repr`` or a pickle.
+Each term carries its variable set from construction, as a hash-consed term
+carries its attributes: a constant, an atom or an atomic program has none, a
+variable has its name, and a node has the union of its children's sets, the
+same object as a child's set whenever that is the union.  So ``variables``
+and ``is_x_free`` read one attribute and walk nothing, and ``substitute``
+enters only the nodes that contain the unknown.  The set is no field: it is
+not part of ``==``, ``hash``, ``repr`` or a pickle.
 """
 
 from __future__ import annotations
@@ -169,20 +169,21 @@ class _Fields:
         return dataclass(cls, init=False, repr=False, eq=False).__dataclass_fields__
 
 
-def _frozen(cls: type) -> type:
+def _frozen(cls: type, tail: tuple[str, ...] = (), **scope) -> type:
     """Make ``cls`` a frozen value class whose fields are its annotations, in
     order, with its class attributes as their defaults.
 
     Unless ``cls`` has an ``__init__`` of its own, it gets one, made from
     source once.  It takes the fields by position or by name and stores each:
-    through its slot's descriptor in a slotted class, whose other slots start
-    as ``None``, and with ``_store`` otherwise.  Then it calls
-    ``__post_init__``, if ``cls`` defines one.  ``repr``, ``==``, ``hash`` and
-    the refusal of assignment are shared.  A slotted class pickles through its
-    constructor, since its slots refuse ``setattr``.  An undocumented class is
-    documented by its signature, as ``dataclass`` documents one, and
-    ``_Fields`` makes the class a dataclass on the first request for its
-    fields.
+    through its slot's descriptor (``set_<slot>``) in a slotted class, and
+    with ``_store`` otherwise.  Then it calls ``__post_init__``, if ``cls``
+    defines one, and runs the source lines ``tail``, which may use the names
+    in ``scope``; a slotted class sets its other slots there.  ``repr``,
+    ``==``, ``hash`` and the refusal of assignment are shared.  A slotted
+    class pickles through its constructor, since its slots refuse
+    ``setattr``.  An undocumented class is documented by its signature, as
+    ``dataclass`` documents one, and ``_Fields`` makes the class a dataclass
+    on the first request for its fields.
     """
     fields = vars(cls).get("__annotations__", {})
     names = tuple(fields)
@@ -190,14 +191,15 @@ def _frozen(cls: type) -> type:
     defaults = {} if slots else {name: vars(cls)[name] for name in names if name in vars(cls)}
     if "__init__" not in vars(cls):
         if slots:
-            scope = {f"set_{slot}": getattr(cls, slot).__set__ for slot in slots}
-            body = [f"set_{slot}(self, {slot if slot in fields else None})" for slot in slots]
+            scope.update({f"set_{slot}": getattr(cls, slot).__set__ for slot in slots})
+            body = [f"set_{name}(self, {name})" for name in names]
         else:
-            scope, body = {"store": _store}, [f"store(self, {name!r}, {name})" for name in names]
+            scope["store"], body = _store, [f"store(self, {name!r}, {name})" for name in names]
         if "__post_init__" in vars(cls):
             scope["post"] = cls.__post_init__
             body.append("post(self)")
-        exec(f"def __init__(self, {', '.join(names)}):\n    " + "\n    ".join(body), scope)
+        source = "\n    ".join([*body, *tail]) or "pass"
+        exec(f"def __init__(self, {', '.join(names)}):\n    {source}", scope)
         init = cls.__init__ = scope["__init__"]
         init.__qualname__ = f"{cls.__qualname__}.__init__"
         init.__defaults__ = tuple(defaults.values()) or None
@@ -215,30 +217,68 @@ def _frozen(cls: type) -> type:
     return cls
 
 
-def _term(name: str, base: type, *children: tuple[str, str], check=None) -> type:
+# The set of each variable name, so that every ``Var`` of a name holds one object.
+_NO_NAMES: frozenset[str] = frozenset()
+_NAME_SETS: dict[str, frozenset[str]] = {}
+
+
+def _union(left, right) -> frozenset[str]:
+    """The variable set of a node with these two children: a child's own set
+    when it holds every name of the other's, else a new union.  A child that
+    is no term, such as a rewrite-rule metavariable, has no variables.  No
+    union is interned: a ``frozenset`` takes no weak reference, so a table of
+    them would keep every union for the life of the process."""
+    try:
+        a, b = left._variables, right._variables
+    except AttributeError:
+        a, b = getattr(left, "_variables", _NO_NAMES), getattr(right, "_variables", _NO_NAMES)
+    return a if a is b or b <= a else b if a <= b else a | b
+
+
+# The ``__init__`` line that sets the variable set of a variable, and of a
+# node with one or two children, whose fields stand for ``{0}`` and ``{1}``.
+_SET_VARIABLES = {
+    "name": "set__variables(self, sets.get(name) or sets.setdefault(name, frozenset((name,))))",
+    1: "set__variables(self, getattr({0}, '_variables', NONE))",
+    2: "set__variables(self, union({0}, {1}))",
+}
+
+
+def _term(name: str, base: type, *children: tuple[str, str], check=None,
+          variable: bool = False) -> type:
     """Make the frozen term class ``name`` under ``base`` and record its child
     fields, given as ``(field, type)`` pairs in path order, in ``CHILD_FIELDS``.
 
     A class with a ``check`` is a leaf with one ``name`` field, which ``check``
-    validates on construction.  The class is slotted: one slot per field and
-    one for ``_variables``, which its ``__init__`` sets to ``None``.  Like
+    validates on construction.  The class is slotted, one slot per field.  A
+    leaf's variable set ``_variables`` is the empty set, held by its class,
+    unless the leaf is a ``variable``.  A variable and a class with children
+    have a slot for the set, which their ``__init__`` fills: with the one
+    ``{name}`` of the name, with the one child's set, or with ``_union``.  Like
     every class ``_frozen`` makes, it records its dataclass fields only when
-    they are first asked for, so ``dataclasses.fields`` and ``replace`` work on
-    it, and making it compiles only its ``__init__``.
+    they are first asked for, so ``dataclasses.fields`` and ``replace`` work
+    on it, and making it compiles only its ``__init__``.
     """
     fields = (*children, ("name", "str")) if check else children
-    namespace = {"__slots__": (*(field for field, _ in fields), "_variables"),
-                 "__annotations__": dict(fields)}
+    kids = tuple(field for field, _ in children)
+    namespace = {"__slots__": tuple(field for field, _ in fields), "__annotations__": dict(fields)}
     if check:
         namespace["__post_init__"] = check
-    cls = _frozen(type(name, (base,), namespace))
-    CHILD_FIELDS[cls] = tuple(field for field, _ in children)
+    line = _SET_VARIABLES.get("name" if variable else len(kids))
+    if line:
+        namespace["__slots__"] += ("_variables",)
+    else:
+        namespace["_variables"] = _NO_NAMES
+    tail = (line.format(*kids),) if line else ()
+    cls = _frozen(type(name, (base,), namespace), tail,
+                  sets=_NAME_SETS, union=_union, NONE=_NO_NAMES)
+    CHILD_FIELDS[cls] = kids
     return cls
 
 
 Atom = _term("Atom", Formula, check=_lowercase("atom"))
 NegAtom = _term("NegAtom", Formula, check=_lowercase("atom"))
-Var = _term("Var", Formula, check=_uppercase)
+Var = _term("Var", Formula, check=_uppercase, variable=True)
 Top = _term("Top", Formula)
 Bot = _term("Bot", Formula)
 Or = _term("Or", Formula, ("left", "Formula"), ("right", "Formula"))
@@ -334,71 +374,24 @@ def substitute(term, x: str, psi: Formula):
     """Replace every occurrence of ``Var(x)`` in ``term``, a formula or a
     program, by ``psi``.
 
-    Occurrences inside test programs are replaced as well.  Subterms without
-    ``x`` are kept as they are, not copied, and a subterm whose variable set is
-    known to lack ``x`` is not even entered.
+    Occurrences inside test programs are replaced as well.  A subterm without
+    ``x`` is kept as it is and not entered, as its variable set tells; every
+    node that holds ``x`` is rebuilt.
     """
     def sub(node):
-        known = node._variables
-        if known is not None and x not in known:
+        if x not in node._variables:
             return node
         kids = children(node)
         if len(kids) == 2:
-            left, right = kids
-            new_left, new_right = sub(left), sub(right)
-            if new_left is left and new_right is right:
-                return node
-            return type(node)(new_left, new_right)
-        if kids:
-            new = sub(kids[0])
-            return node if new is kids[0] else type(node)(new)
-        return psi if type(node) is Var and node.name == x else node
+            return type(node)(sub(kids[0]), sub(kids[1]))
+        return type(node)(sub(kids[0])) if kids else psi  # a leaf with x is Var(x)
 
     return sub(term)
 
 
-# Every stored variable set, so that equal sets are one object.
-_NO_NAMES: frozenset[str] = frozenset()
-_INTERNED: dict[frozenset[str], frozenset[str]] = {}
-
-
-def _scan(term, x):
-    """Whether ``Var(x)`` is absent from ``term``, by an explicit-stack walk
-    that stops at the first ``Var(x)``.
-
-    A node whose variable set is known is answered from it and not entered.
-    A walk that does not find ``x`` has seen every name, so it stores them on
-    ``term``; one that finds ``x`` stores nothing.
-    """
-    names = []
-    stack = [term]
-    while stack:
-        node = stack.pop()
-        if type(node) is Var:
-            if node.name == x:
-                return False
-            names.append(node.name)
-            continue
-        known = node._variables
-        if known is None:
-            stack.extend(children(node))
-        elif x in known:
-            return False
-        elif known:
-            names.extend(known)
-    if names:
-        names = frozenset(names)
-        _store(term, "_variables", _INTERNED.setdefault(names, names))
-    else:
-        _store(term, "_variables", _NO_NAMES)
-    return True
-
-
 def variables(term) -> frozenset[str]:
     """All variable names occurring in ``term``, a formula or a program,
-    including under tests.  The set is computed once per object and kept."""
-    if term._variables is None:
-        _scan(term, None)
+    including under tests."""
     return term._variables
 
 
@@ -406,13 +399,8 @@ program_variables = variables
 
 
 def is_x_free(term, x: str) -> bool:
-    """Whether ``Var(x)`` is absent from ``term``, tests included.
-
-    A term whose variable set is known is answered from it.  Otherwise the
-    term is walked, stopping at the first ``Var(x)`` and at every subterm with
-    a known set; a walk that does not find ``x`` stores the set on ``term``."""
-    known = term._variables
-    return _scan(term, x) if known is None else x not in known
+    """Whether ``Var(x)`` is absent from ``term``, tests included."""
+    return x not in term._variables
 
 
 _ASSOCIATIVE = (And, Or, Seq, Choice)

@@ -18,6 +18,7 @@ from pdlfix.certify import (
     RewriteRule,
     RewriteStep,
     RULES,
+    _COMPILED,
     apply_rule,
     certificate_from_json,
     certificate_to_json,
@@ -70,6 +71,27 @@ def test_e1_does_not_match_diamonds():
 def test_match_at_bad_path_is_an_error():
     with pytest.raises(BadPathError):
         match_rule(parse_formula("p & q"), "E1", "LR", (0, 0, 0))
+
+
+@pytest.mark.parametrize("rule_id, direction, message", [
+    ("E1", "XX", "direction must be LR or RL: 'XX'"),
+    ("E1", "lr", "direction must be LR or RL: 'lr'"),
+    ("E99", "LR", "unknown rule id 'E99'"),
+    ("E99", "XX", "unknown rule id 'E99'"),
+])
+def test_an_unknown_rule_or_direction_is_refused_before_compiling(rule_id, direction, message):
+    # The texts are RewriteStep's own, and no pair is compiled for the key.
+    phi = parse_formula("[a ; b]p")
+    with pytest.raises(ValueError) as made:
+        RewriteStep(rule=rule_id, direction=direction, path=(), bindings={})
+    assert str(made.value) == message
+    for call in (lambda: match_rule(phi, rule_id, direction, ()),
+                 lambda: rewrite_at(phi, rule_id, direction, ())):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert type(err.value) is ValueError and str(err.value) == message
+    assert (rule_id, direction) not in _COMPILED
+    assert match_rule(phi, "E1", "RL", ()) is not None
 
 
 def test_apply_e4_unfolds_the_star():

@@ -1,8 +1,10 @@
+import hashlib
 import random
 
 import pytest
 
-from pdlfix.generators import derive_seed, random_decomposition
+import pdlfix.hierarchy
+from pdlfix.generators import TermGen, derive_seed, random_decomposition
 from pdlfix.hierarchy import (
     ClassifyResult,
     Decomposition,
@@ -139,6 +141,39 @@ def test_strict_mode_rejects_commutation():
 ])
 def test_diagnose_names_the_failed_layer(text, strict, reason):
     assert diagnose(parse_formula(text), "X", strict=strict) == reason
+
+
+def test_seeded_diagnoses_are_pinned():
+    # 900 seeded inputs: Pi and Sigma nested forms, which classify, and depth-3
+    # formulas over X and Y, most of which do not; strict on every other one.
+    # About 180 of the reasons print a formula ("found ..."), so the digest
+    # pins the text that a failed layer match makes only when it is read.
+    digest = hashlib.sha256()
+    for i in range(900):
+        rng = random.Random(derive_seed(24, i))
+        if i % 3 < 2:
+            phi = to_nested_form(random_decomposition(rng, kind=("Pi", "Sigma")[i % 3]))
+        else:
+            phi = TermGen(rng, ("X", "Y")).formula(3)
+        digest.update(f"{diagnose(phi, 'X', strict=i % 2 == 0)}\n".encode())
+    assert digest.hexdigest() == "4378a0e3dda8b5f94e64b2f4d1b2b54aa598bd29177970367cc281a32ed4e36f"
+
+
+def test_a_sigma_classification_prints_nothing(monkeypatch):
+    printed = []
+    original = pdlfix.hierarchy.print_formula
+    monkeypatch.setattr(pdlfix.hierarchy, "print_formula",
+                        lambda phi: printed.append(phi) or original(phi))
+    phi = parse_formula("p | <a>(q & (r | X))")  # its Pi match fails at a diamond
+    assert classify(phi, "X").decomposition.kind == "Sigma"
+    assert classify_sigma(phi, "X") is not None and classify_pi(phi, "X") is None
+    assert printed == []
+    assert diagnose(parse_formula("<a>X | <b>X"), "X") == (
+        "as Pi: both operands of layer 1 contain X; "
+        "as Sigma (after negating): both operands of layer 1 contain X")
+    assert printed == []
+    assert diagnose(parse_formula("p & <a>[b]X"), "X").endswith("found <b>X")
+    assert len(printed) == 2  # once a side: the text is made when it is read
 
 
 def test_right_associated_disjunction_chains_are_exact_shapes():

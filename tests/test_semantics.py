@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from pdlfix.generators import TermGen, derive_seed
 from pdlfix.semantics import (
+    _BLOCK_DRAWS,
     EquationReport,
     KripkeModel,
     ModelGenParams,
@@ -314,6 +315,26 @@ def test_bulk_draws_equal_the_per_draw_loop(worlds):
         m = random_model(params)
         assert m.worlds == tuple(f"w{i}" for i in range(worlds))
         assert (m.succ, m.ext) == per_draw_model(params), params
+
+
+# Models of one draw fewer than a block, exactly a block and one draw more:
+# 45 worlds with two programs and the one name X, 32 with three programs and
+# 32 names, and 17 with 14 programs and three names, whose last name row falls
+# in a second block.
+@pytest.mark.parametrize("worlds, progs, atoms, extra", [
+    (45, 2, (), -1),
+    (32, 3, tuple(f"p{i}" for i in range(31)), 0),
+    (17, 14, ("p", "q"), 1),
+])
+@pytest.mark.parametrize("p", [0.0, 0.4, 1.0])
+def test_draws_at_the_block_size_equal_the_per_draw_loop(worlds, progs, atoms, extra, p):
+    params = ModelGenParams(world_count=worlds, atom_names=atoms,
+                            prog_names=tuple(f"a{i}" for i in range(progs)),
+                            edge_probability=p, seed=derive_seed(worlds, 1))
+    assert worlds * (worlds * progs + len(atoms) + 1) == _BLOCK_DRAWS + extra
+    m = random_model(params)
+    assert m.worlds == tuple(f"w{i}" for i in range(worlds))
+    assert (m.succ, m.ext) == per_draw_model(params)
 
 
 @settings(max_examples=120, derandomize=True, deadline=None)

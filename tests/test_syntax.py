@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import pickle
+import random
 import sys
 
 import hypothesis.strategies as st
@@ -9,6 +10,16 @@ from conftest import formulas, programs
 from hypothesis import assume, example, given, settings
 
 import pdlfix.syntax
+from pdlfix.certify import (
+    RULES,
+    apply_rule,
+    certificate_from_json,
+    certificate_to_json,
+    check_certificate,
+    generate_certificate,
+)
+from pdlfix.generators import TermGen, derive_seed, random_decomposition
+from pdlfix.hierarchy import classify, to_nested_form
 from pdlfix.syntax import (
     And,
     Atom,
@@ -41,7 +52,7 @@ from pdlfix.syntax import (
     variables,
 )
 from pdlfix.synthesis import solve
-from pdlfix.textio import parse_formula, parse_program, print_formula
+from pdlfix.textio import parse_formula, parse_program, print_formula, print_program
 
 
 def test_negate_atom_flips_polarity():
@@ -274,21 +285,25 @@ def test_term_class_surface(cls):
         assert str(err.value) == message
     if cls is Test:
         assert cls.__test__ is False  # pytest must not collect it
-    # Slotted: no instance dict, and the stored variable set has a slot of its
-    # own that is no dataclass field.
+    # Slotted: no instance dict.  The variable set is built with the term and
+    # is no dataclass field.
     assert not hasattr(term, "__dict__")
-    assert "_variables" in cls.__slots__ and term._variables is None
+    assert term._variables == _reference_variables(term) and "_variables" not in fields
     assert fields == CHILD_FIELDS[cls] + (("name",) if bad_name is not None else ())
     # The dataclass surface as perfbench/workloads.py uses it (renamed,
     # node_counts): read the fields' values, rebuild from the children.
     parts = {f.name: getattr(term, f.name) for f in dataclasses.fields(term)}
     rebuilt = dataclasses.replace(term, **{k: v for k, v in parts.items()
                                            if isinstance(v, (Formula, Program))})
-    assert type(rebuilt) is cls and rebuilt == term and rebuilt._variables is None
+    assert type(rebuilt) is cls and rebuilt == term
+    assert rebuilt._variables == _reference_variables(term)
     if bad_name is not None:
-        assert dataclasses.replace(term, name=term.name + "z") == cls(term.name + "z")
+        renamed = dataclasses.replace(term, name=term.name + "z")
+        assert renamed == cls(term.name + "z")
+        assert renamed._variables == _reference_variables(renamed)
     if sys.version_info >= (3, 13):
-        assert copy.replace(term, **parts) == term
+        twin = copy.replace(term, **parts)
+        assert twin == term and twin._variables == _reference_variables(term)
 
 
 def _pre_order(term):
@@ -307,9 +322,9 @@ def test_subterms_walk_left_to_right_and_rebuild_inverts_children():
         assert rebuild(node, children(node)) == node
 
 
-# A term's variable set is stored on it once a scan has seen every name.  The
-# tests below hold that this cache changes no answer and no term's identity as
-# a value, and pin where it is used.
+# Every term carries its variable set from construction.  The tests below
+# hold that the set is the one a walk finds, however the term was built, and
+# that ``is_x_free``, ``variables`` and ``substitute`` read it instead of walking.
 
 def _reference_variables(term):
     return frozenset(node.name for node in _pre_order(term) if type(node) is Var)
@@ -323,53 +338,104 @@ def _reference_substitute(term, x, psi):
 
 
 def _fresh(term):
-    """An equal term made of new objects, none of which has a stored set."""
+    """An equal term made of new objects, each leaf by ``dataclasses.replace``."""
     kids = children(term)
     return type(term)(*map(_fresh, kids)) if kids else dataclasses.replace(term)
 
 
-def _prime(term, x, order, pick):
-    """Leave the cache of ``term`` in the state that ``order`` names."""
-    if order == "variables on the root":
-        variables(term)
-    elif order != "fresh":
-        with_x = order.endswith("with x")
-        inner = [node for node in list(subterms(term))[1:]
-                 if (x in _reference_variables(node)) == with_x]
-        if not inner:
-            return
-        node = inner[pick % len(inner)]
-        if order.startswith("variables"):
-            variables(node)  # a known set that holds x
-        else:
-            assert is_x_free(node, x) is not with_x
+def _replaced(term):
+    """An equal term with each node remade by ``dataclasses.replace`` from its
+    new children."""
+    fields = CHILD_FIELDS[type(term)]
+    return dataclasses.replace(term, **{f: _replaced(getattr(term, f)) for f in fields})
 
 
-_ORDERS = ("fresh", "variables on the root", "is_x_free on an inner subterm without x",
-           "is_x_free on an inner subterm with x", "variables on an inner subterm with x")
+def assert_sets_are_built(term):
+    for node in subterms(term):
+        assert node._variables == _reference_variables(node), node
+        assert type(node._variables) is frozenset
+
+
+def _count_children(monkeypatch):
+    calls = []
+    original = pdlfix.syntax.children
+
+    def counted(node):
+        calls.append(node)
+        return original(node)
+
+    monkeypatch.setattr(pdlfix.syntax, "children", counted)
+    return calls
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
-@given(st.one_of(formulas, programs), st.sampled_from(["X", "Y", "Z"]), st.integers(0, 99))
-@example(parse_formula("[(X)?]p & <a>q"), "X", 0)  # x only under a test
-@example(parse_formula("[(X)?]p & <a>q"), "X", 1)
-@example(parse_formula("p | [a*](Y & q)"), "X", 0)  # variables other than x
-@example(parse_formula("p & [b]q"), "X", 0)  # no variable at all
-def test_cached_variable_sets_change_no_answer(term, x, pick):
+@given(st.one_of(formulas, programs), st.sampled_from(["X", "Y", "Z"]))
+@example(parse_formula("[(X)?]p & <a>q"), "X")  # x only under a test
+@example(parse_formula("p | [a*](Y & q)"), "X")  # variables other than x
+@example(parse_formula("p & [b]q"), "X")  # no variable at all
+def test_every_built_term_carries_its_variable_set(term, x):
     psi = parse_formula("s | Y")
-    expected = _reference_variables(term)
-    for order in _ORDERS:
-        copy = _fresh(term)
-        _prime(copy, x, order, pick)
-        assert substitute(copy, x, psi) == _reference_substitute(term, x, psi), order
-        for _ in range(2):
-            assert is_x_free(copy, x) is (x not in expected), order
-            names = variables(copy)
-            assert type(names) is frozenset and names == expected, order
-        assert substitute(copy, x, psi) == _reference_substitute(term, x, psi), order
-        for node in subterms(copy):
-            assert is_x_free(node, x) is (x not in _reference_variables(node)), order
-            assert variables(node) == _reference_variables(node), order
+    is_formula = isinstance(term, Formula)
+    parsed = parse_formula(print_formula(term)) if is_formula else parse_program(print_program(term))
+    built = [term, parsed, _fresh(term), _replaced(term),
+             pickle.loads(pickle.dumps(term)), copy.deepcopy(term)]
+    if is_formula:
+        built.append(negate(term))
+    if sys.version_info >= (3, 13):
+        built.append(copy.replace(term, **{f: getattr(term, f) for f in term.__match_args__}))
+    for twin in built:
+        assert_sets_are_built(twin)
+        for node in subterms(twin):
+            assert is_x_free(node, x) is (x not in _reference_variables(node))
+            assert variables(node) == _reference_variables(node)
+        with pytest.MonkeyPatch.context() as patch:
+            calls = _count_children(patch)
+            out = substitute(twin, x, psi)
+        assert out == _reference_substitute(twin, x, psi)
+        assert_sets_are_built(out)
+        # ``substitute`` enters exactly the nodes that hold x, in pre-order.
+        assert calls == [node for node in subterms(twin) if x in _reference_variables(node)]
+
+
+def test_generated_and_certified_terms_carry_their_variable_sets():
+    # Rule patterns hold metavariables, which are no terms and count as none.
+    patterns = [side for rule in RULES.values() for side in (rule.lhs, rule.rhs)]
+    assert all(side._variables == frozenset() for side in patterns if type(side) in CHILD_FIELDS)
+    for i in range(24):
+        rng = random.Random(derive_seed(8, i))
+        gen = TermGen(rng, ("X", "Y", "Z"))
+        assert_sets_are_built(gen.formula(4))
+        assert_sets_are_built(gen.program(3))
+        phi = to_nested_form(random_decomposition(rng, extra_vars=("Y",)))
+        sol = solve(phi, "X")
+        cert = generate_certificate(sol, padding=classify(phi, "X").padding)
+        read = certificate_from_json(certificate_to_json(cert))
+        for c in (cert, read):
+            assert_sets_are_built(c.target)
+            assert check_certificate(c).ok
+            state = c.source  # each step's result is built by the rule's make
+            for step in c.steps:
+                assert_sets_are_built(state)
+                for value in step.bindings.values():
+                    assert_sets_are_built(value)
+                state = apply_rule(state, step)
+            assert_sets_are_built(state)
+
+
+def test_a_deep_term_built_bottom_up_carries_its_variable_set():
+    term, expected = Var("Y"), {"Y"}
+    for i in range(2000):
+        name = f"V{i % 7}"
+        if i % 3 == 0:
+            term, expected = And(Var(name), term), expected | {name}
+        elif i % 3 == 1:
+            term = Box(Test(Atom("p")), term)
+        else:
+            term = Diamond(Star(AtomicProg("a")), Or(term, Top()))
+        assert term._variables == expected
+    assert variables(term) == {"Y", *(f"V{i}" for i in range(7))}
+    assert is_x_free(term, "X") and not is_x_free(term, "V6")
+    assert substitute(term, "X", Atom("p")) is term  # not entered, so no recursion
 
 
 def _deep_chain(depth):
@@ -408,43 +474,31 @@ def test_replacing_a_field_drops_the_stored_set():
     assert is_x_free(dataclasses.replace(node, body=Var("X")), "X") is False
 
 
-def _count_children(monkeypatch):
-    calls = []
-    original = pdlfix.syntax.children
-
-    def counted(node):
-        calls.append(node)
-        return original(node)
-
-    monkeypatch.setattr(pdlfix.syntax, "children", counted)
-    return calls
-
-
 def test_a_solved_candidate_is_scanned_once(monkeypatch):
     lam = solve(parse_formula("p & [a](q | (r & X))"), "X").formula
-    assert is_x_free(lam, "X")
     calls = _count_children(monkeypatch)
     assert is_x_free(lam, "X") and variables(lam) == frozenset()
-    assert calls == []
+    assert calls == []  # not even once: the set was built with the term
 
 
-def test_a_scan_that_meets_x_stores_nothing(monkeypatch):
+def test_is_x_free_and_variables_walk_nothing(monkeypatch):
     phi = parse_formula("p & [a](q | (r & X))")
     calls = _count_children(monkeypatch)
-    assert not is_x_free(phi, "X")
-    first = len(calls)
-    assert first > 0
-    assert not is_x_free(phi, "X")
-    assert len(calls) == 2 * first
+    assert not is_x_free(phi, "X") and not is_x_free(phi, "X")
+    assert is_x_free(phi, "Y") and variables(phi) == {"X"}
+    assert program_variables(parse_program("(X & p)? ; a")) == {"X"}
+    assert calls == []
 
 
 def test_substitute_does_not_enter_a_subterm_known_to_lack_x(monkeypatch):
     big = parse_formula("<a*>(p | [b](q & ~r)) & [(s | t)?]s")
     other = parse_formula("[c ; d](p | q)")
-    assert is_x_free(big, "X") and is_x_free(other, "X")
     phi = And(big, Or(other, Box(AtomicProg("a"), Var("X"))))
     calls = _count_children(monkeypatch)
     out = substitute(phi, "X", Atom("p"))
     assert out == And(big, Or(other, Box(AtomicProg("a"), Atom("p"))))
-    # The spine And, Or, Box and the Box's two children; neither big subterm.
-    assert calls == [phi, phi.right, phi.right.right, AtomicProg("a"), Var("X")]
+    assert out.left is big and out.right.left is other and out.right.right.prog is phi.right.right.prog
+    # Only the nodes that hold X are entered: the spine And, Or, Box and the
+    # variable itself; neither big subterm and not the Box's program.
+    assert calls == [phi, phi.right, phi.right.right, phi.right.right.body]
+    assert all("X" in node._variables for node in calls)
