@@ -97,12 +97,15 @@ class GenerationError(CertifyError):
 
 # ---------------------------------------------------------------------------
 # patterns
+# A metavariable stands in a pattern where a term would, and like a term
+# without variables it holds the empty variable set that its parent reads.
 
 @_frozen
 class FMeta:
     """Formula metavariable."""
 
     name: str
+    _variables = frozenset()
 
 
 @_frozen
@@ -110,6 +113,7 @@ class PMeta:
     """Program metavariable."""
 
     name: str
+    _variables = frozenset()
 
 
 @_frozen
@@ -119,6 +123,7 @@ class FNeg:
     ``name := negate(subject)``."""
 
     name: str
+    _variables = frozenset()
 
 
 @_frozen

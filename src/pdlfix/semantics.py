@@ -291,8 +291,8 @@ def random_model(params: ModelGenParams) -> KripkeModel:
     call's little-endian bits, is below ``ceil(p * 2**53)``.  The integer's
     top byte, byte ``8 * j + 3`` (the top byte of ``a``), decides every draw
     but those whose top byte equals the bound's; those are decided on all 53
-    bits.  A model of at most ``_BLOCK_DRAWS`` draws takes one call, and a
-    larger one a call per block of whole rows.
+    bits.  A call draws a block of whole rows, at most ``_BLOCK_DRAWS``
+    draws unless one row is longer, so a small model takes one call.
     """
     n = params.world_count
     names = (*params.atom_names, *params.var_names)
@@ -304,13 +304,10 @@ def random_model(params: ModelGenParams) -> KripkeModel:
     # sizeable share of a small model's draw.
     rng = _random.Random(params.seed)
     p = params.edge_probability
-    if total <= _BLOCK_DRAWS:  # total is a multiple of n, so one block of whole rows
-        rows = _rows(rng, total, edges, p, n)
-    else:
-        step = n * max(1, _BLOCK_DRAWS // n)  # draws a block, in whole rows
-        rows = []
-        for start in range(0, total, step):
-            rows += _rows(rng, min(step, total - start), max(edges - start, 0), p, n)
+    step = n * max(1, _BLOCK_DRAWS // n)  # draws a block, in whole rows
+    rows = []
+    for start in range(0, total, step):
+        rows += _rows(rng, min(step, total - start), max(edges - start, 0), p, n)
     rows_left = iter(rows)
     succ = dict(zip(params.prog_names, zip(*[rows_left] * n)))  # n rows a program
     ext = dict(zip(names, rows_left))

@@ -224,14 +224,10 @@ _NAME_SETS: dict[str, frozenset[str]] = {}
 
 def _union(left, right) -> frozenset[str]:
     """The variable set of a node with these two children: a child's own set
-    when it holds every name of the other's, else a new union.  A child that
-    is no term, such as a rewrite-rule metavariable, has no variables.  No
-    union is interned: a ``frozenset`` takes no weak reference, so a table of
-    them would keep every union for the life of the process."""
-    try:
-        a, b = left._variables, right._variables
-    except AttributeError:
-        a, b = getattr(left, "_variables", _NO_NAMES), getattr(right, "_variables", _NO_NAMES)
+    when it holds every name of the other's, else a new union.  No union is
+    interned: a ``frozenset`` takes no weak reference, so a table of them
+    would keep every union for the life of the process."""
+    a, b = left._variables, right._variables
     return a if a is b or b <= a else b if a <= b else a | b
 
 
@@ -239,7 +235,7 @@ def _union(left, right) -> frozenset[str]:
 # node with one or two children, whose fields stand for ``{0}`` and ``{1}``.
 _SET_VARIABLES = {
     "name": "set__variables(self, sets.get(name) or sets.setdefault(name, frozenset((name,))))",
-    1: "set__variables(self, getattr({0}, '_variables', NONE))",
+    1: "set__variables(self, {0}._variables)",
     2: "set__variables(self, union({0}, {1}))",
 }
 
@@ -271,7 +267,7 @@ def _term(name: str, base: type, *children: tuple[str, str], check=None,
         namespace["_variables"] = _NO_NAMES
     tail = (line.format(*kids),) if line else ()
     cls = _frozen(type(name, (base,), namespace), tail,
-                  sets=_NAME_SETS, union=_union, NONE=_NO_NAMES)
+                  sets=_NAME_SETS, union=_union)
     CHILD_FIELDS[cls] = kids
     return cls
 

@@ -311,6 +311,9 @@ def test_bulk_draws_equal_the_per_draw_loop(worlds):
     # 70 name rows: a block then starts among the name rows.
     cases.append(ModelGenParams(world_count=worlds, atom_names=tuple(f"p{i}" for i in range(70)),
                                 seed=seed))
+    # No names and no programs: no draw at all, and a model of worlds only.
+    cases.append(ModelGenParams(world_count=worlds, atom_names=(), var_names=(), prog_names=(),
+                                seed=seed))
     for params in cases:
         m = random_model(params)
         assert m.worlds == tuple(f"w{i}" for i in range(worlds))

@@ -3,6 +3,7 @@ import dataclasses
 import pickle
 import random
 import sys
+import tracemalloc
 
 import hypothesis.strategies as st
 import pytest
@@ -398,9 +399,9 @@ def test_every_built_term_carries_its_variable_set(term, x):
 
 
 def test_generated_and_certified_terms_carry_their_variable_sets():
-    # Rule patterns hold metavariables, which are no terms and count as none.
+    # Rule patterns hold metavariables, whose sets are empty, as their parents read them.
     patterns = [side for rule in RULES.values() for side in (rule.lhs, rule.rhs)]
-    assert all(side._variables == frozenset() for side in patterns if type(side) in CHILD_FIELDS)
+    assert all(side._variables == frozenset() for side in patterns)
     for i in range(24):
         rng = random.Random(derive_seed(8, i))
         gen = TermGen(rng, ("X", "Y", "Z"))
@@ -420,6 +421,21 @@ def test_generated_and_certified_terms_carry_their_variable_sets():
                     assert_sets_are_built(value)
                 state = apply_rule(state, step)
             assert_sets_are_built(state)
+
+
+def test_a_chain_of_distinct_variables_stays_within_its_set_sizes():
+    # Each node of a chain of n distinct variables holds its own set, of sizes
+    # 1..n, about 21 MiB at n = 1,000.  The bound catches any further growth.
+    tracemalloc.start()
+    try:
+        term = Var("V0")
+        for i in range(1, 1000):
+            term = And(term, Var(f"V{i}"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(term._variables) == 1000 and term.left._variables < term._variables
+    assert peak < 32 * 2**20, peak
 
 
 def test_a_deep_term_built_bottom_up_carries_its_variable_set():
