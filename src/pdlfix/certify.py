@@ -11,7 +11,8 @@ the bindings the certificate holds.
 
 Each rule is compiled once per direction, on first use, into a ``match``
 and a ``make`` function (``_compile``), and every match and rewrite goes
-through them.  The generator computes each step's rule, direction and path
+through them.  A rule and direction are checked by one lookup in the table
+of the 24 directed rules' sides (``_SIDES``).  The generator computes each step's rule, direction and path
 from the decomposition alone (``_derivation``; a Sigma certificate takes the
 diamond dual of each rule at the same path), and binds and rewrites it by
 one match.  The checker matches each step's source pattern, requires that
@@ -201,6 +202,14 @@ def rule_metavariables(rule: RewriteRule) -> dict[str, bool]:
 # The metavariable names of each rule: a step may bind only these.
 _METAVARIABLES = {rule_id: frozenset(rule_metavariables(rule)) for rule_id, rule in RULES.items()}
 
+# The source and target patterns of each of the 24 directed rules, keyed by
+# ``(rule id, direction)``: a valid pair is one lookup.
+_SIDES = {
+    (rule_id, direction): sides
+    for rule_id, rule in RULES.items()
+    for direction, sides in (("LR", (rule.lhs, rule.rhs)), ("RL", (rule.rhs, rule.lhs)))
+}
+
 
 def _compile(src, dst):
     """The ``match`` and ``make`` functions of the directed rule from ``src``
@@ -277,37 +286,46 @@ def _compiled(rule_id: str, direction: str):
 # positions
 
 class _Cursor:
-    """A term held as a focus and the nodes above it, root first, with the
-    child index taken below each (Huet's zipper).  ``move`` goes from the
-    focus to another path through the two paths' common prefix, so a step
-    costs its change in depth.  Going up rebuilds a node only when the child
-    below it is no longer the one it holds."""
+    """A term held as a focus, the path from the root to it, and the nodes
+    above it, root first (Huet's zipper).  ``move`` goes from the focus to
+    another path through the two paths' common prefix, so a step costs its
+    change in depth.  The cursor keeps the path tuple it was moved to.  One
+    slice comparison tells a move at or below the focus, and one more a move
+    above it; only paths that part are scanned for where they do.  Going up
+    rebuilds a node only when the child below it is no longer the one it
+    holds."""
 
     __slots__ = ("focus", "above", "path")
 
     def __init__(self, term):
-        self.focus, self.above, self.path = term, [], []
+        self.focus, self.above, self.path = term, [], ()
 
     def move(self, path: tuple[int, ...]):
-        """Focus the subterm at ``path`` (from the root) and return it."""
-        above, here, focus = self.above, self.path, self.focus
-        keep = 0
-        while keep < len(here) and keep < len(path) and here[keep] == path[keep]:
-            keep += 1
-        while len(here) > keep:
-            node, idx = above.pop(), here.pop()
-            kids = children(node)
-            focus = node if kids[idx] is focus else type(node)(*kids[:idx], focus, *kids[idx + 1:])
+        """Focus the subterm at ``path`` (from the root) and return it.  A
+        path that leaves the term raises ``BadPathError`` with the focus at
+        the last node on the path, and ``path`` and ``above`` leading to it."""
+        here, focus, above = self.path, self.focus, self.above
+        keep = len(here)
+        if path[:keep] != here:  # not at or below the focus: go up first
+            keep = len(path)
+            if here[:keep] != path:  # nor above it
+                keep, stop = 0, min(keep, len(here))
+                while keep < stop and here[keep] == path[keep]:
+                    keep += 1
+            for depth in range(len(here) - 1, keep - 1, -1):
+                node, idx = above[depth], here[depth]
+                kids = children(node)
+                focus = node if kids[idx] is focus else type(node)(*kids[:idx], focus, *kids[idx + 1:])
+            del above[keep:]
         for depth in range(keep, len(path)):
             idx = path[depth]
             kids = children(focus)
             if not 0 <= idx < len(kids):
-                self.focus = focus
+                self.focus, self.path = focus, path[:depth]
                 raise BadPathError(f"no child {idx} at depth {depth} of {type(focus).__name__}")
             above.append(focus)
-            here.append(idx)
             focus = kids[idx]
-        self.focus = focus
+        self.focus, self.path = focus, path
         return focus
 
 
@@ -327,7 +345,10 @@ class RewriteStep:
     group: int = 0
 
     def __post_init__(self) -> None:
-        _directed(self.rule, self.direction)  # refuses an unknown rule or direction
+        """Refuse a rule and direction that are not a key of ``_SIDES``, with
+        ``_directed``'s error.  The generator and the reader pass the fields
+        by position, the cheaper call."""
+        _directed(self.rule, self.direction)
 
 
 @_frozen
@@ -338,14 +359,17 @@ class Certificate:
 
 
 def _directed(rule_id: str, direction: str):
-    """The source and target patterns of ``rule_id`` read in ``direction``;
-    a ``ValueError`` for an unknown rule or direction."""
+    """The source and target patterns of ``rule_id`` read in ``direction``,
+    looked up in ``_SIDES``.  A pair not there is a ``ValueError``, for an
+    unknown rule before a bad direction; an unhashable rule id raises the
+    ``TypeError`` of looking it up in ``RULES``."""
+    try:
+        return _SIDES[rule_id, direction]
+    except (KeyError, TypeError):  # TypeError: an unhashable rule id or direction
+        pass
     if rule_id not in RULES:
         raise ValueError(f"unknown rule id {rule_id!r}")
-    if direction not in ("LR", "RL"):
-        raise ValueError(f"direction must be LR or RL: {direction!r}")
-    rule = RULES[rule_id]
-    return (rule.lhs, rule.rhs) if direction == "LR" else (rule.rhs, rule.lhs)
+    raise ValueError(f"direction must be LR or RL: {direction!r}")
 
 
 def match_rule(phi: Formula, rule_id: str, direction: str, path: tuple[int, ...]) -> dict | None:
@@ -405,7 +429,7 @@ def _rewrite(cursor: _Cursor, rule_id: str, direction: str, path: tuple[int, ...
         raise MismatchError(
             f"{rule_id} {direction} does not match at {list(path)} in {print_formula(cursor.move(()))}"
         )
-    step = RewriteStep(rule=rule_id, direction=direction, path=path, bindings=bindings, group=group)
+    step = RewriteStep(rule_id, direction, path, bindings, group)
     cursor.focus = make(bindings)
     return step
 
@@ -688,8 +712,7 @@ def certificate_from_json(doc: dict) -> Certificate:
             if bindings is None:
                 cursor = None
                 bindings = {name: _parse(text, name in _PROGRAM_METAVARS) for name, text in texts}
-            steps.append(RewriteStep(rule=rule, direction=direction, path=path, bindings=bindings,
-                                     group=_group(item.get("group", 0))))
+            steps.append(RewriteStep(rule, direction, path, bindings, _group(item.get("group", 0))))
         if unread is not None:
             raise unread
         text, target = doc["to"], None
@@ -714,9 +737,10 @@ def _taken(cursor: _Cursor, printer: _Printer, rule, direction, path, texts) -> 
     in ``texts`` (name and text pairs), with the cursor moved past the step;
     or None if the step names no rule or no subterm, its rule does not match
     there, or a text does not spell what the match binds."""
-    if type(rule) is not str or rule not in RULES or direction not in ("LR", "RL"):
-        return None
-    match, make = _compiled(rule, direction)
+    try:
+        match, make = _compiled(rule, direction)
+    except (TypeError, ValueError):
+        return None  # ``RewriteStep`` refuses the step once its texts are read
     try:
         found = match(cursor.move(path))
         if found is None or len(found) != len(texts):
@@ -749,8 +773,13 @@ def _steps(value) -> list:
     return value
 
 
+_INT = frozenset((int,))
+
+
 def _path(value) -> tuple[int, ...]:
-    if type(value) is not list or any(type(index) is not int for index in value):
+    """The path, as a tuple.  The types of its elements are collected and
+    compared in C: a bool, float or list is not an ``int``."""
+    if type(value) is not list or not {*map(type, value)} <= _INT:
         raise ValueError(f"path must be a list of integers, not {value!r}")
     return tuple(value)
 

@@ -6,10 +6,12 @@ the solution is::
     [ (tested chain 1..n)* ]  AND_j [ tested chain 1..j ] psi_j
 
 where the tested chain interleaves ``alpha_k ; (~phi_k)?`` and drops
-``alpha_1`` at even levels.  Sigma equations are solved by duality: negate,
-solve the Pi equation, negate the result.  The literal diamond schemas are
-kept behind ``strategy="literal"`` for comparison runs only — they are
-refuted by the one-world probe documented in DISCREPANCIES.md.
+``alpha_1`` at even levels.  Each pair's test and each chain is built once
+and shared wherever the solution repeats it; the text is the same.  Sigma
+equations are solved by duality: negate, solve the Pi equation, negate the
+result.  The literal diamond schemas are kept behind ``strategy="literal"``
+for comparison runs only — they are refuted by the one-world probe
+documented in DISCREPANCIES.md.
 """
 
 from __future__ import annotations
@@ -79,27 +81,46 @@ def odot(chain: list[Program]) -> Program:
     return _fold_right(Seq, chain) if chain else Test(Top())
 
 
+def _tested_parts(pair: Pair) -> tuple[Program, ...]:
+    """``alpha ; (~phi)?`` of one pair as its parts, an absent alpha omitted."""
+    test = Test(negate(pair.phi))
+    return (test,) if pair.alpha is None else (pair.alpha, test)
+
+
 def tested_chain(d: Decomposition, start: int, stop: int) -> Program:
     """``alpha_start ; (~phi_start)? ; ... ; alpha_stop ; (~phi_stop)?`` with
-    absent alphas omitted (1-based, inclusive bounds)."""
+    absent alphas omitted (1-based, inclusive bounds).  Each call makes its
+    tests afresh; ``_chains`` makes every chain from 1 over one set of them."""
     if not 1 <= start <= stop <= d.n:
         raise IndexError(f"chain bounds out of range: {start}..{stop} for n={d.n}")
-    parts: list[Program] = []
-    for k in range(start, stop + 1):
-        pair = d.pairs[k - 1]
-        if pair.alpha is not None:
-            parts.append(pair.alpha)
-        parts.append(Test(negate(pair.phi)))
-    return odot(parts)
+    return odot([part for pair in d.pairs[start - 1 : stop] for part in _tested_parts(pair)])
 
 
 tested_chain.__test__ = False  # keep pytest from collecting it by name
 
 
+def _chains(d: Decomposition) -> list[Program]:
+    """``tested_chain(d, 1, j)`` for ``j = 1..n``, each pair's parts made
+    once, so each pair's ``(~phi)?`` is one object in every chain."""
+    parts: list[Program] = []
+    chains = []
+    for pair in d.pairs:
+        parts += _tested_parts(pair)
+        chains.append(odot(parts))
+    return chains
+
+
 def _box_lambda(d: Decomposition) -> Formula:
-    """The box-side solution over the stored Pi components of ``d``."""
-    conjuncts = [Box(tested_chain(d, 1, j), d.pairs[j - 1].psi) for j in range(1, d.n + 1)]
-    return Box(Star(tested_chain(d, 1, d.n)), _fold_right(And, conjuncts))
+    """The box-side solution over the stored Pi components of ``d``.
+
+    Each chain is built once and each pair's test once (``_chains``), and
+    the star's body is the last conjunct's chain, the same object.  Sharing
+    changes no text; the printer and ``==`` meet a shared part once, and
+    ``negate`` keeps programs, so the duality Sigma solution shares them too.
+    """
+    chains = _chains(d)
+    conjuncts = [Box(chain, pair.psi) for chain, pair in zip(chains, d.pairs)]
+    return Box(Star(chains[-1]), _fold_right(And, conjuncts))
 
 
 def solve_pi(d: Decomposition) -> Solution:
@@ -117,11 +138,9 @@ def _literal_sigma(d: Decomposition) -> Formula:
         "Pi", d.x, tuple(Pair(negate(p.phi), negate(p.psi), p.alpha) for p in d.pairs),
         d.leading_modality,
     )
-    disjuncts = [
-        Diamond(tested_chain(written, 1, j), written.pairs[j - 1].psi)
-        for j in range(1, written.n + 1)
-    ]
-    return Diamond(Star(tested_chain(written, 1, written.n)), _fold_right(Or, disjuncts))
+    chains = _chains(written)
+    disjuncts = [Diamond(chain, pair.psi) for chain, pair in zip(chains, written.pairs)]
+    return Diamond(Star(chains[-1]), _fold_right(Or, disjuncts))
 
 
 def solve_sigma(d: Decomposition, strategy: str = "duality") -> Solution:

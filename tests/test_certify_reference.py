@@ -10,13 +10,20 @@ the reference's, and the checker's report on every certificate, and on
 every step of it tampered with in four ways, must be equal to the
 reference's, reason text included.  Each directed rule's compiled ``match``
 and ``make`` must agree with the reference's matcher and instantiation on
-instances of its source pattern and on near misses of them.
+instances of its source pattern and on near misses of them.  The path
+cursor, moved up, down, sideways and off the term with rewrites between its
+moves, must land where the reference's walk from the current root lands.
 """
 
 import pickle
 import random
 from dataclasses import replace
 from itertools import count
+
+import hypothesis.strategies as st
+import pytest
+from conftest import formulas
+from hypothesis import given, settings
 
 from pdlfix.certify import (
     RULES,
@@ -30,6 +37,7 @@ from pdlfix.certify import (
     PMeta,
     RewriteStep,
     _compiled,
+    _Cursor,
     _derivation,
     _DUAL_RULE,
     _METAVARIABLES,
@@ -312,3 +320,53 @@ def test_each_compiled_rule_matches_and_builds_as_the_reference_does():
                     assert make(found) == ref_instantiate(dst, expected)
                     outcomes.add(True)
             assert outcomes == {True, False}, (rule_id, direction)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(formulas, st.data())
+def test_cursor_moves_equal_a_fresh_walk_from_the_root(term, data):
+    # Every move lands where a walk from the current root lands; a move off
+    # the term raises the walk's error text and leaves the cursor at the last
+    # node on the path, consistent, so that the next move is still right.  A
+    # rewrite of the focus is seen by every later move and by the root.
+    cursor, root = _Cursor(term), term
+    for _ in range(data.draw(st.integers(1, 12))):
+        here = cursor.path
+        kind = data.draw(st.sampled_from(["up", "down", "sideways", "anywhere", "bad", "rewrite"]))
+        if kind == "rewrite":
+            focus = cursor.focus
+            wide = data.draw(st.booleans())
+            if isinstance(focus, Formula):
+                new = And(focus, focus) if wide else Top()
+            else:
+                new = Seq(focus, focus) if wide else AtomicProg("a")
+            cursor.focus, root = new, ref_replace_at(root, here, new)
+            continue
+        if kind == "up":
+            path = here[:data.draw(st.integers(0, len(here)))]
+        elif kind == "down":
+            path = here + (data.draw(st.integers(0, 1)),)
+        elif kind == "sideways" and here:
+            path = here[:-1] + (data.draw(st.integers(0, 1)),)
+        else:
+            path, node = (), root
+            while children(node) and data.draw(st.booleans()):
+                path += (data.draw(st.integers(0, len(children(node)) - 1)),)
+                node = children(node)[path[-1]]
+            if kind == "bad":
+                path += (data.draw(st.integers(len(children(node)), 3)),)
+                path += tuple(data.draw(st.lists(st.integers(0, 1), max_size=2)))
+        try:
+            expected = ref_subterm_at(root, path)
+        except BadPathError as exc:
+            with pytest.raises(BadPathError) as err:
+                cursor.move(path)
+            assert str(err.value) == str(exc)
+            depth = int(str(exc).split(" at depth ")[1].split()[0])
+            assert cursor.path == path[:depth] and len(cursor.above) == depth
+            assert cursor.focus == ref_subterm_at(root, cursor.path)
+            assert cursor.move(here) == ref_subterm_at(root, here) and cursor.path == here
+            continue
+        assert cursor.move(path) == expected and cursor.path == path
+        assert len(cursor.above) == len(path)
+    assert cursor.move(()) == root

@@ -1,7 +1,10 @@
+import hashlib
+import json
 import random
 
 import pytest
 
+from pdlfix.certify import certificate_to_json, generate_certificate
 from pdlfix.generators import derive_seed, random_decomposition
 from pdlfix.hierarchy import classify, to_nested_form
 from pdlfix.semantics import (
@@ -12,7 +15,19 @@ from pdlfix.semantics import (
     random_model,
 )
 from pdlfix.synthesis import NotInClass, odot, solve, solve_pi, solve_sigma, tested_chain
-from pdlfix.syntax import Seq, Test, Top, equal_modulo_assoc, is_x_free, negate
+from pdlfix.syntax import (
+    And,
+    Box,
+    Diamond,
+    Or,
+    Seq,
+    Star,
+    Test,
+    Top,
+    equal_modulo_assoc,
+    is_x_free,
+    negate,
+)
 from pdlfix.textio import parse_formula, parse_program, print_formula
 
 PAPER_LAMBDA1 = "[(true? ; a ; (~q)?)*]([true?]p & [true? ; a ; (~q)?]r)"
@@ -217,3 +232,69 @@ def test_solution_json():
     assert doc["schema"] == "lambda1"
     assert doc["lambda"] == PAPER_LAMBDA1
     assert doc["decomposition"]["kind"] == "Pi"
+
+
+# SHA-256 over the text of lambda and the certificate document of each of
+# the 300 decompositions of ``shared_cases``, one per line: the bytes that
+# solve and solve --certify print.
+LAMBDA_AND_CERTIFICATE_DIGEST = "3271dd839f7e06a22f5cf5d2b2bcb6353d79a43d246916844e7ba4fce4a7dd06"
+
+
+def shared_cases():
+    """300 seeded decompositions with 1-6 pairs, both hierarchies, leading or
+    not; the solution of each, and its certificate."""
+    for trial in range(300):
+        kind, leading = [("Pi", False), ("Pi", True), ("Sigma", False), ("Sigma", True)][trial % 4]
+        rng = random.Random(derive_seed(53, trial))
+        d = random_decomposition(rng, kind=kind, leading=leading, max_pairs=1 + trial // 4 % 6)
+        phi = to_nested_form(d)
+        sol = solve(phi, d.x)
+        yield sol, generate_certificate(sol, padding=classify(phi, d.x).padding)
+
+
+def chain_parts(program):
+    """The parts of a chain that ``odot`` made, first to last."""
+    parts = []
+    while type(program) is Seq:
+        parts.append(program.first)
+        program = program.second
+    return parts + [program]
+
+
+def spine(formula, cls):
+    """The operands of a right-nested chain of ``cls``."""
+    operands = []
+    while type(formula) is cls:
+        operands.append(formula.left)
+        formula = formula.right
+    return operands + [formula]
+
+
+def test_lambda_shares_its_tested_parts_and_prints_as_before():
+    lines, shapes = [], set()
+    for sol, cert in shared_cases():
+        lines += [print_formula(sol.formula), json.dumps(certificate_to_json(cert))]
+        d = sol.decomposition
+        shapes.add((d.kind, d.leading_modality, d.n))
+        pi = d.kind == "Pi"
+        lam = sol.formula
+        assert type(lam) is (Box if pi else Diamond) and type(lam.prog) is Star
+        terms = spine(lam.body, And if pi else Or)
+        assert len(terms) == d.n
+        chains = [chain_parts(term.prog) for term in terms]
+        # The star's body is the last term's chain, the same object.
+        assert lam.prog.body is terms[-1].prog
+        tests = {}  # pair index -> the ids of its test in every chain
+        for j, parts in enumerate(chains):
+            at = 0
+            for k, pair in enumerate(d.pairs[: j + 1]):
+                at += pair.alpha is not None
+                assert parts[at] == Test(negate(pair.phi))
+                tests.setdefault(k, set()).add(id(parts[at]))
+                at += 1
+            assert at == len(parts)
+        assert all(len(ids) == 1 for ids in tests.values()), tests
+    assert shapes >= {(kind, leading, n) for kind in ("Pi", "Sigma") for leading in (False, True)
+                      for n in range(1, 7)}
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == LAMBDA_AND_CERTIFICATE_DIGEST
