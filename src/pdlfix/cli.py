@@ -2,8 +2,9 @@
 
 Exit codes are a stable scripting contract: 0 success, 1 semantic
 counterexample found, 2 input or usage error, 3 internal failure (a solution
-that cannot be certified, or any unexpected exception).  ``--json`` emits
-exactly one JSON document on stdout, for errors too.
+that cannot be certified, any unexpected exception, or a failed write to
+stdout, reported on stderr).  ``--json`` emits exactly one JSON document on
+stdout, for errors too.
 The environment variable ``PDLFIX_SEED`` overrides ``--seed``.
 
 Each command imports the modules it runs inside its own function, so a cold
@@ -29,6 +30,10 @@ class _InputError(Exception):
     """Bad input to a command; ``main`` reports it and exits 2."""
 
 
+class _OutputError(Exception):
+    """A failed write to stdout; ``main`` reports it on stderr and exits 3."""
+
+
 def _read_formula_arg(text: str):
     """A formula given as text or as ``@file``."""
     try:
@@ -41,11 +46,11 @@ def _read_formula_arg(text: str):
 
 
 def _emit(args, doc: dict, human_lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(doc, indent=2))
-    else:
-        for line in human_lines:
+    try:
+        for line in [json.dumps(doc, indent=2)] if args.json else human_lines:
             print(line)
+    except OSError as exc:
+        raise _OutputError(exc) from exc
 
 
 def _effective_seed(args) -> int:
@@ -406,6 +411,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
+    try:
+        code = _run(argv)
+        if sys.stdout is not None:  # None when the process started with stdout closed
+            sys.stdout.flush()  # so that a failed write is reported here, not at exit
+    except (_OutputError, OSError) as exc:  # only output escapes _run as OSError
+        _drop_stdout()
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return INTERNAL_FAILURE
+    return code
+
+
+def _run(argv: list[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -420,11 +437,25 @@ def main(argv: list[str] | None = None) -> int:
     except _InputError as exc:
         _emit(args, {"status": "error", "message": str(exc)}, [f"error: {exc}"])
         return USAGE_ERROR
+    except _OutputError:
+        raise  # the document is lost: write no second one
     except Exception as exc:  # the last boundary: no traceback reaches the user
         message = f"{type(exc).__name__}: {exc}"
         _emit(args, {"status": "internal-error", "message": message},
               [f"internal error: {message}"])
         return INTERNAL_FAILURE
+
+
+def _drop_stdout() -> None:
+    """Point stdout at the null device, so that what a failed write left in
+    its buffer goes nowhere and the interpreter's flush at exit succeeds."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):  # a stdout with no descriptor of its own
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
 
 
 def console() -> None:

@@ -12,11 +12,9 @@ Variables are interpreted through the valuation exactly like atoms.
 
 from __future__ import annotations
 
-import _random
 import json
+from _sha3 import shake_128
 from functools import lru_cache
-from math import ceil
-from struct import Struct
 
 from .syntax import (
     And,
@@ -275,39 +273,35 @@ class ModelGenParams:
             raise ValueError("world_count must be at least 1")
         if not 0.0 <= self.edge_probability <= 1.0:
             raise ValueError(f"probability out of range: {self.edge_probability}")
+        if type(self.seed) is not int:
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
 
 def random_model(params: ModelGenParams) -> KripkeModel:
     """Deterministic random model: same params and seed, same model.
 
-    The model is that of one ``rng.random() < p`` draw per program and world
-    pair (source world outer, target inner), then one ``< 0.5`` draw per name
-    and world, from ``rng = random.Random(params.seed)``.  The draws are made
-    in bulk, and exactly: ``random()`` is ``((a >> 5) * 2**26 + (b >> 6)) /
-    2**53`` for two consecutive Mersenne Twister words ``a`` and ``b``, and
-    ``getrandbits(64 * k)`` consumes the same ``2 * k`` words, least
-    significant first.  So draw ``j`` of a call is below ``p`` exactly when
-    that 53-bit integer, read from bytes ``8 * j`` to ``8 * j + 8`` of the
-    call's little-endian bits, is below ``ceil(p * 2**53)``.  The integer's
-    top byte, byte ``8 * j + 3`` (the top byte of ``a``), decides every draw
-    but those whose top byte equals the bound's; those are decided on all 53
-    bits.  A call draws a block of whole rows, at most ``_BLOCK_DRAWS``
-    draws unless one row is longer, so a small model takes one call.
+    Each draw is a 16-bit little-endian value from a SHAKE128 stream (FIPS
+    202).  One draw is made per program and world pair (source world outer,
+    target inner), an edge when it is below ``round(p * 2**16)``, then one per
+    name and world, a member when it is below ``2**15``.  The draws come in
+    blocks of whole rows, at most ``_BLOCK_DRAWS`` draws unless one row is
+    longer, so a model of any size is drawn in flat memory and a small one
+    from one hash call.  Block ``b`` is read from the stream of the ASCII text
+    ``f"{seed}:{b}"``, so it is a pure function of the seed and the block,
+    with no generator state to seed.  A draw's high byte decides it, unless
+    that byte equals the bound's; then its low byte does.
     """
     n = params.world_count
     names = (*params.atom_names, *params.var_names)
     edges = n * n * len(params.prog_names)  # the edge draws; n draws a name follow
     total = edges + n * len(names)
-    # ``_random.Random`` is the C generator that ``random.Random`` extends.
-    # Seeded with the same integer it holds the same state and draws the same
-    # bits, without ``random.Random``'s Python-level ``seed``, which costs a
-    # sizeable share of a small model's draw.
-    rng = _random.Random(params.seed)
+    seed = params.seed
     p = params.edge_probability
     step = n * max(1, _BLOCK_DRAWS // n)  # draws a block, in whole rows
     rows = []
-    for start in range(0, total, step):
-        rows += _rows(rng, min(step, total - start), max(edges - start, 0), p, n)
+    for block, start in enumerate(range(0, total, step)):
+        data = shake_128(b"%d:%d" % (seed, block)).digest(2 * min(step, total - start))
+        rows += _rows(data, max(edges - start, 0), p, n)
     rows_left = iter(rows)
     succ = dict(zip(params.prog_names, zip(*[rows_left] * n)))  # n rows a program
     ext = dict(zip(names, rows_left))
@@ -317,46 +311,41 @@ def random_model(params: ModelGenParams) -> KripkeModel:
     return model
 
 
-# Draws per getrandbits call, in whole rows (at least one): 32 KiB of bits,
-# so a model of any size is drawn in flat memory, and a small one in one call.
+# Draws per hash call, in whole rows (at least one): 8 KiB of output, so a
+# model of any size is drawn in flat memory, and a small one in one call.
 _BLOCK_DRAWS = 4096
 # The names of a random model's first worlds, of which a small model takes a prefix.
 _WORLDS = tuple([f"w{i}" for i in range(64)])
-# The two 32-bit words of the draw at a byte offset.
-_WORDS = Struct("<II").unpack_from
 
 
-def _rows(rng, k: int, cut: int, p: float, n: int) -> list[int]:
-    """The rows, ``n`` draws each, of ``rng``'s next ``k`` draws: is each of
-    the first ``cut`` below ``p``, and each other below 0.5?  Draw ``j`` of a
-    row is bit ``j``."""
-    data = rng.getrandbits(64 * k).to_bytes(8 * k, "little")
-    tops = data[3::8]  # the top byte of each draw
-    table, bound = _threshold(p)
-    flags = tops[:cut].translate(table)
-    if 63 in flags:  # b"?": a tie on the top byte, decided on all 53 bits
+def _rows(data: bytes, cut: int, p: float, n: int) -> list[int]:
+    """The rows, ``n`` draws each, of the two-byte draws in ``data``: is each
+    of the first ``cut`` below ``round(p * 2**16)``, and each other below
+    ``2**15``?  Draw ``j`` of a row is bit ``j``."""
+    highs = data[1::2]
+    table, low = _threshold(p)
+    flags = highs[:cut].translate(table)
+    if 63 in flags:  # b"?": the high byte ties the bound's, so the low byte decides
         flags = bytearray(flags)
         j = flags.find(63)
         while j >= 0:
-            a, b = _WORDS(data, 8 * j)
-            flags[j] = 49 if (a >> 5 << 26 | b >> 6) < bound else 48
+            flags[j] = 49 if data[2 * j] < low else 48
             j = flags.find(63, j + 1)
-    bits = int((flags + tops[cut:].translate(_HALF))[::-1], 2)
+    bits = int((flags + highs[cut:].translate(_HALF))[::-1], 2)
     full = (1 << n) - 1
-    return [bits >> i & full for i in range(0, k, n)]
+    return [bits >> i & full for i in range(0, len(highs), n)]
 
 
 @lru_cache(maxsize=64)
 def _threshold(p: float) -> tuple[bytes, int]:
-    """The bound ``ceil(p * 2**53)`` on a draw's 53-bit integer, and the
-    table from a draw's top byte to ``b"1"`` (below the bound), ``b"0"``
-    (not below) or ``b"?"`` (the bound's own top byte, with more bits to compare)."""
-    bound = ceil(p * 2**53)
-    top, rest = divmod(bound, 2**45)
-    return bytes(49 if c < top else 63 if c == top and rest else 48 for c in range(256)), bound
+    """The table from a draw's high byte to ``b"1"`` (below the bound
+    ``round(p * 2**16)``), ``b"0"`` (not below) or ``b"?"`` (the bound's own
+    high byte, when the bound's low byte is not 0), and that low byte."""
+    top, low = divmod(round(p * 2**16), 256)
+    return bytes(49 if c < top else 63 if c == top and low else 48 for c in range(256)), low
 
 
-# The table for a name's draws: 0.5 is 2**52 / 2**53, so its top byte decides every draw.
+# The table for a name's draws: 2**15 has low byte 0, so the high byte decides every draw.
 _HALF = _threshold(0.5)[0]
 
 

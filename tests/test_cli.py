@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import re
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from pdlfix import hierarchy, semantics
 from pdlfix.cli import main
+from pdlfix.generators import derive_seed
 
 
 def run(capsys, *argv):
@@ -121,20 +123,36 @@ def test_check_random_suite_passes(capsys):
     assert doc["checked"] == 200
 
 
-def test_check_random_models_follow_first_occurrence_of_program_names(capsys):
-    # b occurs before a, and the seeded models are drawn in that order.
+def test_check_random_models_follow_first_occurrence_of_program_names(capsys, monkeypatch):
+    # b occurs before a, and the seeded models are drawn in that order.  The
+    # counterexample has one world and no edge, so its programs cannot show
+    # the order: the drawn models' parameters do.
+    drawn = counting(monkeypatch, semantics, "random_model")
     code, doc = run_json(capsys, "check", "--var", "X", "--equation", "[b](p | <a>X)",
                          "--candidate", "p", "--random", "20", "--worlds", "2", "--seed", "4")
     assert code == 1
     assert doc == {
         "passed": False, "x": "X", "equation": "[b](p | <a>X)", "candidate": "p",
         "instantiated": "[b](p | <a>p)", "counterexampleWorld": "w0",
-        "model": {"worlds": ["w0", "w1"],
-                  "programs": {"a": [["w0", "w1"]],
-                               "b": [["w0", "w0"], ["w1", "w0"], ["w1", "w1"]]},
-                  "valuation": {"X": ["w0", "w1"], "p": ["w1"]}},
-        "checked": 2, "seed": 4,
+        "model": {"worlds": ["w0"], "programs": {"a": [], "b": []},
+                  "valuation": {"X": [], "p": []}},
+        "checked": 1, "seed": 4,
     }
+    assert [params.prog_names for (params,) in drawn] == [("b", "a")]
+
+
+def test_a_check_counterexample_replays_from_its_seed_and_index(capsys):
+    # The failing model is the one drawn from derive_seed(seed, checked - 1),
+    # whatever models came before it; the document gives its world count.
+    for seed in range(8):
+        code, doc = run_json(capsys, "check", "--var", "X", "--equation",
+                             "[a](p | <b>X) & (q | X)", "--candidate", "p",
+                             "--random", "50", "--seed", str(seed))
+        assert code == 1
+        model = semantics.random_model(semantics.ModelGenParams(
+            world_count=len(doc["model"]["worlds"]), atom_names=("p", "q"), var_names=("X",),
+            prog_names=("a", "b"), seed=derive_seed(seed, doc["checked"] - 1)))
+        assert semantics.model_to_json(model) == doc["model"]
 
 
 def test_check_candidate_with_unknown_exits_2(capsys):
@@ -463,6 +481,61 @@ def test_module_entry_points_run_the_command(module, tmp_path):
                          env=dict(os.environ, PYTHONPATH=path), timeout=60)
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout)["status"] == "classified"  # exactly one document
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full to write to")
+@pytest.mark.parametrize("argv", [
+    ["classify", "--var", "X", "p & (q | X)"],
+    ["check", "--json", "--var", "X", "--equation", "p & (q | X)", "--candidate", "p",
+     "--random", "5"],
+], ids=["classify", "check-counterexample"])
+def test_a_failed_write_to_stdout_is_one_line_on_stderr_and_exit_3(argv, tmp_path):
+    # Every write to /dev/full fails.  Exit 1 is kept for a counterexample
+    # that was reported, so a lost report exits 3, with no traceback and no
+    # second document.  stdout is buffered, as it is by default, so the write
+    # fails at the flush, and the interpreter's own flush at exit must not
+    # fail again.
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    with open("/dev/full", "w") as full:
+        run = subprocess.run([sys.executable, "-m", "pdlfix", *argv], cwd=tmp_path, stdout=full,
+                             stderr=subprocess.PIPE, text=True,
+                             env=dict(env, PYTHONPATH=path), timeout=60)
+    assert run.returncode == 3, run.stderr
+    assert run.stderr.startswith("error: cannot write output: "), run.stderr
+    assert run.stderr.count("\n") == 1, run.stderr
+
+
+def test_a_document_lost_to_a_failed_write_is_not_followed_by_another(capsys, monkeypatch):
+    # A stdout whose first write fails and whose later writes would succeed:
+    # the lost document is reported on stderr, and no internal-error document
+    # follows it.
+    class FailsOnce(io.StringIO):
+        failed = False
+
+        def write(self, text):
+            if not self.failed:
+                self.failed = True
+                raise OSError(28, "No space left on device")
+            return super().write(text)
+
+    out = FailsOnce()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["classify", "--json", "--var", "X", "p & (q | X)"]) == 3
+    assert out.getvalue() == ""
+    assert capsys.readouterr().err == (
+        "error: cannot write output: [Errno 28] No space left on device\n")
+
+
+def test_a_run_started_with_stdout_closed_exits_as_it_would_with_it_open(tmp_path):
+    # Python then has no sys.stdout and drops what is printed: nothing fails.
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(["sh", "-c", '"$0" -m pdlfix classify --var X "p & (q | X)" >&-',
+                          sys.executable], cwd=tmp_path, capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path), timeout=60)
+    assert (run.returncode, run.stderr) == (0, "")
 
 
 # Prints the modules a fresh interpreter loaded, after running the command
@@ -819,4 +892,4 @@ def test_seeded_cli_outputs_are_pinned(tmp_path, capsys, monkeypatch):
     record("check", "--var", "X", "--equation", "[b](p | <a>X)", "--candidate", "p",
            "--random", "20", "--worlds", "2", "--seed", "4")
     record("fuzz", "--scope", "both", "--trials", "8")
-    assert digest.hexdigest() == "ee5ea0256429e7a611dd4664308536d06df2556d2ebd913f1cd428fdb0ecac7a"
+    assert digest.hexdigest() == "7c55c76401c28b95a551048e1724da6fb7457880595a297442da79d6b2a6365d"

@@ -201,13 +201,16 @@ def test_record_classes_differ_even_on_equal_fields():
      "direction must be LR or RL: 'up'"),
     (lambda: ModelGenParams(world_count=0), "world_count must be at least 1"),
     (lambda: ModelGenParams(2, edge_probability=1.5), "probability out of range: 1.5"),
+    (lambda: ModelGenParams(seed="abc"), "seed must be an integer, got 'abc'"),
+    (lambda: ModelGenParams(seed=2.0), "seed must be an integer, got 2.0"),
     (lambda: KripkeModel([], {}, {}), "a model needs at least one world"),
     (lambda: KripkeModel(["w", "w"], {}, {}), "duplicate world identifiers"),
     (lambda: KripkeModel(worlds=["w0"], relations={"a": [("w0", "w9")]}, valuation={}),
      "relation 'a' mentions unknown world ('w0', 'w9')"),
     (lambda: KripkeModel(["w0"], {}, {"p": ["w9"]}), "valuation of 'p' mentions unknown world 'w9'"),
 ], ids=["kind", "no-pairs", "leading", "alpha", "x-free", "alpha-x", "rule", "direction",
-        "worlds", "probability", "no-world", "duplicate", "relation", "valuation"])
+        "worlds", "probability", "seed-text", "seed-float", "no-world", "duplicate", "relation",
+        "valuation"])
 def test_record_validation_texts(make, message):
     with pytest.raises(ValueError) as err:
         make()

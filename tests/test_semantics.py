@@ -1,7 +1,9 @@
 import hashlib
+import itertools
 import json
 import os
 import random
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -262,7 +264,7 @@ def test_seeded_models_are_pinned():
                                                 prog_names=tuple(progs),
                                                 seed=1000 * worlds + 10 * len(progs) + int(10 * p)))
                 digest.update(json.dumps(model_to_json(m), sort_keys=True).encode())
-    assert digest.hexdigest() == "5acc30d8fbbe6c3f2610313122e26fe82f64a7512f90e08dfe6213db6a88d536"
+    assert digest.hexdigest() == "efa62810c6cce8a0dcbfe47119928b8b9a95cbb5a7928a2f49c346dd11eff886"
 
 
 def test_seeded_comparisons_are_pinned():
@@ -278,18 +280,29 @@ def test_seeded_comparisons_are_pinned():
         worlds = 1 + i % 5 if i < 3000 else 64 + i % 65
         model = random_model(ModelGenParams(world_count=worlds, seed=derive_seed(17, i)))
         digest.update(f"{equivalent_on(model, phi, psi)}\n".encode())
-    assert digest.hexdigest() == "97d8012d8e98733fd6391b9e1576b723d30b629643a607db5aa7cb6faf5d75d6"
+    assert digest.hexdigest() == "f9f0c60ef78de049bc3ef5b0f23fe42f8f00e7b03825527aa5421608487801eb"
+
+
+def draw_stream(seed, block_draws):
+    """A model's 16-bit draws, one at a time: block ``b`` holds
+    ``block_draws`` of them, read from ``shake_128`` of ``f"{seed}:{b}"``."""
+    for block in itertools.count():
+        data = hashlib.shake_128(f"{seed}:{block}".encode()).digest(2 * block_draws)
+        for (value,) in struct.iter_unpack("<H", data):
+            yield value
 
 
 def per_draw_model(params):
-    """The reference for random_model's bulk draw: one ``random()`` call per
-    program and world pair (source world outer), then per name and world."""
-    draw = random.Random(params.seed).random
-    bits = [1 << i for i in range(params.world_count)]
-    p = params.edge_probability
-    succ = {prog: tuple(sum([b for b in bits if draw() < p]) for _ in bits)
+    """The reference for random_model's bulk draw: one 16-bit draw per
+    program and world pair (source world outer), an edge below
+    ``round(p * 2**16)``, then one per name and world, a member below ``2**15``."""
+    worlds = params.world_count
+    draw = draw_stream(params.seed, worlds * max(1, _BLOCK_DRAWS // worlds)).__next__
+    bits = [1 << i for i in range(worlds)]
+    bound = round(params.edge_probability * 2**16)
+    succ = {prog: tuple(sum([b for b in bits if draw() < bound]) for _ in bits)
             for prog in params.prog_names}
-    ext = {name: sum([b for b in bits if draw() < 0.5])
+    ext = {name: sum([b for b in bits if draw() < 2**15])
            for name in (*params.atom_names, *params.var_names)}
     return succ, ext
 
@@ -300,13 +313,13 @@ def per_draw_model(params):
 @pytest.mark.parametrize("worlds", [*range(1, 10), 63, 64, 65, 200, 256])
 def test_bulk_draws_equal_the_per_draw_loop(worlds):
     seed = derive_seed(worlds, 0)
-    # The first draw's 53-bit integer: as the bound, or one below it, that
-    # draw is a tie on the top byte, decided by the last bits.
-    first = int(random.Random(seed).random() * 2**53)
+    # With the first draw as the bound, or one below it, its high byte ties
+    # the bound's (unless its low byte is 255), and its low byte decides.
+    first = next(draw_stream(seed, 1))
     cases = [ModelGenParams(world_count=worlds, edge_probability=p, prog_names=tuple(progs),
                             seed=seed)
              for p in (0.0, 1.0, 0.4, 0.5, 1 / 3, 5e-324, 1 - 2**-53,
-                       first / 2**53, (first + 1) / 2**53)
+                       first / 2**16, (first + 1) / 2**16)
              for progs in ("a", "ab", "abc")]
     # 70 name rows: a block then starts among the name rows.
     cases.append(ModelGenParams(world_count=worlds, atom_names=tuple(f"p{i}" for i in range(70)),
@@ -314,6 +327,8 @@ def test_bulk_draws_equal_the_per_draw_loop(worlds):
     # No names and no programs: no draw at all, and a model of worlds only.
     cases.append(ModelGenParams(world_count=worlds, atom_names=(), var_names=(), prog_names=(),
                                 seed=seed))
+    # A negative seed: its key starts with a minus sign.
+    cases.append(ModelGenParams(world_count=worlds, seed=-seed))
     for params in cases:
         m = random_model(params)
         assert m.worlds == tuple(f"w{i}" for i in range(worlds))
@@ -338,6 +353,45 @@ def test_draws_at_the_block_size_equal_the_per_draw_loop(worlds, progs, atoms, e
     m = random_model(params)
     assert m.worlds == tuple(f"w{i}" for i in range(worlds))
     assert (m.succ, m.ext) == per_draw_model(params)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.1, 0.4, 0.5, 0.9, 1.0])
+def test_edge_and_name_frequencies_match_the_bound(p):
+    # 10**6 edge draws and 10**6 name draws, one 1,000-world model: each
+    # count lies within 5 sigma of its binomial mean.  At p = 0 and p = 1
+    # sigma is 0, so the edge count must be exact.
+    worlds = 1000
+    m = random_model(ModelGenParams(world_count=worlds, prog_names=("a",),
+                                    atom_names=tuple(f"p{i}" for i in range(worlds - 1)),
+                                    edge_probability=p, seed=derive_seed(26, int(10 * p))))
+    draws = worlds * worlds
+    for count, chance in ((sum(row.bit_count() for row in m.succ["a"]), round(p * 2**16) / 2**16),
+                          (sum(mask.bit_count() for mask in m.ext.values()), 0.5)):
+        assert abs(count - draws * chance) <= 5 * (draws * chance * (1 - chance)) ** 0.5
+
+
+def test_the_stream_is_fips_202_shake128():
+    # The stdlib's own SHAKE128, which random_model reads, gives the bytes
+    # that hashlib's (OpenSSL's, where it is built with it) gives, and the
+    # FIPS 202 value for the empty message.
+    from _sha3 import shake_128
+
+    for key in (b"", b"0:0", b"-5:3", b"4294967295:12", b"%d:0" % 2**70):
+        for size in (2, 130, 8192, 8194):
+            assert shake_128(key).digest(size) == hashlib.shake_128(key).digest(size)
+    assert shake_128(b"").hexdigest(32) == (
+        "7f9c2ba4e88f827d616045507605853ed73b8093f6efbc88eb1a6eacfa66ef26")
+
+
+def test_models_drawn_in_any_order_are_the_same():
+    params = [ModelGenParams(world_count=worlds, seed=derive_seed(27, i))
+              for i, worlds in enumerate((1, 2, 3, 4, 5, 65, 130, 1, 5))]
+    forward = [random_model(q) for q in params]
+    backward = [random_model(q) for q in reversed(params)]
+    assert forward == backward[::-1]
+    # The key keeps the sign: -5 and 5 are different seeds.
+    assert random_model(ModelGenParams(world_count=8, seed=-5)) != random_model(
+        ModelGenParams(world_count=8, seed=5))
 
 
 @settings(max_examples=120, derandomize=True, deadline=None)
