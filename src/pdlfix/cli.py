@@ -3,8 +3,8 @@
 Exit codes are a stable scripting contract: 0 success, 1 semantic
 counterexample found, 2 input or usage error, 3 internal failure (a solution
 that cannot be certified, any unexpected exception, or a failed write to
-stdout, reported on stderr).  ``--json`` emits exactly one JSON document on
-stdout, for errors too.
+stdout, reported on stderr), 130 interrupted (SIGINT, reported on stderr).
+``--json`` emits exactly one JSON document on stdout, for errors too.
 The environment variable ``PDLFIX_SEED`` overrides ``--seed``.
 
 Each command imports the modules it runs inside its own function, so a cold
@@ -22,6 +22,7 @@ from .syntax import Atom, AtomicProg, NegAtom, Var, is_x_free, substitute, subte
 from .textio import parse_formula, print_formula
 
 OK, COUNTEREXAMPLE, USAGE_ERROR, INTERNAL_FAILURE = 0, 1, 2, 3
+INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a process it interrupted
 
 __all__ = ["main", "console"]
 
@@ -341,6 +342,13 @@ class _UsageError(Exception):
 
 
 class _ArgumentParser(argparse.ArgumentParser):
+    def _print_message(self, message, file=None):
+        # argparse drops an OSError of its own write, so that --help on a full
+        # stdout would exit 0 unbuffered; let it reach main, which exits 3.
+        file = file or sys.stderr
+        if message and file is not None:  # None: the stream was closed at start
+            file.write(message)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
@@ -419,6 +427,9 @@ def main(argv: list[str] | None = None) -> int:
         _drop_stdout()
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return INTERNAL_FAILURE
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return INTERRUPTED
     return code
 
 

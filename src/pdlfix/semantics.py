@@ -290,6 +290,12 @@ def random_model(params: ModelGenParams) -> KripkeModel:
     ``f"{seed}:{b}"``, so it is a pure function of the seed and the block,
     with no generator state to seed.  A draw's high byte decides it, unless
     that byte equals the bound's; then its low byte does.
+
+    A model of one block is hashed by the stdlib's ``_sha3``, which is cheap
+    to import; a model of more blocks by ``hashlib``'s SHAKE128 (OpenSSL's,
+    where the interpreter is built with it), which hashes faster but loads
+    OpenSSL, so it is imported on the first such model.  Both give the same
+    FIPS 202 bytes, so the model does not depend on which one drew it.
     """
     n = params.world_count
     names = (*params.atom_names, *params.var_names)
@@ -298,9 +304,13 @@ def random_model(params: ModelGenParams) -> KripkeModel:
     seed = params.seed
     p = params.edge_probability
     step = n * max(1, _BLOCK_DRAWS // n)  # draws a block, in whole rows
+    if total > step:  # hashlib loads OpenSSL, a few ms: one-block models never pay for it
+        from hashlib import shake_128 as shake
+    else:
+        shake = shake_128
     rows = []
     for block, start in enumerate(range(0, total, step)):
-        data = shake_128(b"%d:%d" % (seed, block)).digest(2 * min(step, total - start))
+        data = shake(b"%d:%d" % (seed, block)).digest(2 * min(step, total - start))
         rows += _rows(data, max(edges - start, 0), p, n)
     rows_left = iter(rows)
     succ = dict(zip(params.prog_names, zip(*[rows_left] * n)))  # n rows a program
@@ -313,6 +323,8 @@ def random_model(params: ModelGenParams) -> KripkeModel:
 
 # Draws per hash call, in whole rows (at least one): 8 KiB of output, so a
 # model of any size is drawn in flat memory, and a small one in one call.
+# A model of one block is hashed by ``_sha3``, a model of more by
+# ``hashlib.shake_128`` (OpenSSL's, about 2.6 times as fast); the bytes are the same.
 _BLOCK_DRAWS = 4096
 # The names of a random model's first worlds, of which a small model takes a prefix.
 _WORLDS = tuple([f"w{i}" for i in range(64)])

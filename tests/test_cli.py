@@ -507,6 +507,37 @@ def test_a_failed_write_to_stdout_is_one_line_on_stderr_and_exit_3(argv, tmp_pat
     assert run.stderr.count("\n") == 1, run.stderr
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full to write to")
+@pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]], ids=["top", "command"])
+def test_help_on_a_full_unbuffered_stdout_exits_3(argv, tmp_path):
+    # Unbuffered, argparse's own write of the help fails, not main's flush;
+    # argparse would drop that error and exit 0 with nothing written.
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    with open("/dev/full", "w") as full:
+        run = subprocess.run([sys.executable, "-m", "pdlfix", *argv], cwd=tmp_path, stdout=full,
+                             stderr=subprocess.PIPE, text=True,
+                             env=dict(os.environ, PYTHONPATH=path, PYTHONUNBUFFERED="1"),
+                             timeout=60)
+    assert run.returncode == 3, run.stderr
+    assert run.stderr.startswith("error: cannot write output: "), run.stderr
+    assert run.stderr.count("\n") == 1, run.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--var", "X", "p & (q | X)"],
+    ["classify", "--json", "--var", "X", "p & (q | X)"],
+], ids=["text", "json"])
+def test_an_interrupted_run_is_one_line_on_stderr_and_exit_130(argv, capsys, monkeypatch):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("pdlfix.cli.cmd_classify", interrupted)
+    assert main(argv) == 130
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: interrupted\n")
+
+
 def test_a_document_lost_to_a_failed_write_is_not_followed_by_another(capsys, monkeypatch):
     # A stdout whose first write fails and whose later writes would succeed:
     # the lost document is reported on stderr, and no internal-error document
@@ -577,7 +608,9 @@ def test_a_cold_run_loads_only_the_modules_its_command_uses(argv, loaded, tmp_pa
     assert {m for m in modules if m.startswith("pdlfix")} == loaded
     # The frozen classes record their dataclass fields only when asked, so no
     # command pays for importing dataclasses and the inspect module it loads.
-    assert not modules & {"dataclasses", "inspect"}
+    # check draws one-block models, which _sha3 hashes, so no run loads
+    # hashlib and the OpenSSL library behind it.
+    assert not modules & {"dataclasses", "inspect", "hashlib", "_hashlib"}
 
 
 def _fresh_interpreter(args, cwd):

@@ -1,3 +1,4 @@
+import _sha3
 import hashlib
 import itertools
 import json
@@ -283,21 +284,22 @@ def test_seeded_comparisons_are_pinned():
     assert digest.hexdigest() == "f9f0c60ef78de049bc3ef5b0f23fe42f8f00e7b03825527aa5421608487801eb"
 
 
-def draw_stream(seed, block_draws):
+def draw_stream(seed, block_draws, shake=hashlib.shake_128):
     """A model's 16-bit draws, one at a time: block ``b`` holds
-    ``block_draws`` of them, read from ``shake_128`` of ``f"{seed}:{b}"``."""
+    ``block_draws`` of them, read from ``shake`` of ``f"{seed}:{b}"``."""
     for block in itertools.count():
-        data = hashlib.shake_128(f"{seed}:{block}".encode()).digest(2 * block_draws)
+        data = shake(f"{seed}:{block}".encode()).digest(2 * block_draws)
         for (value,) in struct.iter_unpack("<H", data):
             yield value
 
 
-def per_draw_model(params):
+def per_draw_model(params, shake=hashlib.shake_128):
     """The reference for random_model's bulk draw: one 16-bit draw per
     program and world pair (source world outer), an edge below
-    ``round(p * 2**16)``, then one per name and world, a member below ``2**15``."""
+    ``round(p * 2**16)``, then one per name and world, a member below
+    ``2**15``, all read from ``shake``."""
     worlds = params.world_count
-    draw = draw_stream(params.seed, worlds * max(1, _BLOCK_DRAWS // worlds)).__next__
+    draw = draw_stream(params.seed, worlds * max(1, _BLOCK_DRAWS // worlds), shake).__next__
     bits = [1 << i for i in range(worlds)]
     bound = round(params.edge_probability * 2**16)
     succ = {prog: tuple(sum([b for b in bits if draw() < bound]) for _ in bits)
@@ -309,9 +311,13 @@ def per_draw_model(params):
 
 # A block of the bulk draw holds 65, 64 and 63 rows at 63, 64 and 65 worlds,
 # so the rows of a program end inside a block, at its end or past it; 200 and
-# 256 worlds take many blocks.
+# 256 worlds take many blocks.  random_model hashes a one-block model with
+# _sha3 and a larger one with hashlib, so at 1-9 worlds the hashlib reference
+# checks _sha3's draws, and at 200 and 256 worlds a _sha3 reference checks
+# hashlib's.
 @pytest.mark.parametrize("worlds", [*range(1, 10), 63, 64, 65, 200, 256])
 def test_bulk_draws_equal_the_per_draw_loop(worlds):
+    shake = _sha3.shake_128 if worlds >= 200 else hashlib.shake_128
     seed = derive_seed(worlds, 0)
     # With the first draw as the bound, or one below it, its high byte ties
     # the bound's (unless its low byte is 255), and its low byte decides.
@@ -332,13 +338,14 @@ def test_bulk_draws_equal_the_per_draw_loop(worlds):
     for params in cases:
         m = random_model(params)
         assert m.worlds == tuple(f"w{i}" for i in range(worlds))
-        assert (m.succ, m.ext) == per_draw_model(params), params
+        assert (m.succ, m.ext) == per_draw_model(params, shake), params
 
 
 # Models of one draw fewer than a block, exactly a block and one draw more:
 # 45 worlds with two programs and the one name X, 32 with three programs and
 # 32 names, and 17 with 14 programs and three names, whose last name row falls
-# in a second block.
+# in a second block.  The first two are hashed by _sha3 and checked against
+# hashlib; the last is hashed by hashlib and checked against _sha3.
 @pytest.mark.parametrize("worlds, progs, atoms, extra", [
     (45, 2, (), -1),
     (32, 3, tuple(f"p{i}" for i in range(31)), 0),
@@ -352,7 +359,8 @@ def test_draws_at_the_block_size_equal_the_per_draw_loop(worlds, progs, atoms, e
     assert worlds * (worlds * progs + len(atoms) + 1) == _BLOCK_DRAWS + extra
     m = random_model(params)
     assert m.worlds == tuple(f"w{i}" for i in range(worlds))
-    assert (m.succ, m.ext) == per_draw_model(params)
+    shake = _sha3.shake_128 if extra > 0 else hashlib.shake_128
+    assert (m.succ, m.ext) == per_draw_model(params, shake)
 
 
 @pytest.mark.parametrize("p", [0.0, 0.1, 0.4, 0.5, 0.9, 1.0])
@@ -371,16 +379,16 @@ def test_edge_and_name_frequencies_match_the_bound(p):
 
 
 def test_the_stream_is_fips_202_shake128():
-    # The stdlib's own SHAKE128, which random_model reads, gives the bytes
-    # that hashlib's (OpenSSL's, where it is built with it) gives, and the
-    # FIPS 202 value for the empty message.
-    from _sha3 import shake_128
-
+    # random_model reads the stdlib's own SHAKE128 (_sha3) for a model of one
+    # block and hashlib's (OpenSSL's, where it is built with it) for a larger
+    # one.  Both give the same bytes, and the FIPS 202 value for the empty
+    # message.
     for key in (b"", b"0:0", b"-5:3", b"4294967295:12", b"%d:0" % 2**70):
         for size in (2, 130, 8192, 8194):
-            assert shake_128(key).digest(size) == hashlib.shake_128(key).digest(size)
-    assert shake_128(b"").hexdigest(32) == (
-        "7f9c2ba4e88f827d616045507605853ed73b8093f6efbc88eb1a6eacfa66ef26")
+            assert _sha3.shake_128(key).digest(size) == hashlib.shake_128(key).digest(size)
+    empty = "7f9c2ba4e88f827d616045507605853ed73b8093f6efbc88eb1a6eacfa66ef26"
+    assert _sha3.shake_128(b"").hexdigest(32) == empty
+    assert hashlib.shake_128(b"").hexdigest(32) == empty
 
 
 def test_models_drawn_in_any_order_are_the_same():
