@@ -4,21 +4,20 @@ machine-checkable certificates from a solution ``lambda`` to ``phi(lambda)``.
 A certificate is a replayable list of steps; each step names a rule, a
 direction, a path from the root (program and formula children share one
 index scheme, ``syntax.CHILD_FIELDS``) and the full metavariable bindings.
-The reader re-infers each match to take the bindings it finds, and the
-formula its steps end at, instead of parsing their texts
-(``certificate_from_json``); replay does not: it checks each step against
-the bindings the certificate holds.
 
 Each rule is compiled once per direction, on first use, into a ``match``
-and a ``make`` function (``_compile``), and every match and rewrite goes
-through them.  A rule and direction are checked by one lookup in the table
-of the 24 directed rules' sides (``_SIDES``).  The generator computes each step's rule, direction and path
-from the decomposition alone (``_derivation``; a Sigma certificate takes the
-diamond dual of each rule at the same path), and binds and rewrites it by
-one match.  The checker matches each step's source pattern, requires that
-the match binds exactly the stored terms, and builds the other side from
-them.  Both hold the formula in a path cursor (``_Cursor``), so a step costs
-its change in depth, not a walk from the root.
+and a ``make`` function (``_compile``).  A rule and direction are checked by
+one lookup in the table of the 24 directed rules' sides (``_SIDES``).  One
+step function (``_step``) moves a path cursor (``_Cursor``) to a step's
+path, matches there and builds the other side, so a step costs its change
+in depth, not a walk from the root.  The generator computes each step's
+rule, direction and path from the decomposition alone (``_derivation``; a
+Sigma certificate takes the diamond dual of each rule at the same path) and
+takes the match's bindings.  Replay requires that the match binds exactly
+the stored terms.  The document reader replays as it reads (``_read``): a
+step whose texts spell what its match binds takes those terms, and any
+other step is replayed under its parsed texts, so the reader's check is
+replay's check.
 
 Two auxiliary step kinds ``AA``/``AO`` rebracket associative chains
 (``(a & b) & c  <->  a & (b & c)`` and the disjunctive dual).  They are not
@@ -387,26 +386,33 @@ def _shown(term, limit: int = 120) -> str:
     return text if len(text) <= limit else text[: limit - 3] + "..."
 
 
-def _replay(cursor: _Cursor, step: RewriteStep) -> None:
-    """Replay ``step`` at the cursor under its stored bindings.  The step
-    applies when the match there binds exactly the stored names, each to a
-    term the stored one is or equals; then the result is built from the
-    stored terms.  Otherwise building the bound source pattern reports a
-    missing binding or the mismatch."""
-    stored = step.bindings
-    names = _METAVARIABLES[step.rule]
-    if not stored.keys() <= names:
-        raise MismatchError(f"{step.rule} has no metavariable {min(stored.keys() - names)!r}")
-    match, make = _compiled(step.rule, step.direction)
-    subject = cursor.move(step.path)
-    if not _agrees(stored, match(subject)):
-        src, _ = _directed(step.rule, step.direction)
+def _step(cursor: _Cursor, rule, direction: str, path: tuple[int, ...], stored: dict | None = None):
+    """Rewrite the cursor's term at ``path`` by ``rule`` read in
+    ``direction``: move there, run the compiled match on the focus and build
+    the other side.  Returns the bindings and the built term, which the caller
+    puts in the focus; without ``stored``, the match's bindings, or two Nones
+    where the rule does not match.
+
+    With ``stored`` the step is replayed: the match must bind exactly the
+    stored names, each to a term the stored one is or equals, and the result
+    is built from the stored terms.  A name the rule does not have is
+    reported first, then a path that leaves the term, then a missing binding
+    (found while building the bound source pattern) or the mismatch."""
+    if stored is not None and not stored.keys() <= _METAVARIABLES[rule]:
+        raise MismatchError(f"{rule} has no metavariable {min(stored.keys() - _METAVARIABLES[rule])!r}")
+    match, make = _compiled(rule, direction)
+    subject = cursor.move(path)
+    found = match(subject)
+    if stored is None:
+        return (None, None) if found is None else (found, make(found))
+    if not _agrees(stored, found):
+        src, _ = _directed(rule, direction)
         want, found = _shown(_instantiate(src, stored)), _shown(subject)
         raise MismatchError(
-            f"{step.rule} {step.direction} does not apply at {list(step.path)}: "
+            f"{rule} {direction} does not apply at {list(path)}: "
             f"bound pattern differs from the subterm: expected {want}, found {found}"
         )
-    cursor.focus = make(stored)
+    return stored, make(stored)
 
 
 def _agrees(stored: dict, found: dict | None) -> bool:
@@ -421,32 +427,21 @@ def _agrees(stored: dict, found: dict | None) -> bool:
     return True
 
 
-def _rewrite(cursor: _Cursor, rule_id: str, direction: str, path: tuple[int, ...], group: int):
-    """Match at ``path`` and rewrite the cursor's term there; the step."""
-    match, make = _compiled(rule_id, direction)
-    bindings = match(cursor.move(path))
-    if bindings is None:
-        raise MismatchError(
-            f"{rule_id} {direction} does not match at {list(path)} in {print_formula(cursor.move(()))}"
-        )
-    step = RewriteStep(rule_id, direction, path, bindings, group)
-    cursor.focus = make(bindings)
-    return step
-
-
 def apply_rule(phi: Formula, step: RewriteStep) -> Formula:
     """Replay one step under its stored bindings; exact or an error.  A
     binding for a name that is not a metavariable of the rule is an error."""
     cursor = _Cursor(phi)
-    _replay(cursor, step)
+    cursor.focus = _step(cursor, step.rule, step.direction, step.path, step.bindings)[1]
     return cursor.move(())
 
 
 def rewrite_at(phi: Formula, rule_id: str, direction: str, path: tuple[int, ...], group: int = 0):
     """Match at ``path`` and apply, returning ``(result, step)``."""
     cursor = _Cursor(phi)
-    step = _rewrite(cursor, rule_id, direction, path, group)
-    return cursor.move(()), step
+    bindings, cursor.focus = _step(cursor, rule_id, direction, path)
+    if bindings is None:
+        raise MismatchError(f"{rule_id} {direction} does not match at {list(path)} in {print_formula(phi)}")
+    return cursor.move(()), RewriteStep(rule_id, direction, path, bindings, group)
 
 
 @_frozen
@@ -464,15 +459,17 @@ def check_certificate(cert: Certificate) -> CheckReport:
     cursor = _Cursor(cert.source)
     for i, step in enumerate(cert.steps):
         try:
-            _replay(cursor, step)
+            cursor.focus = _step(cursor, step.rule, step.direction, step.path, step.bindings)[1]
         except CertifyError as exc:
             return CheckReport(ok=False, steps_applied=i, failed_step=i, reason=str(exc), final=None)
-    state = cursor.move(())
-    if not same_term(state, cert.target):
-        return CheckReport(ok=False, steps_applied=len(cert.steps), failed_step=None,
-                           reason="replay finished but the final formula differs from the target",
-                           final=state)
-    return CheckReport(ok=True, steps_applied=len(cert.steps), failed_step=None, reason=None, final=state)
+    return _finished(cursor.move(()), cert)
+
+
+def _finished(state: Formula, cert: Certificate) -> CheckReport:
+    """The report on a replay of every step of ``cert`` that ended at ``state``."""
+    ok = same_term(state, cert.target)
+    return CheckReport(ok=ok, steps_applied=len(cert.steps), failed_step=None, final=state,
+                       reason=None if ok else "replay finished but the final formula differs from the target")
 
 
 def grouped_rule_ids(cert: Certificate) -> list[list[str]]:
@@ -567,10 +564,16 @@ def generate_certificate(sol: Solution, padding: tuple[PaddingRecord, ...] = ())
     drops = frozenset(pad.index for pad in padding if pad.phi_padded)
     shape = _layers(d, tuple(PaddingRecord(index, phi_padded=True) for index in drops))
     target = substitute(shape, d.x, sol.formula)
-    cursor = _Cursor(sol.formula)
+    cursor, steps = _Cursor(sol.formula), []
     try:
-        steps = tuple(_rewrite(cursor, _DUAL_RULE[rule_id] if sigma else rule_id, direction, path, group)
-                      for rule_id, direction, path, group in _derivation(d, drops))
+        for rule_id, direction, path, group in _derivation(d, drops):
+            rule_id = _DUAL_RULE[rule_id] if sigma else rule_id
+            bindings, made = _step(cursor, rule_id, direction, path)
+            if bindings is None:
+                raise MismatchError(f"{rule_id} {direction} does not match at {list(path)} "
+                                    f"in {print_formula(cursor.move(()))}")
+            cursor.focus = made
+            steps.append(RewriteStep(rule_id, direction, path, bindings, group))
     except CertifyError as exc:
         raise GenerationError(f"scripted derivation failed: {exc}") from exc
     state = cursor.move(())
@@ -579,7 +582,7 @@ def generate_certificate(sol: Solution, padding: tuple[PaddingRecord, ...] = ())
             "scripted derivation ended at "
             f"{print_formula(state)} instead of {print_formula(target)}"
         )
-    return Certificate(source=sol.formula, target=target, steps=steps)
+    return Certificate(source=sol.formula, target=target, steps=tuple(steps))
 
 
 # ---------------------------------------------------------------------------
@@ -680,97 +683,91 @@ def certificate_to_json(cert: Certificate) -> dict:
 def certificate_from_json(doc: dict) -> Certificate:
     """Read a certificate document.  Its ``steps`` must be a JSON array, a
     step's ``path`` a list of JSON integers and its ``group`` a JSON integer
-    (a bool is neither).
+    (a bool is neither).  The terms read are equal to a parse of the texts."""
+    return _read(doc)[0]
 
-    Every binding is a subterm of the formula at its step, or E7's negation
-    of one, so the reader holds ``from`` in a cursor and matches each step's
-    rule at its path, as generation did (``_taken``).  A binding text that is
-    the canonical text of the term the match binds, or has the same tokens,
-    takes that term: parsing the text would give an equal one.  From the
-    first step whose match fails or whose texts differ on, every text is
-    parsed instead.  If every step was taken, ``to`` is read the same way:
-    the formula the cursor ends at is the target if ``to`` is its canonical
-    text or has the same tokens; otherwise, or if that formula is too deep to
-    print, ``to`` is parsed.  Errors come in document order: the steps'
-    fields and bindings, then ``from``, then ``to``."""
+
+def _read(doc: dict) -> tuple[Certificate, CheckReport]:
+    """The certificate a document holds and the report of its replay, in one
+    pass: the reader's check is replay's check.
+
+    The reader holds ``from`` in a cursor and rewrites it at each step's path
+    by the step's rule (``_step``).  Every binding is a subterm of the
+    formula there, or E7's negation of one, so a binding text that is the
+    canonical text of the term the match binds, or has its tokens, takes
+    that term, and a step whose texts all do is checked by that match alone.
+    Any other step has only its own texts parsed, and is replayed under
+    them.  The first step that fails
+    is reported, and the read goes on: the cursor follows the step's match
+    where it has one, so later texts can still be taken.  The formula the
+    cursor ends at is the target if ``to`` spells it; otherwise, or if it is
+    too deep to print, ``to`` is parsed.  Errors come in document order: the
+    steps' fields and bindings, then ``from``, then ``to``."""
     try:
-        items = _steps(doc["steps"])
-        cursor = unread = None
+        items = doc["steps"]
+        if type(items) is not list:  # an empty object or string would read as no steps
+            raise ValueError(f"steps must be a list, not {type(items).__name__}")
+        cursor = unread = report = None
         try:
             source = _parse(doc["from"], False)
             cursor = _Cursor(source)
         except (KeyError, TypeError, ValueError) as exc:
             unread = exc  # raised once the steps are read
         # Its memo is keyed by id, so every term it prints must live until
-        # the read ends: each is a binding of a step kept in ``steps`` or the
-        # target, and once a step is not taken the printer is not used again.
-        printer, steps = _Printer(), []
-        for item in items:
+        # the read ends: in ``steps``, in ``held`` or as the target.
+        printer, steps, held = _Printer(), [], []
+        for i, item in enumerate(items):
             rule, direction, path = item["rule"], item["direction"], _path(item["path"])
             texts = item.get("bindings", {}).items()
-            bindings = None if cursor is None else _taken(cursor, printer, rule, direction, path, texts)
+            found = made = bindings = None
+            if cursor is not None:
+                try:
+                    found, made = _step(cursor, rule, direction, path)
+                    if found is not None and len(found) == len(texts):
+                        bindings = {}
+                        for name, text in texts:
+                            value = found.get(name)
+                            if value is None or not _spells(text, printer.program(value)
+                                                            if name in _PROGRAM_METAVARS
+                                                            else printer.formula(value)):
+                                bindings = None
+                                break
+                            bindings[name] = value
+                except (TypeError, ValueError, RecursionError):
+                    # No such rule (``RewriteStep`` refuses it below), a path
+                    # that leaves the term, or a term too deep to print.
+                    bindings = None
+            replay = bindings is None and cursor is not None and report is None
             if bindings is None:
-                cursor = None
+                held.append(found)
                 bindings = {name: _parse(text, name in _PROGRAM_METAVARS) for name, text in texts}
             steps.append(RewriteStep(rule, direction, path, bindings, _group(item.get("group", 0))))
+            if replay:
+                try:
+                    made = _step(cursor, rule, direction, path, bindings)[1]
+                except CertifyError as exc:
+                    report = CheckReport(ok=False, steps_applied=i, failed_step=i, reason=str(exc), final=None)
+            if made is not None:
+                cursor.focus = made
         if unread is not None:
             raise unread
-        text, target = doc["to"], None
-        if cursor is not None:
-            end = cursor.move(())
-            try:
-                if _spells(text, printer.formula(end)):
-                    target = end
-            except RecursionError:
-                pass
+        text, target, end = doc["to"], None, cursor.move(())
+        try:
+            if _spells(text, printer.formula(end)):
+                target = end
+        except RecursionError:
+            pass
         if target is None:
             target = _parse(text, False)
-        return Certificate(source=source, target=target, steps=tuple(steps))
+        cert = Certificate(source=source, target=target, steps=tuple(steps))
+        return cert, _finished(end, cert) if report is None else report
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, CertifyError):
-            raise
         raise ValueError(f"malformed certificate document: {exc}") from exc
-
-
-def _taken(cursor: _Cursor, printer: _Printer, rule, direction, path, texts) -> dict | None:
-    """The bindings of the step's match at ``path``, each spelled by its text
-    in ``texts`` (name and text pairs), with the cursor moved past the step;
-    or None if the step names no rule or no subterm, its rule does not match
-    there, or a text does not spell what the match binds."""
-    try:
-        match, make = _compiled(rule, direction)
-    except (TypeError, ValueError):
-        return None  # ``RewriteStep`` refuses the step once its texts are read
-    try:
-        found = match(cursor.move(path))
-        if found is None or len(found) != len(texts):
-            return None
-        for name, text in texts:
-            value = found.get(name)
-            if value is None:
-                return None
-            printed = printer.program(value) if name in _PROGRAM_METAVARS else printer.formula(value)
-            if not _spells(text, printed):
-                return None
-        cursor.focus = make(found)
-    except (BadPathError, RecursionError):
-        return None
-    return {name: found[name] for name, _ in texts}
 
 
 def _spells(text, printed: str) -> bool:
     """Whether ``text`` is the canonical text ``printed`` or has its tokens."""
     return text == printed or (type(text) is str and _TOKEN.findall(text) == _TOKEN.findall(printed))
-
-
-def _steps(value) -> list:
-    """The steps array.  Any other value is refused, even one that iterates:
-    an empty object or string would otherwise read as a certificate with no
-    steps, which replay rejects as a wrong derivation, not as a malformed
-    document."""
-    if type(value) is not list:
-        raise ValueError(f"steps must be a list, not {type(value).__name__}")
-    return value
 
 
 _INT = frozenset((int,))

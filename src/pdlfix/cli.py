@@ -286,7 +286,7 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_verify_cert(args) -> int:
-    from .certify import certificate_from_json, check_certificate, grouped_rule_ids
+    from .certify import _read, grouped_rule_ids
 
     try:
         with open(args.certificate, encoding="utf-8") as handle:
@@ -294,10 +294,9 @@ def cmd_verify_cert(args) -> int:
                 doc = json.load(handle)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"malformed certificate file {args.certificate}: {exc}") from exc
-        cert = certificate_from_json(doc)
+        cert, report = _read(doc)
     except (OSError, ValueError) as exc:
         raise _InputError(str(exc)) from exc
-    report = check_certificate(cert)
     doc = {
         "ok": report.ok,
         "stepsApplied": report.steps_applied,

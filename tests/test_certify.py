@@ -464,13 +464,123 @@ def test_a_target_naming_another_formula_is_parsed_and_fails_replay(monkeypatch,
     assert json.loads(capsys.readouterr().out)["ok"] is False
 
 
-def test_a_document_with_a_step_not_taken_parses_its_target(monkeypatch):
+def test_a_document_with_a_step_not_taken_parses_only_that_steps_texts(monkeypatch):
+    # Step 2's texts, between parentheses, are parsed and the step replayed
+    # under them; the cursor goes on, so the later steps and "to" are taken.
     cert = example_certificate()[2]
     doc = certificate_to_json(cert)
-    doc["steps"][2]["bindings"] = {name: f"({text})" for name, text in doc["steps"][2]["bindings"].items()}
+    wrapped = {name: f"({text})" for name, text in doc["steps"][2]["bindings"].items()}
+    doc["steps"][2]["bindings"] = wrapped
     back, parsed = read_counting_parses(monkeypatch, doc)
-    assert parsed[0] == doc["from"] and parsed[-1] == doc["to"]
+    assert parsed == [doc["from"], *wrapped.values()]
     assert back == cert and check_certificate(back).ok
+
+
+@pytest.fixture(scope="module")
+def deep_document():
+    """The document of the certificate of ``[a](p | `` nested 24 deep: 1,271
+    steps, each binding thousands of characters long."""
+    phi = parse_formula("[a](p | " * 24 + "X" + ")" * 24)
+    return certificate_to_json(generate_certificate(solve(phi, "X"), padding=classify(phi, "X").padding))
+
+
+def with_step_10_wrapped(doc, **edits):
+    """``doc`` with step 10's binding texts between parentheses, then
+    ``edits`` made to those bindings."""
+    doc = json.loads(json.dumps(doc))
+    item = doc["steps"][10]
+    item["bindings"] = {name: f"({text})" for name, text in item["bindings"].items()} | edits
+    return doc
+
+
+def test_a_deep_document_with_one_step_respelled_parses_only_that_steps_texts(monkeypatch, deep_document):
+    # The cursor goes on past step 10, so no later text is parsed: the read
+    # takes as long as that of the canonical document, not seconds.
+    from pdlfix.certify import _read
+
+    doc = with_step_10_wrapped(deep_document)
+    back, parsed = read_counting_parses(monkeypatch, doc)
+    assert parsed == [doc["from"], *doc["steps"][10]["bindings"].values()]
+    assert certificate_to_json(back) == deep_document
+    for report in (check_certificate(back), _read(doc)[1]):
+        assert (report.ok, report.steps_applied, report.failed_step) == (True, 1271, None)
+
+
+def test_a_deep_document_with_one_text_naming_another_term_fails_at_that_step(monkeypatch, deep_document):
+    # The failure is reported, and the cursor goes on by the step's match, so
+    # the later texts are still taken.
+    from pdlfix.certify import _read
+
+    subterm = "[a ; (~p)? ; a ; (~p)? ; a ; (~p)? ; a ; (~p)? ; a ; (~p)? ; a ; (~p)? ; a ; (~p)? ; "
+    reason = ("AA LR does not apply at [1, 1, 1, 1, 1, 1, 1, 1, 1]: bound pattern differs from the "
+              f"subterm: expected (q & {subterm}a ; (~p)? ; a ; (~p)? ; a ;..., "
+              f"found ({subterm}a ; (~p)? ; a ; (~p)? ; a ; (~p...")
+    doc = with_step_10_wrapped(deep_document, phi="(q)")
+    back, parsed = read_counting_parses(monkeypatch, doc)
+    assert parsed == [doc["from"], *doc["steps"][10]["bindings"].values()]
+    for report in (check_certificate(back), _read(doc)[1]):
+        assert (report.ok, report.steps_applied, report.failed_step) == (False, 10, 10)
+        assert report.reason == reason
+
+
+def test_a_deep_document_reports_an_extra_name_before_a_bad_path(deep_document):
+    # A path that leaves the term gives the cursor nothing to follow, so the
+    # reader parses every later text, which takes seconds at this size: the
+    # steps after step 10 are dropped.
+    from pdlfix.certify import _read
+
+    doc = with_step_10_wrapped(deep_document, zzz="(p)")
+    doc["steps"][10]["path"].append(9)
+    del doc["steps"][11:]
+    cert, report = _read(doc)
+    assert (report.ok, report.failed_step, report.reason) == (False, 10, "AA has no metavariable 'zzz'")
+    assert check_certificate(cert) == report
+    step = cert.steps[10]
+    bad_path = replace(step, bindings={name: step.bindings[name] for name in ("phi", "psi", "chi")})
+    report = check_certificate(replace(cert, steps=(*cert.steps[:10], bad_path)))
+    assert (report.failed_step, report.reason) == (10, "no child 9 at depth 9 of And")
+
+
+def test_verify_cert_runs_each_steps_compiled_match_once(monkeypatch, tmp_path, capsys):
+    # Reading and replaying are one pass: a canonical document's steps are
+    # each matched once, in order.
+    from pdlfix import certify
+    from pdlfix.cli import main
+
+    cert = example_certificate()[2]
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(certificate_to_json(cert)))
+    compiled, matched = certify._compiled, []
+
+    def counting(rule_id, direction):
+        match, make = compiled(rule_id, direction)
+        return (lambda subject: matched.append((rule_id, direction)) or match(subject)), make
+
+    monkeypatch.setattr(certify, "_compiled", counting)
+    assert main(["verify-cert", "--json", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["stepsApplied"] == len(cert.steps)
+    assert matched == [(step.rule, step.direction) for step in cert.steps]
+
+
+@pytest.mark.parametrize("json_mode", [False, True], ids=["human", "json"])
+def test_a_malformed_later_step_is_reported_before_an_earlier_replay_failure(tmp_path, capsys, json_mode):
+    from pdlfix.cli import main
+
+    doc = certificate_to_json(example_certificate()[2])
+    doc["steps"][2]["bindings"]["phi"] = "false"
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify-cert", "--json", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out)["failedStep"] == 2
+    doc["steps"][5]["path"] = "1"
+    path.write_text(json.dumps(doc))
+    message = "malformed certificate document: path must be a list of integers, not '1'"
+    assert main(["verify-cert", str(path), *(["--json"] if json_mode else [])]) == 2
+    out = capsys.readouterr().out
+    if json_mode:
+        assert json.loads(out) == {"status": "error", "message": message}
+    else:
+        assert out == f"error: {message}\n"
 
 
 def test_a_target_too_deep_to_print_is_parsed(monkeypatch):

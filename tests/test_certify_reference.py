@@ -8,7 +8,10 @@ with ``certify``'s own rewriting; it takes only the rule table and the
 scripted derivation from there.  Generated certificates must be equal to
 the reference's, and the checker's report on every certificate, and on
 every step of it tampered with in four ways, must be equal to the
-reference's, reason text included.  Each directed rule's compiled ``match``
+reference's, reason text included.  So must the report of the document
+reader's one pass, on a pinned document with a step's texts, path, rule or
+direction edited, and the certificate it reads must be what the texts
+parse to.  Each directed rule's compiled ``match``
 and ``make`` must agree with the reference's matcher and instantiation on
 instances of its source pattern and on near misses of them.  The path
 cursor, moved up, down, sideways and off the term with rewrites between its
@@ -18,6 +21,7 @@ moves, must land where the reference's walk from the current root lands.
 import pickle
 import random
 from dataclasses import replace
+from functools import cache
 from itertools import count
 
 import hypothesis.strategies as st
@@ -42,6 +46,9 @@ from pdlfix.certify import (
     _DUAL_RULE,
     _METAVARIABLES,
     _PROGRAM_METAVARS,
+    _read,
+    certificate_from_json,
+    certificate_to_json,
     check_certificate,
     generate_certificate,
     rule_metavariables,
@@ -233,6 +240,58 @@ def test_certificates_and_reports_equal_the_reference_fold():
                 assert report == ref_check(ref, states, i, bad), (print_formula(phi), i, bad)
                 assert not report.ok and report.failed_step == i
     assert shapes == {(kind, n) for kind in ("Pi", "Sigma") for n in (1, 2, 3)}
+
+
+@cache
+def pinned_references():
+    """The reference certificate and states of the worked example and of the
+    four pinned decompositions (three pairs, each kind, leading or not)."""
+    equations = [(parse_formula("p & [a](q | (r & X))"), "X")]
+    for kind, leading in [("Pi", False), ("Pi", True), ("Sigma", False), ("Sigma", True)]:
+        d = random_decomposition(random.Random(5), kind=kind, leading=leading, max_pairs=3, depth=2)
+        equations.append((to_nested_form(d), d.x))
+    return [ref_generate(solve(phi, x), classify(phi, x).padding) for phi, x in equations]
+
+
+TAMPERINGS = ["spaced", "parens", "other-term", "extra-name", "bad-path", "rule", "direction"]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.data())
+def test_the_one_pass_read_of_a_tampered_document_equals_the_reference(data):
+    # One tampering at one step of a pinned document: a text respelled (the
+    # same tokens, or parentheses), a text naming another term, an extra
+    # name, a path one level too deep, or another rule or direction.  The
+    # read gives the certificate the texts parse to, and the report of the
+    # reference's replay of it, reason text included.
+    ref, states = data.draw(st.sampled_from(pinned_references()))
+    doc = certificate_to_json(ref)
+    at = data.draw(st.integers(0, len(ref.steps) - 1))
+    item = doc["steps"][at]
+    name = data.draw(st.sampled_from(sorted(item["bindings"])))
+    text = item["bindings"][name]
+    kind = data.draw(st.sampled_from(TAMPERINGS))
+    if kind == "spaced":
+        item["bindings"][name] = f" {text} ".replace(" ", "  ")
+    elif kind == "parens":
+        item["bindings"][name] = f"({text})"
+    elif kind == "other-term":
+        item["bindings"][name] = f"({text}) {';' if name in _PROGRAM_METAVARS else '&'} ({text})"
+    elif kind == "extra-name":
+        item["bindings"]["zzz"] = "p"
+    elif kind == "bad-path":
+        item["path"].append(9)
+    elif kind == "rule":
+        item["rule"] = data.draw(st.sampled_from(sorted(set(RULES) - {item["rule"]})))
+    else:
+        item["direction"] = "RL" if item["direction"] == "LR" else "LR"
+    tampered = RewriteStep(item["rule"], item["direction"], tuple(item["path"]), {
+        key: (parse_program if key in _PROGRAM_METAVARS else parse_formula)(value)
+        for key, value in item["bindings"].items()}, item["group"])
+    cert, report = _read(doc)
+    assert cert == replace(ref, steps=ref.steps[:at] + (tampered,) + ref.steps[at + 1:])
+    assert report == ref_check(ref, states, at, tampered), (kind, at, name)
+    assert certificate_from_json(doc) == cert
 
 
 def test_a_missing_binding_is_reported_before_a_mismatch():
