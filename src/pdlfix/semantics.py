@@ -8,6 +8,12 @@ built as a relation; it acts on a world set by pre-image (``<alpha>phi`` is
 the pre-image of ``phi``, ``[alpha]phi`` the complement of the pre-image of
 ``~phi``), and Kleene star is the least fixpoint of ``T -> S | pre(alpha, T)``.
 Variables are interpreted through the valuation exactly like atoms.
+
+``random_model`` draws a model from a counter-based stream, block by block.
+The blocks that hold the names are drawn when the model is made; each
+program's rows are drawn when the program is first read, so a check that reads
+one program of a large model hashes no block of the others.  Every read gives
+the masks of the model drawn whole.
 """
 
 from __future__ import annotations
@@ -53,6 +59,12 @@ class KripkeModel:
     from either are empty.  World order is significant: counterexamples report
     the first world in this order.  The constructor encodes world pairs and
     world sets once; ``relations`` and ``valuation`` decode them as read-only views.
+
+    A model from ``random_model`` has its names' masks from the start, and
+    draws a program's rows at the first read of that program: ``succ[a]`` and
+    ``succ.get(a)`` draw ``a`` alone, and any read of ``succ`` as a whole
+    (``==``, iteration, ``repr``, ``relations``, a pickle or a copy) draws
+    the rest first.  Every read gives the same masks as the model drawn whole.
     """
 
     worlds: tuple[str, ...]
@@ -269,12 +281,22 @@ class ModelGenParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if type(self.world_count) is not int:
+            raise ValueError(f"world_count must be an integer, got {self.world_count!r}")
         if self.world_count < 1:
             raise ValueError("world_count must be at least 1")
         if not 0.0 <= self.edge_probability <= 1.0:
             raise ValueError(f"probability out of range: {self.edge_probability}")
         if type(self.seed) is not int:
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        # A model holds one row set a program and one mask a name: a name given
+        # twice would be drawn twice, and one draw silently lost.
+        names = (*self.atom_names, *self.var_names)
+        if len(set(self.prog_names)) < len(self.prog_names) or len(set(names)) < len(names):
+            for kind, names in (("program", self.prog_names), ("atom or variable", names)):
+                for i, name in enumerate(names):
+                    if name in names[:i]:
+                        raise ValueError(f"duplicate {kind} name {name!r}")
 
 
 def random_model(params: ModelGenParams) -> KripkeModel:
@@ -291,6 +313,14 @@ def random_model(params: ModelGenParams) -> KripkeModel:
     with no generator state to seed.  A draw's high byte decides it, unless
     that byte equals the bound's; then its low byte does.
 
+    So any block can be drawn alone, in any order.  The blocks that hold the
+    names are drawn here, and so is every program whose rows lie wholly in
+    them: all of a model of one block.  Each other program's rows are drawn
+    the first time it is read (``_Rows``), hashing only the blocks they lie
+    in that are not drawn yet, each block once.  A formula that reads one
+    program of a large model hashes no block of the others, and every read
+    gives the masks of the model drawn whole.
+
     A model of one block is hashed by the stdlib's ``_sha3``, which is cheap
     to import; a model of more blocks by ``hashlib``'s SHAKE128 (OpenSSL's,
     where the interpreter is built with it), which hashes faster but loads
@@ -299,26 +329,96 @@ def random_model(params: ModelGenParams) -> KripkeModel:
     """
     n = params.world_count
     names = (*params.atom_names, *params.var_names)
-    edges = n * n * len(params.prog_names)  # the edge draws; n draws a name follow
-    total = edges + n * len(names)
+    edges = n * len(params.prog_names)  # the edge rows, n draws each; a row a name follows
+    total = edges + len(names)
     seed = params.seed
     p = params.edge_probability
-    step = n * max(1, _BLOCK_DRAWS // n)  # draws a block, in whole rows
-    if total > step:  # hashlib loads OpenSSL, a few ms: one-block models never pay for it
+    per = max(1, _BLOCK_DRAWS // n)  # rows a block
+    if not total:  # no programs and no names: nothing to draw
+        rows = []
+    elif total <= per:  # one block, the whole model: _sha3 hashes it, and nothing is left to draw
+        rows = _rows(shake_128(b"%d:0" % seed).digest(2 * n * total), n * edges, p, n)
+    else:  # hashlib loads OpenSSL, a few ms: one-block models never pay for it
         from hashlib import shake_128 as shake
-    else:
-        shake = shake_128
-    rows = []
-    for block, start in enumerate(range(0, total, step)):
-        data = shake(b"%d:%d" % (seed, block)).digest(2 * min(step, total - start))
-        rows += _rows(data, max(edges - start, 0), p, n)
+        rows = [None] * total
+
+        def draw(first: int, last: int) -> tuple[int, ...]:
+            """Rows ``first`` to ``last - 1``, hashing the blocks they lie in not drawn yet."""
+            for block in range(first // per, -(-last // per)):
+                start = block * per
+                if rows[start] is None:
+                    stop = min(start + per, total)
+                    data = shake(b"%d:%d" % (seed, block)).digest(2 * n * (stop - start))
+                    rows[start:stop] = _rows(data, n * max(edges - start, 0), p, n)
+            return tuple(rows[first:last])
+
+        draw(edges, total)  # the names' blocks
     rows_left = iter(rows)
     succ = dict(zip(params.prog_names, zip(*[rows_left] * n)))  # n rows a program
     ext = dict(zip(names, rows_left))
+    if rows and rows[0] is None:  # the blocks drawn end the model, so the first programs wait
+        pending = {name: (i, i + n)
+                   for i, name in zip(range(0, edges, n), succ) if rows[i] is None}
+        drawn = {name: r for name, r in succ.items() if name not in pending}
+        succ = _Rows(drawn, pending, params.prog_names, draw)
     model = object.__new__(KripkeModel)
     worlds = _WORLDS[:n] if n <= len(_WORLDS) else tuple([f"w{i}" for i in range(n)])
     model.__dict__.update(worlds=worlds, succ=succ, ext=ext)
     return model
+
+
+class _Rows(dict):
+    """The ``succ`` of a random model with programs not drawn yet.
+
+    Its items are the programs drawn so far; ``pending`` maps each other
+    program to the range of its rows, which ``draw`` gives.  Reading one
+    program, by ``[]`` or ``get``, draws it.  Every other read (``==``,
+    iteration, ``len``, ``in``, ``repr``, ``items``, a copy or a pickle)
+    first draws the rest and puts the programs back in the model's order, so
+    it sees the masks of the model drawn whole.  A copy or a pickle is a
+    plain ``dict``.  Code that reads a dict's storage without its methods
+    sees only the programs drawn: the C JSON encoder writes ``{}`` for one
+    with none drawn yet.
+    """
+
+    __slots__ = ("_pending", "_order", "_draw")
+
+    def __init__(self, drawn, pending, order, draw) -> None:
+        super().__init__(drawn)
+        self._pending, self._order, self._draw = pending, order, draw
+
+    def __missing__(self, name):
+        rows = self[name] = self._draw(*self._pending.pop(name))
+        return rows
+
+    def get(self, name, default=None):
+        return self[name] if name in self._pending else dict.get(self, name, default)
+
+    def _complete(self) -> None:
+        if self._draw is not None:
+            drawn = {name: self[name] for name in self._order}
+            dict.clear(self)
+            dict.update(self, drawn)
+            self._draw = None  # lets the drawn blocks go
+
+    def __reduce_ex__(self, protocol):
+        return dict, (self.copy(),)
+
+
+def _whole(method):
+    """``dict``'s ``method``, called once every program of both sides is drawn."""
+    def read(self, *args):
+        self._complete()
+        if args and type(args[0]) is _Rows:
+            args[0]._complete()
+        return method(self, *args)
+    read.__name__ = method.__name__
+    return read
+
+
+for _name in ("__contains__", "__eq__", "__iter__", "__len__", "__ne__", "__or__", "__repr__",
+              "__reversed__", "__ror__", "copy", "items", "keys", "values"):
+    setattr(_Rows, _name, _whole(getattr(dict, _name)))
 
 
 # Draws per hash call, in whole rows (at least one): 8 KiB of output, so a

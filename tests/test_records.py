@@ -203,14 +203,23 @@ def test_record_classes_differ_even_on_equal_fields():
     (lambda: ModelGenParams(2, edge_probability=1.5), "probability out of range: 1.5"),
     (lambda: ModelGenParams(seed="abc"), "seed must be an integer, got 'abc'"),
     (lambda: ModelGenParams(seed=2.0), "seed must be an integer, got 2.0"),
+    (lambda: ModelGenParams(world_count=2.5), "world_count must be an integer, got 2.5"),
+    (lambda: ModelGenParams(world_count="3"), "world_count must be an integer, got '3'"),
+    (lambda: ModelGenParams(world_count=True), "world_count must be an integer, got True"),
+    (lambda: ModelGenParams(prog_names=("a", "a")), "duplicate program name 'a'"),
+    (lambda: ModelGenParams(atom_names=("p",), var_names=("p",)),
+     "duplicate atom or variable name 'p'"),
+    (lambda: ModelGenParams(atom_names=("p", "q", "p")), "duplicate atom or variable name 'p'"),
+    (lambda: ModelGenParams(var_names=("X", "Y", "X")), "duplicate atom or variable name 'X'"),
     (lambda: KripkeModel([], {}, {}), "a model needs at least one world"),
     (lambda: KripkeModel(["w", "w"], {}, {}), "duplicate world identifiers"),
     (lambda: KripkeModel(worlds=["w0"], relations={"a": [("w0", "w9")]}, valuation={}),
      "relation 'a' mentions unknown world ('w0', 'w9')"),
     (lambda: KripkeModel(["w0"], {}, {"p": ["w9"]}), "valuation of 'p' mentions unknown world 'w9'"),
 ], ids=["kind", "no-pairs", "leading", "alpha", "x-free", "alpha-x", "rule", "direction",
-        "worlds", "probability", "seed-text", "seed-float", "no-world", "duplicate", "relation",
-        "valuation"])
+        "worlds", "probability", "seed-text", "seed-float", "worlds-float", "worlds-text",
+        "worlds-bool", "program-twice", "atom-and-variable", "atom-twice", "variable-twice",
+        "no-world", "duplicate", "relation", "valuation"])
 def test_record_validation_texts(make, message):
     with pytest.raises(ValueError) as err:
         make()

@@ -1,8 +1,11 @@
 import _sha3
+import copy
+import functools
 import hashlib
 import itertools
 import json
 import os
+import pickle
 import random
 import struct
 import subprocess
@@ -14,7 +17,9 @@ from conftest import variable_free_formulas
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdlfix.generators import TermGen, derive_seed
+from pdlfix import semantics
+from pdlfix.generators import TermGen, derive_seed, random_decomposition
+from pdlfix.hierarchy import to_nested_form
 from pdlfix.semantics import (
     _BLOCK_DRAWS,
     EquationReport,
@@ -46,7 +51,8 @@ from pdlfix.syntax import (
     negate,
     substitute,
 )
-from pdlfix.textio import parse_formula, parse_program
+from pdlfix.synthesis import solve_pi, solve_sigma
+from pdlfix.textio import parse_formula, parse_program, print_formula
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -400,6 +406,140 @@ def test_models_drawn_in_any_order_are_the_same():
     # The key keeps the sign: -5 and 5 are different seeds.
     assert random_model(ModelGenParams(world_count=8, seed=-5)) != random_model(
         ModelGenParams(world_count=8, seed=5))
+
+
+@functools.cache
+def reference_masks(params):
+    return per_draw_model(params)
+
+
+@functools.cache
+def eager_model(params):
+    """The model of ``per_draw_model``'s masks, built whole by the constructor."""
+    succ, ext = reference_masks(params)
+    worlds = [f"w{i}" for i in range(params.world_count)]
+
+    def members(mask):
+        return [w for i, w in enumerate(worlds) if mask >> i & 1]
+
+    return KripkeModel(worlds,
+                       {name: [(u, v) for u, row in zip(worlds, rows) for v in members(row)]
+                        for name, rows in succ.items()},
+                       {name: members(mask) for name, mask in ext.items()})
+
+
+# random_model's two SHAKE128 constructors, before any test replaces them.
+SHAKES = {hashlib: hashlib.shake_128, semantics: semantics.shake_128}
+
+
+def hashed_blocks(monkeypatch):
+    """The blocks ``random_model`` hashes from here on, in order, read from
+    the keys given to either SHAKE128 constructor."""
+    keys = []
+
+    def spy(real):
+        def shake(key):
+            keys.append(int(key.split(b":")[1]))
+            return real(key)
+        return shake
+
+    for module, real in SHAKES.items():
+        monkeypatch.setattr(module, "shake_128", spy(real))
+    return keys
+
+
+def blocks_of(params, first, last):
+    """The blocks that rows ``first`` to ``last - 1`` of a model lie in, a
+    row being one program's draws from one world or one name's draws."""
+    per = max(1, _BLOCK_DRAWS // params.world_count)
+    return set(range(first // per, -(-last // per)))
+
+
+# 45 worlds with two programs is the smallest model of the default names
+# that takes two blocks; at 65 and 100 worlds a block holds the end of one
+# program and the start of the next.
+LAZY_CASES = [ModelGenParams(world_count=worlds, prog_names=("a", "b", "c")[:progs],
+                             seed=derive_seed(29, worlds + progs))
+              for worlds in (45, 63, 64, 65, 100, 200, 256) for progs in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("reads_last", [False, True], ids=["reads-none", "reads-last"])
+@pytest.mark.parametrize("params", LAZY_CASES,
+                         ids=lambda q: f"{q.world_count}w{len(q.prog_names)}p")
+def test_a_program_is_drawn_on_first_read_and_every_read_sees_the_whole_model(
+        params, reads_last, monkeypatch):
+    n, progs = params.world_count, params.prog_names
+    last = progs[-1]
+    phi, psi = ((Diamond(AtomicProg(last), Atom("p")), Box(AtomicProg(last), Atom("q")))
+                if reads_last else (And(Atom("p"), NegAtom("q")), Var("X")))
+    edges, total = n * len(progs), n * len(progs) + 4  # the names are p, q, r and X
+    one_block = len(blocks_of(params, 0, total)) == 1
+    expected = blocks_of(params, 0 if one_block else edges, total)
+    if reads_last:
+        expected |= blocks_of(params, edges - n, edges)
+    whole = eager_model(params)
+    readers = {
+        "succ and ext": lambda m: (m.succ, m.ext),
+        "model_to_json": model_to_json,
+        "relations": lambda m: m.relations,
+        "repr": repr,
+        "==": lambda m: (whole == m, m == whole),
+        "!=": lambda m: (m != whole, whole != m),
+        "pickle": lambda m: repr(pickle.loads(pickle.dumps(m))),
+        "deepcopy": lambda m: repr(copy.deepcopy(m)),
+        "iteration": lambda m: (list(m.succ), list(m.succ.items()), len(m.succ)),
+    }
+    for name, read in readers.items():
+        hashed = hashed_blocks(monkeypatch)
+        m = random_model(params)
+        assert equivalent_on(m, phi, psi) == equivalent_on(whole, phi, psi)
+        # Only the names' blocks and the read program's are hashed, each once:
+        # a block that holds rows of unread programs alone is not.
+        assert sorted(hashed) == sorted(expected), name
+        assert read(m) == read(whole), name
+        # A whole read draws every block left, and none twice.
+        assert sorted(hashed) == sorted(blocks_of(params, 0, total)), name
+    m = random_model(params)
+    assert (m.succ, m.ext) == reference_masks(params)
+    assert type(pickle.loads(pickle.dumps(m)).succ) is dict
+    assert type(copy.deepcopy(m).succ) is dict
+
+
+@pytest.mark.parametrize("worlds", [45, 100])
+def test_a_lazily_drawn_program_is_read_like_a_dict(worlds, monkeypatch):
+    params = ModelGenParams(world_count=worlds, prog_names=("a", "b", "c"), seed=7)
+    whole = eager_model(params)
+    m = random_model(params)
+    assert m.succ.get("c") == whole.succ["c"] and m.succ["b"] == whole.succ["b"]
+    assert m.succ.get("z") is None and m.succ.get("z", ()) == ()
+    with pytest.raises(KeyError):
+        m.succ["z"]
+    assert "a" in m.succ and "z" not in m.succ
+    assert list(m.succ) == ["a", "b", "c"] and m.succ == whole.succ
+    assert copy.copy(m) == whole and str(m.succ) == repr(whole.succ)
+    hashed = hashed_blocks(monkeypatch)
+    assert list(reversed(m.succ)) == ["c", "b", "a"] and not hashed
+
+
+def test_the_oracle_answers_the_same_on_lazily_drawn_and_eager_models():
+    # The first failing world, or None, of the solution against its
+    # instantiation (None) and against the equation itself, whose X is read
+    # from the valuation (mostly a world), on 24 seeded inputs of both kinds.
+    answers = []
+    for i in range(24):
+        kind = ("Pi", "Sigma")[i % 2]
+        d = random_decomposition(random.Random(derive_seed(29, i)), kind=kind,
+                                 leading=i % 4 > 1, max_pairs=3)
+        phi = to_nested_form(d)
+        lam = (solve_pi(d) if kind == "Pi" else solve_sigma(d)).formula
+        pairs = [(lam, substitute(phi, "X", lam)), (lam, phi), (Var("X"), phi)]
+        params = ModelGenParams(world_count=64 + 192 * i // 23, seed=derive_seed(30, i))
+        lazy, whole = random_model(params), eager_model(params)
+        for left, right in pairs:
+            answer = equivalent_on(lazy, left, right)
+            assert answer == equivalent_on(whole, left, right), (i, print_formula(right))
+            answers.append(answer)
+    assert None in answers and any(answer is not None for answer in answers)
 
 
 @settings(max_examples=120, derandomize=True, deadline=None)
