@@ -7,12 +7,17 @@ Formulas are labelled bottom-up with their extensions.  A program is never
 built as a relation; it acts on a world set by pre-image (``<alpha>phi`` is
 the pre-image of ``phi``, ``[alpha]phi`` the complement of the pre-image of
 ``~phi``), and Kleene star is the least fixpoint of ``T -> S | pre(alpha, T)``.
-Variables are interpreted through the valuation exactly like atoms.
+Variables are interpreted through the valuation exactly like atoms.  An
+operand is labelled only when the answer needs it: ``phi & psi`` skips
+``psi`` when ``phi`` is empty, ``phi | psi`` when ``phi`` is every world,
+``alpha u beta`` skips ``beta`` when ``alpha``'s pre-image is every world,
+and a star stops once it has reached every world.
 
 ``random_model`` draws a model from a counter-based stream, block by block.
 The blocks that hold the names are drawn when the model is made; each
 program's rows are drawn when the program is first read, so a check that reads
-one program of a large model hashes no block of the others.  Every read gives
+one program of a large model hashes no block of the others, and a program
+that appears only under a skipped operand is never drawn.  Every read gives
 the masks of the model drawn whole.
 """
 
@@ -126,6 +131,14 @@ class _Evaluator:
     occurrence of the unknown) is evaluated once.  ``pre`` tries tests and
     sequences first, the programs that solutions are built from.
 
+    A node is decided as soon as one operand settles it, left operand first:
+    ``phi & psi`` is empty without ``psi`` when ``phi`` is empty, ``phi |
+    psi`` is every world without ``psi`` when ``phi`` is, ``alpha u beta``
+    skips ``beta`` when ``alpha``'s pre-image is every world, and a star's
+    closure stops once it has reached every world, at once if its set is
+    already full.  A skipped operand is never labelled, so a program that
+    appears only under one is never read, and a random model never draws it.
+
     The memo is keyed by ``id(node)`` alone.  That is sound only while every
     labelled node stays alive, so that no id is reused: an evaluator lives for
     one public call, labels only subterms of the roots its caller holds, and
@@ -153,9 +166,13 @@ class _Evaluator:
         if out is not None:
             return out
         if kind is And:
-            out = self.extension(phi.left) & self.extension(phi.right)
+            out = self.extension(phi.left)
+            if out:
+                out &= self.extension(phi.right)
         elif kind is Or:
-            out = self.extension(phi.left) | self.extension(phi.right)
+            out = self.extension(phi.left)
+            if out != self.full:
+                out |= self.extension(phi.right)
         elif kind is Diamond:
             out = self.pre(phi.prog, self.extension(phi.body))
         elif kind is Box:
@@ -181,12 +198,14 @@ class _Evaluator:
                     out |= 1 << i
             return out
         if kind is Choice:
-            return self.pre(alpha.left, s) | self.pre(alpha.right, s)
+            out = self.pre(alpha.left, s)
+            return out if out == self.full else out | self.pre(alpha.right, s)
         if kind is Star:
             # Least fixpoint of T -> s | pre(body, T); pre-image distributes
-            # over union, so each round only needs the newly reached worlds.
+            # over union, so each round only needs the newly reached worlds,
+            # and none is left once every world is reached.
             reached = frontier = s
-            while frontier:
+            while frontier and reached != self.full:
                 frontier = self.pre(alpha.body, frontier) & ~reached
                 reached |= frontier
             return reached
@@ -357,10 +376,12 @@ def random_model(params: ModelGenParams) -> KripkeModel:
     succ = dict(zip(params.prog_names, zip(*[rows_left] * n)))  # n rows a program
     ext = dict(zip(names, rows_left))
     if rows and rows[0] is None:  # the blocks drawn end the model, so the first programs wait
-        pending = {name: (i, i + n)
-                   for i, name in zip(range(0, edges, n), succ) if rows[i] is None}
-        drawn = {name: r for name, r in succ.items() if name not in pending}
-        succ = _Rows(drawn, pending, params.prog_names, draw)
+        def program(name: str) -> tuple[int, ...]:
+            first = n * params.prog_names.index(name)
+            return draw(first, first + n)
+
+        succ = _Rows({name: _UNDRAWN if r[0] is None else r for name, r in succ.items()},
+                     program)
     model = object.__new__(KripkeModel)
     worlds = _WORLDS[:n] if n <= len(_WORLDS) else tuple([f"w{i}" for i in range(n)])
     model.__dict__.update(worlds=worlds, succ=succ, ext=ext)
@@ -370,39 +391,44 @@ def random_model(params: ModelGenParams) -> KripkeModel:
 class _Rows(dict):
     """The ``succ`` of a random model with programs not drawn yet.
 
-    Its items are the programs drawn so far; ``pending`` maps each other
-    program to the range of its rows, which ``draw`` gives.  Reading one
-    program, by ``[]`` or ``get``, draws it.  Every other read (``==``,
-    iteration, ``len``, ``in``, ``repr``, ``items``, a copy or a pickle)
-    first draws the rest and puts the programs back in the model's order, so
-    it sees the masks of the model drawn whole.  A copy or a pickle is a
-    plain ``dict``.  Code that reads a dict's storage without its methods
-    sees only the programs drawn: the C JSON encoder writes ``{}`` for one
-    with none drawn yet.
+    It holds every program's key from the start, in the model's order; a
+    program not drawn yet maps to ``_UNDRAWN``, and ``draw(name)`` gives its
+    rows.  Reading one program, by ``[]`` or ``get``, draws it.  A read of
+    the keys alone (``in``, ``len``, ``keys``, ``reversed``) draws nothing.
+    Every other read (``==``, iteration, ``repr``, ``items``, ``values``, a
+    copy, a pickle or ``json.dumps``) first draws the rest, so it sees the
+    masks of the model drawn whole.  A copy or a pickle is a plain ``dict``.
     """
 
-    __slots__ = ("_pending", "_order", "_draw")
+    __slots__ = ("_draw",)
 
-    def __init__(self, drawn, pending, order, draw) -> None:
-        super().__init__(drawn)
-        self._pending, self._order, self._draw = pending, order, draw
+    def __init__(self, rows, draw) -> None:
+        super().__init__(rows)
+        self._draw = draw
 
-    def __missing__(self, name):
-        rows = self[name] = self._draw(*self._pending.pop(name))
+    def __getitem__(self, name):
+        rows = dict.__getitem__(self, name)
+        if rows is _UNDRAWN:
+            rows = self._draw(name)
+            dict.__setitem__(self, name, rows)
         return rows
 
     def get(self, name, default=None):
-        return self[name] if name in self._pending else dict.get(self, name, default)
+        rows = dict.get(self, name, default)
+        return self[name] if rows is _UNDRAWN else rows
 
     def _complete(self) -> None:
         if self._draw is not None:
-            drawn = {name: self[name] for name in self._order}
-            dict.clear(self)
-            dict.update(self, drawn)
+            for name in dict.keys(self):
+                self[name]  # draws it
             self._draw = None  # lets the drawn blocks go
 
     def __reduce_ex__(self, protocol):
         return dict, (self.copy(),)
+
+
+# The value of a program not drawn yet in a ``_Rows``.
+_UNDRAWN = object()
 
 
 def _whole(method):
@@ -416,8 +442,10 @@ def _whole(method):
     return read
 
 
-for _name in ("__contains__", "__eq__", "__iter__", "__len__", "__ne__", "__or__", "__repr__",
-              "__reversed__", "__ror__", "copy", "items", "keys", "values"):
+# Iteration draws too: ``dict(rows)`` and ``{**rows}`` copy a dict
+# subclass's storage unless it overrides ``__iter__``.
+for _name in ("__eq__", "__iter__", "__ne__", "__or__", "__repr__", "__ror__", "copy", "items",
+              "pop", "popitem", "setdefault", "values"):
     setattr(_Rows, _name, _whole(getattr(dict, _name)))
 
 

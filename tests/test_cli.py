@@ -770,6 +770,18 @@ def _cli_argv(draw, files, cert):
     return argv + maybe(option("--json"))
 
 
+def _assert_contract(argv, code, out, err):
+    assert code in {0, 1, 2, 3}
+    assert "Traceback" not in err
+    if any(arg.startswith("--js") for arg in argv):
+        doc = json.loads(out)  # exactly one document
+        if code == 1:
+            assert doc.get("passed") is False or doc.get("failures", 0) > 0
+    elif code == 1:
+        assert out.startswith("counterexample after ") or (
+            argv[0] == "fuzz" and "failures: 0 " not in out)
+
+
 def test_exit_code_contract_holds_for_drawn_argv(tmp_path, capsys):
     files = _contract_files(tmp_path)
 
@@ -778,15 +790,26 @@ def test_exit_code_contract_holds_for_drawn_argv(tmp_path, capsys):
     def contract(argv):
         code = main(argv)
         captured = capsys.readouterr()
-        assert code in {0, 1, 2, 3}
-        assert "Traceback" not in captured.err
-        if any(arg.startswith("--js") for arg in argv):
-            doc = json.loads(captured.out)  # exactly one document
-            if code == 1:
-                assert doc.get("passed") is False or doc.get("failures", 0) > 0
-        elif code == 1:
-            assert captured.out.startswith("counterexample after ") or (
-                argv[0] == "fuzz" and "failures: 0 " not in captured.out)
+        _assert_contract(argv, code, captured.out, captured.err)
+
+    contract()
+
+
+def test_exit_code_contract_holds_for_drawn_argv_through_python_m(tmp_path):
+    # The same property as a user runs the command, in a fresh interpreter,
+    # where the interpreter's own start-up and exit are part of the run.
+    # Each draw costs an interpreter, so the sample is small.
+    files = _contract_files(tmp_path)
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+
+    @settings(max_examples=8, derandomize=True, deadline=None)
+    @given(_cli_argv(files, str(tmp_path / "cert.json")))
+    def contract(argv):
+        run = subprocess.run([sys.executable, "-m", "pdlfix", *argv], cwd=tmp_path,
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=path), timeout=60)
+        _assert_contract(argv, run.returncode, run.stdout, run.stderr)
 
     contract()
 

@@ -542,6 +542,46 @@ def test_the_oracle_answers_the_same_on_lazily_drawn_and_eager_models():
     assert None in answers and any(answer is not None for answer in answers)
 
 
+# Each formula is settled before a's rows are needed: a conjunction by its
+# empty left operand, a disjunction by its full one, a star by its full set,
+# and a choice by its left pre-image, full since every one of the 200 worlds
+# has a b-successor.
+SETTLED_WITHOUT_A = ["false & <a>p", "true | <a>p", "<a*>true", "[a*]false", "<b u a>true"]
+
+
+@pytest.mark.parametrize("text", SETTLED_WITHOUT_A)
+def test_an_operand_that_cannot_change_the_answer_is_not_drawn(text, monkeypatch):
+    params = ModelGenParams(world_count=200, seed=5)
+    phi, whole = parse_formula(text), eager_model(params)
+    expected = [satisfies(whole, w, phi) for w in whole.worlds]
+    hashed = hashed_blocks(monkeypatch)
+    m = random_model(params)
+    assert [satisfies(m, w, phi) for w in m.worlds] == expected
+    assert hashed and not set(hashed) & blocks_of(params, 0, 200)
+    if "b" in text:
+        assert blocks_of(params, 200, 400) <= set(hashed)
+
+
+def test_a_partly_drawn_succ_serializes_whole(monkeypatch):
+    # The C JSON encoder reads a dict's size before its items: every
+    # program's key is there from the start, so it reaches items(), which
+    # draws the rest.  Reading the keys alone draws nothing.
+    params = ModelGenParams(world_count=200, seed=5)
+    expected = json.dumps(eager_model(params).succ)
+    for drawn in ([], ["b"], ["a", "b"]):
+        hashed = hashed_blocks(monkeypatch)
+        m = random_model(params)
+        for name in drawn:
+            m.succ[name]
+        before = sorted(hashed)
+        assert list(m.succ.keys()) == ["a", "b"] and len(m.succ) == 2 and "a" in m.succ
+        assert sorted(hashed) == before
+        assert json.dumps(m.succ) == expected, drawn
+    # A copy into a plain dict draws too, rather than copying the storage.
+    assert json.dumps(dict(random_model(params).succ)) == expected
+    assert json.dumps({**random_model(params).succ}) == expected
+
+
 @settings(max_examples=120, derandomize=True, deadline=None)
 @given(variable_free_formulas)
 def test_negation_flip_on_variable_free_formulas(phi):
@@ -669,7 +709,7 @@ def assert_agrees_with_reference(m, alpha=None, formulas=()):
 @given(
     seed=st.integers(0, 2**32 - 1),
     worlds=st.integers(1, 7),
-    edge_probability=st.sampled_from([0.0, 0.15, 0.4, 0.8]),
+    edge_probability=st.sampled_from([0.0, 0.15, 0.4, 0.8, 1.0]),
 )
 def test_evaluator_agrees_with_the_reference(seed, worlds, edge_probability):
     rng = random.Random(seed)
@@ -680,7 +720,15 @@ def test_evaluator_agrees_with_the_reference(seed, worlds, edge_probability):
     phi, psi = gen.formula(depth=3), gen.formula(depth=3)
     # phi[X := psi] shares the psi object at every X: a DAG, not a tree.
     shared = substitute(phi, "X", psi)
-    assert_agrees_with_reference(m, alpha, (phi, psi, shared, psi))
+    # Left operands that settle their node, and some that do not.  At edge
+    # probability 1.0 a star reaches every world in one round, and a
+    # choice's left pre-image of the full set is full.
+    a = AtomicProg("a")
+    settled = (And(Bot(), phi), Or(Top(), phi), And(Top(), psi), Or(Bot(), psi),
+               Diamond(Star(alpha), Top()), Box(Star(alpha), Bot()), Diamond(Star(alpha), psi),
+               Diamond(Choice(a, alpha), Top()), Box(Choice(Star(alpha), alpha), phi),
+               Diamond(Choice(alpha, a), psi))
+    assert_agrees_with_reference(m, alpha, (phi, psi, shared, psi, *settled))
 
 
 def chain(n, **valuation):
