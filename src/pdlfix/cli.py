@@ -304,12 +304,8 @@ def cmd_verify_cert(args) -> int:
         "reason": report.reason,
         "groups": grouped_rule_ids(cert),
     }
-    lines = [f"steps applied: {report.steps_applied}"]
-    if report.ok:
-        lines.insert(0, "certificate verified")
-    else:
-        lines.insert(0, f"certificate REJECTED: {report.reason}")
-    _emit(args, doc, lines)
+    status = "certificate verified" if report.ok else f"certificate REJECTED: {report.reason}"
+    _emit(args, doc, [status, f"steps applied: {report.steps_applied}"])
     return OK if report.ok else COUNTEREXAMPLE
 
 

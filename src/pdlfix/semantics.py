@@ -7,18 +7,14 @@ Formulas are labelled bottom-up with their extensions.  A program is never
 built as a relation; it acts on a world set by pre-image (``<alpha>phi`` is
 the pre-image of ``phi``, ``[alpha]phi`` the complement of the pre-image of
 ``~phi``), and Kleene star is the least fixpoint of ``T -> S | pre(alpha, T)``.
-Variables are interpreted through the valuation exactly like atoms.  An
-operand is labelled only when the answer needs it: ``phi & psi`` skips
-``psi`` when ``phi`` is empty, ``phi | psi`` when ``phi`` is every world,
-``alpha u beta`` skips ``beta`` when ``alpha``'s pre-image is every world,
-and a star stops once it has reached every world.
+Variables are interpreted through the valuation exactly like atoms.  Only
+``<alpha>phi`` and ``[alpha]phi`` nodes are memoized, as they are what a
+check shares.  An operand is labelled only when the answer needs it, and no
+pre-image of the empty set is computed (see ``_Evaluator``).
 
-``random_model`` draws a model from a counter-based stream, block by block.
-The blocks that hold the names are drawn when the model is made; each
-program's rows are drawn when the program is first read, so a check that reads
-one program of a large model hashes no block of the others, and a program
-that appears only under a skipped operand is never drawn.  Every read gives
-the masks of the model drawn whole.
+``random_model`` draws a model from a counter-based stream, block by block,
+and each program's rows when it is first read, so a program that appears
+only under a skipped operand is never drawn.
 """
 
 from __future__ import annotations
@@ -65,11 +61,8 @@ class KripkeModel:
     the first world in this order.  The constructor encodes world pairs and
     world sets once; ``relations`` and ``valuation`` decode them as read-only views.
 
-    A model from ``random_model`` has its names' masks from the start, and
-    draws a program's rows at the first read of that program: ``succ[a]`` and
-    ``succ.get(a)`` draw ``a`` alone, and any read of ``succ`` as a whole
-    (``==``, iteration, ``repr``, ``relations``, a pickle or a copy) draws
-    the rest first.  Every read gives the same masks as the model drawn whole.
+    A model from ``random_model`` may draw a program's rows at the first read
+    of that program (``_Rows``); every read gives the masks of the whole model.
     """
 
     worlds: tuple[str, ...]
@@ -124,20 +117,23 @@ def _members(worlds: tuple[str, ...], mask: int) -> list[str]:
 class _Evaluator:
     """Bottom-up labelling of one model, reading its masks directly.
 
-    A leaf (an atom, negated atom, variable or constant) is answered from the
-    model at once and never memoized: looking it up would cost as much.  Every
-    other formula node is labelled once, memoized by identity, so a subterm
-    shared by reference (as ``substitute`` shares the candidate at every
-    occurrence of the unknown) is evaluated once.  ``pre`` tries tests and
-    sequences first, the programs that solutions are built from.
+    Only ``<alpha>phi`` and ``[alpha]phi`` nodes are memoized, by identity:
+    sharing happens there, in the candidate that ``substitute`` puts under
+    every occurrence of the unknown and the tests a solution repeats along
+    its chains.  A leaf is read from the model, and ``&`` and ``|`` from their
+    operands, with no memo entry: a lookup would cost as much.  ``pre`` tries
+    tests and sequences first, the programs that solutions are built from.
 
     A node is decided as soon as one operand settles it, left operand first:
     ``phi & psi`` is empty without ``psi`` when ``phi`` is empty, ``phi |
     psi`` is every world without ``psi`` when ``phi`` is, ``alpha u beta``
     skips ``beta`` when ``alpha``'s pre-image is every world, and a star's
     closure stops once it has reached every world, at once if its set is
-    already full.  A skipped operand is never labelled, so a program that
-    appears only under one is never read, and a random model never draws it.
+    already full.  No pre-image of the empty set is computed: a box whose body
+    holds everywhere, a diamond whose body holds nowhere and a sequence whose
+    inner pre-image is empty are decided without one.  A skipped operand is
+    never labelled, so a program that appears only under one is never read,
+    and a random model never draws it.
 
     The memo is keyed by ``id(node)`` alone.  That is sound only while every
     labelled node stays alive, so that no id is reused: an evaluator lives for
@@ -160,37 +156,36 @@ class _Evaluator:
             return self.full
         if kind is Bot:
             return 0
+        if kind is And:
+            out = self.extension(phi.left)
+            return out and out & self.extension(phi.right)
+        if kind is Or:
+            out = self.extension(phi.left)
+            return out if out == self.full else out | self.extension(phi.right)
         memo = self._ext
         key = id(phi)
         out = memo.get(key)
         if out is not None:
             return out
-        if kind is And:
-            out = self.extension(phi.left)
-            if out:
-                out &= self.extension(phi.right)
-        elif kind is Or:
-            out = self.extension(phi.left)
-            if out != self.full:
-                out |= self.extension(phi.right)
-        elif kind is Diamond:
-            out = self.pre(phi.prog, self.extension(phi.body))
+        if kind is Diamond:
+            out = self.extension(phi.body)
+            out = out and self.pre(phi.prog, out)
         elif kind is Box:
-            out = self.full ^ self.pre(phi.prog, self.full ^ self.extension(phi.body))
+            out = self.full ^ self.extension(phi.body)
+            out = self.full ^ (out and self.pre(phi.prog, out))
         else:
             raise TypeError(f"not a formula: {phi!r}")
         memo[key] = out
         return out
 
     def pre(self, alpha: Program, s: int) -> int:
-        """The worlds with an ``alpha``-successor in ``s``."""
-        if not s:
-            return 0
+        """The worlds with an ``alpha``-successor in ``s``, which is not empty."""
         kind = type(alpha)
         if kind is Test:
             return self.extension(alpha.cond) & s
         if kind is Seq:
-            return self.pre(alpha.first, self.pre(alpha.second, s))
+            s = self.pre(alpha.second, s)
+            return s and self.pre(alpha.first, s)
         if kind is AtomicProg:
             out = 0
             for i, row in enumerate(self.succ.get(alpha.name, ())):
@@ -219,8 +214,18 @@ def relation(model: KripkeModel, alpha: Program) -> frozenset[tuple[str, str]]:
                      for u in _members(model.worlds, ev.pre(alpha, 1 << j)))
 
 
+# The last formula ``satisfies`` labelled, as ``(model, phi, mask)``, so a loop
+# over the worlds labels it once.  It holds the objects, so no id is reused.
+_last_satisfied: tuple = (None, None, 0)
+
+
 def satisfies(model: KripkeModel, world: str, phi: Formula) -> bool:
-    return bool(_Evaluator(model).extension(phi) >> model.index(world) & 1)
+    global _last_satisfied
+    last_model, last_phi, mask = _last_satisfied
+    if last_model is not model or last_phi is not phi:
+        mask = _Evaluator(model).extension(phi)
+        _last_satisfied = (model, phi, mask)
+    return bool(mask >> model.index(world) & 1)
 
 
 def equivalent_on(model: KripkeModel, phi: Formula, psi: Formula) -> str | None:
@@ -353,9 +358,7 @@ def random_model(params: ModelGenParams) -> KripkeModel:
     seed = params.seed
     p = params.edge_probability
     per = max(1, _BLOCK_DRAWS // n)  # rows a block
-    if not total:  # no programs and no names: nothing to draw
-        rows = []
-    elif total <= per:  # one block, the whole model: _sha3 hashes it, and nothing is left to draw
+    if total <= per:  # one block, the whole model: _sha3 hashes it, and nothing is left to draw
         rows = _rows(shake_128(b"%d:0" % seed).digest(2 * n * total), n * edges, p, n)
     else:  # hashlib loads OpenSSL, a few ms: one-block models never pay for it
         from hashlib import shake_128 as shake
@@ -471,7 +474,7 @@ def _rows(data: bytes, cut: int, p: float, n: int) -> list[int]:
         while j >= 0:
             flags[j] = 49 if data[2 * j] < low else 48
             j = flags.find(63, j + 1)
-    bits = int((flags + highs[cut:].translate(_HALF))[::-1], 2)
+    bits = int((flags + highs[cut:].translate(_HALF))[::-1] or b"0", 2)  # b"": no draws
     full = (1 << n) - 1
     return [bits >> i & full for i in range(0, len(highs), n)]
 

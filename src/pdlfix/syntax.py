@@ -370,19 +370,19 @@ def substitute(term, x: str, psi: Formula):
     """Replace every occurrence of ``Var(x)`` in ``term``, a formula or a
     program, by ``psi``.
 
-    Occurrences inside test programs are replaced as well.  A subterm without
-    ``x`` is kept as it is and not entered, as its variable set tells; every
-    node that holds ``x`` is rebuilt.
+    Occurrences inside test programs are replaced as well.  Every node that
+    holds ``x`` is rebuilt.  A subterm without ``x`` is kept as it is: its
+    parent reads the child's variable set and keeps the child without a call.
     """
-    def sub(node):
-        if x not in node._variables:
-            return node
+    def sub(node):  # ``node`` holds x
         kids = children(node)
         if len(kids) == 2:
-            return type(node)(sub(kids[0]), sub(kids[1]))
+            a, b = kids
+            return type(node)(sub(a) if x in a._variables else a,
+                              sub(b) if x in b._variables else b)
         return type(node)(sub(kids[0])) if kids else psi  # a leaf with x is Var(x)
 
-    return sub(term)
+    return sub(term) if x in term._variables else term
 
 
 def variables(term) -> frozenset[str]:

@@ -341,6 +341,9 @@ def test_bulk_draws_equal_the_per_draw_loop(worlds):
                                 seed=seed))
     # A negative seed: its key starts with a minus sign.
     cases.append(ModelGenParams(world_count=worlds, seed=-seed))
+    # Names given as lists, which no cache on the draw path may need to hash.
+    cases.append(ModelGenParams(world_count=worlds, atom_names=["p", "q", "r"], var_names=["X"],
+                                prog_names=["a", "b"], seed=seed))
     for params in cases:
         m = random_model(params)
         assert m.worlds == tuple(f"w{i}" for i in range(worlds))
@@ -728,7 +731,21 @@ def test_evaluator_agrees_with_the_reference(seed, worlds, edge_probability):
                Diamond(Star(alpha), Top()), Box(Star(alpha), Bot()), Diamond(Star(alpha), psi),
                Diamond(Choice(a, alpha), Top()), Box(Choice(Star(alpha), alpha), phi),
                Diamond(Choice(alpha, a), psi))
-    assert_agrees_with_reference(m, alpha, (phi, psi, shared, psi, *settled))
+    # Bodies whose pre-image would be taken of the empty set: a box over a
+    # body true everywhere, a diamond over an empty one, and, at edge
+    # probability 0.0, a sequence whose inner pre-image is empty.
+    empty = (Box(alpha, Top()), Diamond(alpha, Bot()), Diamond(Seq(alpha, a), psi),
+             Box(Seq(alpha, a), phi))
+    # One body object under two modal nodes, labelled by one evaluator in
+    # equivalent_on: the memo is keyed by the node, not by its body.
+    bodies = (Box(alpha, psi), Diamond(a, psi))
+    # The oracle's own shape: phi(lambda), where lambda's chains and tests
+    # are objects shared across its conjuncts and under every X.
+    d = random_decomposition(rng, max_pairs=3)
+    lam = (solve_pi(d) if d.kind == "Pi" else solve_sigma(d)).formula
+    oracle = (lam, substitute(to_nested_form(d), "X", lam))
+    assert_agrees_with_reference(m, alpha, (phi, psi, shared, psi, *settled, *empty, *bodies,
+                                            *oracle))
 
 
 def chain(n, **valuation):
